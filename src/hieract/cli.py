@@ -252,6 +252,14 @@ def cmd_train(args) -> int:
                      A=init.dictionary.num_actionlets, S=num_actions,
                      Y=num_classes)
     result = train(videos, dims, train_config, init)
+    if result.stopped_reason == "non_decreasing_step" \
+            and len(result.objective_trace) == 1:
+        raise RuntimeError(
+            "training made no progress: the first cutting-plane solve ran "
+            f"{result.cp_infos[0].iterations} of at most "
+            f"{config.max_cutting_plane_iters} iterations "
+            "(--max-cutting-plane-iters) and did not lower the objective "
+            f"{result.objective_trace[0]:.6g}; no model written")
 
     pca_path = Path(args.features) / "pca.json"
     pca_models = None

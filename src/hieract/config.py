@@ -10,6 +10,7 @@ import configparser
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
+from typing import get_args, get_type_hints
 
 from .learning import TrainConfig
 
@@ -67,29 +68,19 @@ class RunConfig:
         return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
-_INT_FIELDS = {"window", "pca_dim", "num_poselets", "max_cccp_iters",
-               "max_cutting_plane_iters", "seed", "min_run", "jobs",
-               "self_pace_rounds"}
-_FLOAT_FIELDS = {"lift_depth", "gc_fraction", "scree_c", "C", "lambda_y",
-                 "lambda_v", "min_overlap", "self_pace_decay"}
-_BOOL_FIELDS = {"use_gc"}
-_OPTIONAL_INT = {"beam"}
-_OPTIONAL_FLOAT = {"eps_qp"}
-
-
 def _coerce(key: str, raw: str):
+    """Parse an INI value as the type its RunConfig field is annotated
+    with; ``none`` or an empty value sets an optional field to None."""
+    kind = get_type_hints(RunConfig)[key]
     value = raw.strip()
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    if key in _BOOL_FIELDS:
+    options = get_args(kind)
+    if type(None) in options:
+        if value.lower() in ("none", ""):
+            return None
+        kind, = (t for t in options if t is not type(None))
+    if kind is bool:
         return value.lower() in ("1", "true", "yes", "on")
-    if key in _OPTIONAL_INT:
-        return None if value.lower() in ("none", "") else int(value)
-    if key in _OPTIONAL_FLOAT:
-        return None if value.lower() in ("none", "") else float(value)
-    return value
+    return kind(value)
 
 
 def load_config(path: str | None = None,
@@ -104,6 +95,7 @@ def load_config(path: str | None = None,
     values: dict = {}
     if path is not None:
         parser = configparser.ConfigParser()
+        parser.optionxform = str      # keys are case-sensitive field names
         read = parser.read(path)
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")

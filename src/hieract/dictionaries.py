@@ -47,23 +47,6 @@ class ActionletDictionary:
                    centroids=np.asarray(d["centroids"], dtype=float))
 
 
-@dataclass
-class PoseletInit:
-    """Initial poselet state for one region: centroids and frame labels.
-
-    Labels are 0..K-1 from k-means; after garbage-collector initialization
-    the most dissimilar fraction carries label K.
-    """
-    centroids: np.ndarray          # (K, D)
-    labels: np.ndarray             # frame labels incl. GC reassignments
-    distances: np.ndarray          # distance to the nearest centroid
-    gc_fraction: float = 0.0
-
-    @property
-    def num_poselets(self) -> int:
-        return self.centroids.shape[0]
-
-
 def _pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding; deterministic for a fixed generator state."""
     n = points.shape[0]

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dictionaries import (ActionletDictionary, assign_labels,
-                           build_actionlets, chi2, gc_init,
-                           interval_histogram, kmeans)
+                           build_actionlets, gc_init, interval_histogram,
+                           kmeans)
 from .energy import Labeling, ModelDims, ModelParams, energy_total, feature_map
 from .inference import (FrameConstraints, LossSpec, complete_latent,
                         loss_augmented_infer_many, loss_value)
@@ -132,102 +132,93 @@ def assign_regions(costs: np.ndarray, overlaps: list[tuple[int, int]],
     """Solve one video's assignment: minimize sum b*(cost - inv_lambda).
 
     Subject to: every interval gets at least one region, and overlapping
-    intervals never share a region. Small instances (R*Q <= 20) are solved
-    exactly by enumerating supports; larger ones by an LP relaxation rounded
-    at 0.5 with greedy feasibility repair. Returns (b, feasible); when the
-    overlap structure makes coverage impossible, coverage wins, the overlap
-    violation stays, and ``feasible`` is False.
+    intervals never share a region. Solved exactly as a 0/1 program.
+    Returns (b, feasible); when the overlap structure makes coverage
+    impossible, coverage wins: each interval goes to its cheapest region,
+    and ``feasible`` is False.
     """
     costs = np.asarray(costs, dtype=float)
-    R, Q = costs.shape
-    if R * Q <= 20:
-        return _ExactAssigner(R, Q, overlaps).solve(costs - inv_lambda)
-    return _assign_lp(costs - inv_lambda, overlaps, R, Q)
+    program = _StackedP1([costs.shape], [overlaps])
+    return program.solve([costs - inv_lambda])[0], program.feasible[0]
 
 
-class _ExactAssigner:
-    """Enumeration solver with the feasible supports precomputed once, so
-    repeated b-steps on the same overlap structure only price them."""
+class _StackedP1:
+    """P1 for several videos as one 0/1 program, the videos' blocks stacked
+    block-diagonally.
 
-    def __init__(self, R: int, Q: int, overlaps: list[tuple[int, int]]):
-        self.R, self.Q = R, Q
-        n = R * Q
-        masks = np.arange(2 ** n, dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-        feas = np.ones(len(masks), dtype=bool)
-        for q in range(Q):
-            feas &= bits[:, q::Q].any(axis=1)   # bit r*Q+q covers (r, q)
-        for q1, q2 in overlaps:
-            for r in range(R):
-                feas &= ~(bits[:, r * Q + q1] & bits[:, r * Q + q2])
-        self.supports = bits[feas]              # ascending mask order
-        self.infeasible_structure = not feas.any()
+    The rows depend only on the shapes and overlaps, so they are built once
+    and each b-step only prices them. Whether a video can be covered at all
+    is decided once, by a program that may waive a video's coverage rows at
+    a cost of 1: the waived videos are the infeasible ones, and stay out of
+    the stack.
+    """
 
-    def solve(self, eff: np.ndarray) -> tuple[np.ndarray, bool]:
-        R, Q = self.R, self.Q
-        if self.infeasible_structure:
-            # Coverage is impossible without overlap collisions: cover each
-            # interval at its cheapest region anyway and report.
-            b = np.zeros((R, Q), dtype=bool)
-            b[np.argmin(eff, axis=0), np.arange(Q)] = True
-            return b, False
-        total = self.supports @ eff.reshape(-1)
-        pick = int(np.argmin(total))            # ties: lowest mask value
-        return self.supports[pick].reshape(R, Q).copy(), True
+    def __init__(self, shapes: list[tuple[int, int]],
+                 overlaps: list[list[tuple[int, int]]]):
+        blocks = [_p1_block(R, Q, pairs)
+                  for (R, Q), pairs in zip(shapes, overlaps)]
+        self.feasible = [True] * len(shapes)
+        if any(overlaps):
+            n = sum(R * Q for R, Q in shapes)
+            waived = _solve_01(np.r_[np.zeros(n), np.ones(len(shapes))],
+                               *_stack(blocks, waivers=True))
+            self.feasible = [not w for w in waived[n:]]
+        self.stacked = [i for i, ok in enumerate(self.feasible) if ok]
+        if self.stacked:
+            self.rows = _stack([blocks[i] for i in self.stacked])
 
-
-def _assign_lp(eff, overlaps, R, Q):
-    from scipy.optimize import linprog
-
-    n = R * Q
-    A_ub, b_ub = [], []
-    for q in range(Q):
-        row = np.zeros(n)
-        row[q::Q] = -1.0              # -sum_r b[r,q] <= -1
-        A_ub.append(row)
-        b_ub.append(-1.0)
-    for q1, q2 in overlaps:
-        for r in range(R):
-            row = np.zeros(n)
-            row[r * Q + q1] = 1.0
-            row[r * Q + q2] = 1.0
-            A_ub.append(row)
-            b_ub.append(1.0)
-    res = linprog(eff.reshape(-1), A_ub=np.asarray(A_ub),
-                  b_ub=np.asarray(b_ub), bounds=(0.0, 1.0), method="highs")
-    if res.x is None:                 # infeasible or solver failure
-        b = np.zeros((R, Q), dtype=bool)
-        b[np.argmin(eff, axis=0), np.arange(Q)] = True
-        return _repair(b, eff, overlaps) if res.status != 2 else (b, False)
-    b = (res.x.reshape(R, Q) > 0.5)
-    return _repair(b, eff, overlaps)
+    def solve(self, effs: list[np.ndarray]) -> list[np.ndarray]:
+        """Minimize sum b*eff for every video; an infeasible video covers
+        each interval at its cheapest region."""
+        x = _solve_01(np.concatenate([effs[i].reshape(-1)
+                                      for i in self.stacked]),
+                      *self.rows) if self.stacked else None
+        out, lo = [], 0
+        for eff, ok in zip(effs, self.feasible):
+            if ok:
+                out.append(x[lo:lo + eff.size].reshape(eff.shape))
+                lo += eff.size
+            else:
+                out.append(np.argmin(eff, axis=0)[None, :]
+                           == np.arange(eff.shape[0])[:, None])
+        return out
 
 
-def _repair(b, eff, overlaps):
-    """Greedy feasibility repair: drop the costlier side of each overlap
-    collision, then cover unassigned intervals at their cheapest legal
-    region."""
-    R, Q = b.shape
-    for q1, q2 in overlaps:
-        for r in range(R):
-            if b[r, q1] and b[r, q2]:
-                b[r, q1 if eff[r, q1] >= eff[r, q2] else q2] = False
-    feasible = True
-    for q in range(Q):
-        if b[:, q].any():
-            continue
-        legal = np.ones(R, dtype=bool)
-        for q1, q2 in overlaps:
-            other = q2 if q1 == q else (q1 if q2 == q else None)
-            if other is not None:
-                legal &= ~b[:, other]
-        if legal.any():
-            cost = np.where(legal, eff[:, q], np.inf)
-            b[int(np.argmin(cost)), q] = True
-        else:
-            b[int(np.argmin(eff[:, q])), q] = True
-            feasible = False
-    return b, feasible
+def _p1_block(R: int, Q: int, overlaps: list[tuple[int, int]]):
+    """One video's rows over b[r, q] at column r*Q + q: Q coverage rows
+    sum_r b[r, q] >= 1, then b[r, q1] + b[r, q2] <= 1 for each region and
+    overlapping pair. Returns (A, lower, upper)."""
+    eye = np.eye(Q)
+    pairs = np.asarray(overlaps, dtype=int).reshape(-1, 2)
+    clash = np.kron(np.eye(R), eye[pairs[:, 0]] + eye[pairs[:, 1]])
+    return (np.vstack([np.tile(eye, R), clash]),
+            np.r_[np.ones(Q), np.full(len(clash), -np.inf)],
+            np.r_[np.full(Q, np.inf), np.ones(len(clash))])
+
+
+def _stack(blocks, waivers: bool = False):
+    """Block-diagonal (A, lower, upper) of several videos' blocks; with
+    ``waivers``, one more column per video enters its coverage rows."""
+    from scipy.sparse import block_diag, hstack
+
+    A = block_diag([A for A, _, _ in blocks], format="csr")
+    if waivers:
+        A = hstack([A, block_diag([(lo > 0)[:, None] for _, lo, _ in blocks])],
+                   format="csr")
+    return (A, np.concatenate([lo for _, lo, _ in blocks]),
+            np.concatenate([up for _, _, up in blocks]))
+
+
+def _solve_01(c: np.ndarray, A, lower, upper) -> np.ndarray:
+    """Exact minimizer of c.x over 0/1 vectors x with lower <= Ax <= upper."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    res = milp(c, integrality=np.ones(c.size), bounds=Bounds(0.0, 1.0),
+               constraints=LinearConstraint(A, lower, upper),
+               options={"mip_rel_gap": 0.0})
+    if res.status != 0:
+        raise RuntimeError(f"P1 0/1 program failed: {res.message}")
+    return res.x > 0.5
 
 
 def _p1_means(problems: list[AssignmentProblem],
@@ -258,21 +249,19 @@ def _p1_means(problems: list[AssignmentProblem],
 
 
 def _p1_costs(prob: AssignmentProblem, means: np.ndarray) -> np.ndarray:
-    R, Q = prob.histograms.shape[:2]
-    costs = np.empty((R, Q))
-    for r in range(R):
-        for q in range(Q):
-            costs[r, q] = chi2(prob.histograms[r, q],
-                               means[r, prob.actions[q]])
-    return costs
+    """(R, Q) chi-squared distances from each interval's histogram to its
+    action's mean in the same region."""
+    h = prob.histograms
+    m = means[:, prob.actions]
+    denom = h + m
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms = np.where(denom > 0, (h - m) ** 2 / denom, 0.0)
+    return terms.sum(axis=2)
 
 
-def _p1_objective(problems, assignments, means, inv_lambda) -> float:
-    total = 0.0
-    for prob, b in zip(problems, assignments):
-        costs = _p1_costs(prob, means)
-        total += float(np.sum(b * (costs - inv_lambda)))
-    return total
+def _p1_objective(assignments, costs, inv_lambda) -> float:
+    return sum(float(np.sum(b * (c - inv_lambda)))
+               for b, c in zip(assignments, costs))
 
 
 def solve_p1(problems: list[AssignmentProblem], num_actions: int,
@@ -284,7 +273,8 @@ def solve_p1(problems: list[AssignmentProblem], num_actions: int,
     rounds shrink lambda by ``decay``, making extra region assignments
     progressively cheaper. Each half step is kept only if it does not
     increase the round's objective, so the per-round objective trace is
-    non-increasing by construction.
+    non-increasing by construction. Every b-step solves all videos exactly
+    in one stacked 0/1 program.
     """
     if not problems:
         raise ValueError("no assignment problems given")
@@ -292,47 +282,31 @@ def solve_p1(problems: list[AssignmentProblem], num_actions: int,
     all_ones = [np.ones((R, p.actions.shape[0]), dtype=bool)
                 for p in problems]
     means = _p1_means(problems, all_ones, num_actions, R, K)
+    costs = [_p1_costs(p, means) for p in problems]
 
     if lambda0 is None:
-        scale = np.mean([_p1_costs(p, means).mean() for p in problems])
+        scale = np.mean([c.mean() for c in costs])
         lambda0 = 8.0 / max(scale, 1e-9)
     inv_lambdas = [0.0] + [1.0 / (lambda0 * decay ** i) for i in range(rounds)]
 
-    infeasible: list[str] = []
-    trace_all: list[list[float]] = []
-    solvers = [_ExactAssigner(R, p.actions.shape[0], p.overlaps)
-               if R * p.actions.shape[0] <= 20 else None for p in problems]
-
-    def b_step(prob, solver, inv_lambda):
-        eff = _p1_costs(prob, means) - inv_lambda
-        if solver is not None:
-            return solver.solve(eff)
-        return _assign_lp(eff, prob.overlaps, R, prob.actions.shape[0])
+    program = _StackedP1([(R, p.actions.shape[0]) for p in problems],
+                         [p.overlaps for p in problems])
+    infeasible = [f"{p.video_id}: coverage forced an overlap"
+                  for p, ok in zip(problems, program.feasible) if not ok]
+    for msg in infeasible:
+        log.warning("P1 %s", msg)
 
     # Initial feasible assignment at the most conservative pace.
-    assignments = []
-    for prob, solver in zip(problems, solvers):
-        b, ok = b_step(prob, solver, inv_lambdas[0])
-        if not ok:
-            infeasible.append(f"{prob.video_id}: coverage forced an overlap")
-        assignments.append(b)
+    assignments = program.solve([c - inv_lambdas[0] for c in costs])
+    trace_all: list[list[float]] = []
     for inv_lambda in inv_lambdas:
         trace = []
-        obj = _p1_objective(problems, assignments, means, inv_lambda)
+        obj = _p1_objective(assignments, costs, inv_lambda)
         trace.append(obj)
         for _ in range(max_alternations):
-            # b-step: exact or LP-repaired per video, kept only on descent
-            new_assignments = []
-            for prob, solver in zip(problems, solvers):
-                b, ok = b_step(prob, solver, inv_lambda)
-                if not ok:
-                    msg = f"{prob.video_id}: coverage forced an overlap"
-                    if msg not in infeasible:
-                        infeasible.append(msg)
-                        log.warning("P1 %s", msg)
-                new_assignments.append(b)
-            new_obj = _p1_objective(problems, new_assignments, means,
-                                    inv_lambda)
+            # b-step: exact for every video, kept only on descent
+            new_assignments = program.solve([c - inv_lambda for c in costs])
+            new_obj = _p1_objective(new_assignments, costs, inv_lambda)
             if new_obj <= obj:
                 changed = any(not np.array_equal(a, b) for a, b in
                               zip(assignments, new_assignments))
@@ -343,12 +317,12 @@ def solve_p1(problems: list[AssignmentProblem], num_actions: int,
             trace.append(obj)
             # mu-step: means of the selected histograms, safeguarded
             new_means = _p1_means(problems, assignments, num_actions, R, K)
-            new_obj = _p1_objective(problems, assignments, new_means,
-                                    inv_lambda)
+            new_costs = [_p1_costs(p, new_means) for p in problems]
+            new_obj = _p1_objective(assignments, new_costs, inv_lambda)
             if new_obj <= obj:
                 if not np.allclose(new_means, means):
                     changed = True
-                means = new_means
+                means, costs = new_means, new_costs
                 obj = new_obj
             trace.append(obj)
             if not changed:

@@ -61,3 +61,45 @@ def toy_skeleton_text():
                   for name in KINECT20.joint_names]
         lines.append(json.dumps({"t": t, "joints": joints}))
     return "\n".join(lines) + "\n"
+
+
+def brute_force_assignment(eff, overlaps):
+    """Exhaustive oracle for one video's region assignment (problem P1).
+
+    The least sum(b * eff) over every 0/1 b that gives each interval a
+    non-empty set of regions, with no two overlapping intervals sharing a
+    region. Each interval's non-empty region subsets are enumerated jointly,
+    (2^R - 1)^n combinations, within each connected component of n
+    intervals of the overlap graph: the objective is a sum over intervals
+    and every constraint stays inside one component, so components are
+    independent. Returns the optimum, or None when no b is feasible.
+    """
+    eff = np.asarray(eff, dtype=float)
+    R, Q = eff.shape
+    subsets = np.arange(1, 2 ** R)                    # region bitmasks
+    member = (subsets[:, None] >> np.arange(R)[None, :]) & 1
+    subset_cost = member @ eff                        # (2^R - 1, Q)
+    parent = list(range(Q))
+
+    def root(q):
+        while parent[q] != q:
+            q = parent[q]
+        return q
+
+    for q1, q2 in overlaps:
+        parent[root(q1)] = root(q2)
+    total = 0.0
+    for comp_root in sorted({root(q) for q in range(Q)}):
+        comp = [q for q in range(Q) if root(q) == comp_root]
+        pick = np.indices((subsets.size,) * len(comp), dtype=np.int8) \
+            .reshape(len(comp), -1)
+        cost = sum(subset_cost[pick[j], q] for j, q in enumerate(comp))
+        ok = np.ones(pick.shape[1], dtype=bool)
+        for q1, q2 in overlaps:
+            if q1 in comp:
+                ok &= (subsets[pick[comp.index(q1)]]
+                       & subsets[pick[comp.index(q2)]]) == 0
+        if not ok.any():
+            return None
+        total += float(cost[ok].min())
+    return total

@@ -198,6 +198,37 @@ class TestPipeline:
         for regions in doc["assignments"].values():
             assert all(len(r) >= 1 for r in regions)
 
+    def test_init_assignments_rerun_is_byte_identical(self, synth_dataset,
+                                                      tmp_path):
+        base = synth_dataset / "train"
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["init-assignments",
+                         "--features", str(base / "features"),
+                         "--annotations", str(base / "annotations.csv"),
+                         "--labels", str(base / "labels.csv"),
+                         "--num-poselets", "3", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_train_without_progress_writes_no_model(self, synth_dataset,
+                                                    tmp_path, capsys):
+        # two cutting-plane iterations leave an iterate whose objective is
+        # above the all-zero model's, so no CCCP step is accepted
+        base = synth_dataset / "train"
+        model_path = tmp_path / "model.json"
+        code = main(["train",
+                     "--features", str(base / "features"),
+                     "--annotations", str(base / "annotations.csv"),
+                     "--labels", str(base / "labels.csv"),
+                     "--out", str(model_path), "--num-poselets", "3",
+                     "--C", "10", "--max-cccp-iters", "1",
+                     "--max-cutting-plane-iters", "2"])
+        assert code == 2
+        assert not model_path.exists()
+        err = capsys.readouterr().err
+        assert "--max-cutting-plane-iters" in err
+        assert "at most 2 iterations" in err
+
 
 class TestErrors:
     def test_unknown_command(self, capsys):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import make_dictionary
+from conftest import brute_force_assignment, make_dictionary
 
+from hieract.dictionaries import chi2
 from hieract.energy import Labeling, ModelDims, ModelParams, energy_total, feature_map
 from hieract.evaluation import SyntheticSpec, plant_synthetic
 from hieract.inference import LossSpec, infer
 from hieract.learning import (AssignmentProblem, TrainConfig, TrainingVideo,
-                              _WorkingSet, assign_regions, build_constraints,
-                              build_loss_spec, cutting_plane, impute_latents,
-                              initialize, primal_objective, solve_p1, train)
+                              _WorkingSet, _p1_costs, assign_regions,
+                              build_constraints, build_loss_spec,
+                              cutting_plane, impute_latents, initialize,
+                              primal_objective, solve_p1, train)
 from hieract.skeleton import ActionInterval
 
 
@@ -54,24 +56,79 @@ class TestAssignRegions:
             assert not (b[r, 0] and b[r, 1])
 
     def test_lp_path_matches_enumeration(self):
-        # R*Q = 24 forces the LP path; compare against brute enumeration
+        # compare against exhaustive enumeration
         rng = np.random.default_rng(0)
         R, Q = 2, 12
         costs = rng.uniform(0.1, 2.0, size=(R, Q))
         overlaps = [(0, 1), (4, 5), (9, 10)]
-        b_lp, ok = assign_regions(costs, overlaps, inv_lambda=0.3)
+        b, ok = assign_regions(costs, overlaps, inv_lambda=0.3)
         assert ok
-        # feasibility
-        assert b_lp.any(axis=0).all()
-        for q1, q2 in overlaps:
-            assert not (b_lp[:, q1] & b_lp[:, q2]).any()
-        # enumeration oracle on the same instance (via the small-path solver)
-        from hieract.learning import _ExactAssigner
-        exact = _ExactAssigner(R, Q, overlaps)
-        b_ref, _ = exact.solve(costs - 0.3)
-        ref_cost = float(((costs - 0.3) * b_ref).sum())
-        lp_cost = float(((costs - 0.3) * b_lp).sum())
-        assert lp_cost <= ref_cost + 1e-9 or np.isclose(lp_cost, ref_cost)
+        _assert_feasible(b, overlaps)
+        ref_cost = brute_force_assignment(costs - 0.3, overlaps)
+        assert np.isclose(float(((costs - 0.3) * b).sum()), ref_cost,
+                          rtol=0, atol=1e-9)
+
+    def test_random_instances_reach_enumeration_optimum(self):
+        rng = np.random.default_rng(0)
+        checked = 0
+        while checked < 60:
+            costs, overlaps = _random_instance(rng)
+            if not overlaps:
+                continue
+            checked += 1
+            b, ok = assign_regions(costs, overlaps)
+            ref_cost = brute_force_assignment(costs, overlaps)
+            if ref_cost is None:
+                assert not ok
+                np.testing.assert_array_equal(
+                    b, np.argmin(costs, axis=0)[None, :]
+                    == np.arange(costs.shape[0])[:, None])
+                continue
+            assert ok, (costs, overlaps)
+            _assert_feasible(b, overlaps)
+            assert np.isclose(float((costs * b).sum()), ref_cost,
+                              rtol=0, atol=1e-9), (costs, overlaps)
+
+    def test_overlap_graph_needing_three_of_four_regions(self):
+        # the overlap graph needs 3 of the 4 regions; an LP relaxation
+        # rounded at 0.5 and greedily repaired reports it infeasible
+        costs = np.array([[-1.1, 0.0, 0.5, -0.4, -0.7, 0.3, 0.2],
+                          [-1.1, -0.4, 0.5, -0.9, -1.0, 0.5, -0.2],
+                          [-1.2, -0.7, -1.1, -1.1, -1.1, -1.1, -1.1],
+                          [-1.1, 0.5, -0.5, -0.9, -0.6, -0.7, -0.9]])
+        overlaps = [(1, 5), (2, 5), (2, 6), (3, 5), (3, 6), (5, 6)]
+        b, ok = assign_regions(costs, overlaps)
+        assert ok
+        _assert_feasible(b, overlaps)
+        assert np.isclose(float((costs * b).sum()),
+                          brute_force_assignment(costs, overlaps),
+                          rtol=0, atol=1e-9)
+
+
+def _assert_feasible(b, overlaps):
+    assert b.any(axis=0).all()
+    for q1, q2 in overlaps:
+        assert not (b[:, q1] & b[:, q2]).any()
+
+
+def _random_instance(rng):
+    """Costs and time-overlap pairs for R in 2..4 and Q <= 8 intervals.
+    Intervals come in groups placed one after another, so no overlap chain
+    outgrows a group; group sizes keep the oracle under 10^6 combinations
+    per component."""
+    R = int(rng.integers(2, 5))
+    Q = int(rng.integers(2, 9))
+    largest = {2: 8, 3: 6, 4: 5}[R]
+    spans, t = [], 0
+    while len(spans) < Q:
+        g = min(int(rng.integers(1, largest + 1)), Q - len(spans))
+        starts = t + rng.integers(0, 20, size=g)
+        ends = starts + rng.integers(4, 16, size=g)
+        spans += list(zip(starts, ends))
+        t = int(ends.max()) + 1
+    overlaps = [(i, j) for i in range(Q) for j in range(i + 1, Q)
+                if spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]]
+    return rng.uniform(-1.0, 1.0, size=(R, Q)), overlaps
 
 
 class TestSolveP1:
@@ -116,6 +173,18 @@ class TestSolveP1:
         result = solve_p1(problems, num_actions=2)
         for b in result.assignments:
             assert b[0, 0] and b[1, 1]
+
+    def test_costs_match_scalar_chi2(self):
+        problems = self._problems()
+        means = np.random.default_rng(2).random((2, 2, 4))
+        means[0, 1, 2:] = 0.0     # bins empty in both histogram and mean
+        problems[0].histograms[0, 1, 2:] = 0.0
+        for prob in problems:
+            expected = [[chi2(prob.histograms[r, q], means[r, a])
+                         for q, a in enumerate(prob.actions)]
+                        for r in range(2)]
+            np.testing.assert_allclose(_p1_costs(prob, means), expected,
+                                       rtol=1e-12, atol=0)
 
     def test_empty_problem_list_rejected(self):
         with pytest.raises(ValueError):
