@@ -120,11 +120,13 @@ def _geo_task(payload):
     return seq.video_id, desc.build_descriptors(seq, mode="geo")
 
 
-def _map_jobs(func, payloads, jobs):
-    """Order-preserving map, fanned out across processes when jobs > 1."""
+def _map_jobs(func, payloads, jobs, initializer=None, initargs=()):
+    """Order-preserving map, fanned out across processes when jobs > 1;
+    ``initializer(*initargs)`` then runs once in each worker process."""
     if jobs <= 1:
         return [func(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=initializer,
+                             initargs=initargs) as pool:
         return list(pool.map(func, payloads))
 
 
@@ -292,9 +294,17 @@ def cmd_train(args) -> int:
 # infer / annotate
 # ---------------------------------------------------------------------------
 
-def _infer_task(payload):
-    model_text, x, beam = payload
-    params, _pca, _hash = load_model(model_text)
+# the model and beam of an ``infer`` worker process, parsed once per worker
+_worker_model: tuple | None = None
+
+
+def _init_infer_worker(model_text, beam):
+    global _worker_model
+    _worker_model = load_model(model_text)[0], beam
+
+
+def _infer_task(x):
+    params, beam = _worker_model
     return infer(x, params, beam=beam)
 
 
@@ -304,8 +314,9 @@ def _predict(args, config):
     features = load_features(args.features)
     ids = sorted(features)
     if config.jobs > 1:
-        payloads = [(model_text, features[vid], config.beam) for vid in ids]
-        outs = _map_jobs(_infer_task, payloads, config.jobs)
+        outs = _map_jobs(_infer_task, [features[vid] for vid in ids],
+                         config.jobs, initializer=_init_infer_worker,
+                         initargs=(model_text, config.beam))
     else:
         outs = [infer(features[vid], params, beam=config.beam)
                 for vid in ids]

@@ -68,9 +68,17 @@ class RunConfig:
         return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
-def _coerce(key: str, raw: str):
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _coerce(key: str, raw: str, where: str):
     """Parse an INI value as the type its RunConfig field is annotated
-    with; ``none`` or an empty value sets an optional field to None."""
+    with; ``none`` or an empty value sets an optional field to None.
+
+    Booleans take 1/true/yes/on or 0/false/no/off in any case. A value that
+    does not parse raises ValueError naming the key and ``where`` it is.
+    """
     kind = get_type_hints(RunConfig)[key]
     value = raw.strip()
     options = get_args(kind)
@@ -78,9 +86,15 @@ def _coerce(key: str, raw: str):
         if value.lower() in ("none", ""):
             return None
         kind, = (t for t in options if t is not type(None))
-    if kind is bool:
-        return value.lower() in ("1", "true", "yes", "on")
-    return kind(value)
+    try:
+        if kind is bool:
+            return _BOOLEANS[value.lower()]
+        return kind(value)
+    except (KeyError, ValueError):
+        expected = ("a boolean (1/true/yes/on or 0/false/no/off)"
+                    if kind is bool else f"a value of type {kind.__name__}")
+        raise ValueError(f"config key {key!r} in {where}: {value!r} is not "
+                         f"{expected}") from None
 
 
 def load_config(path: str | None = None,
@@ -104,7 +118,7 @@ def load_config(path: str | None = None,
                 if key not in known:
                     raise ValueError(
                         f"unknown config key {key!r} in [{section}]")
-                values[key] = _coerce(key, raw)
+                values[key] = _coerce(key, raw, f"[{section}] of {path}")
     for key, value in (overrides or {}).items():
         if value is None:
             continue

@@ -24,18 +24,6 @@ _PAIR_INDEX = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 _ZERO_NORM = 1e-12
 
 
-@dataclass(frozen=True)
-class GeoDescriptor:
-    """18 angles in radians for one frame of one region.
-
-    The 15 pairwise entries lie in [0, pi] (lexicographic over the region's
-    segment list), the 3 plane entries in [0, pi/2]. ``degenerate`` marks
-    frames where a zero-length segment or collapsed plane forced angle 0.
-    """
-    angles: np.ndarray
-    degenerate: bool
-
-
 @dataclass
 class PcaModel:
     """Linear projection to ``out_dim`` principal directions.
@@ -75,8 +63,9 @@ class PcaModel:
 def geo_descriptors(region_joints: RegionJoints) -> tuple[np.ndarray, np.ndarray]:
     """Geometric descriptors for every frame of one region.
 
-    Returns (angles, degenerate): angles (T, 18), degenerate (T,) bool.
-    Zero-length segments and collapsed planes contribute angle 0 and set the
+    Returns (angles, degenerate): angles (T, 18) in radians, degenerate
+    (T,) bool. The 15 pairwise angles lie in [0, pi] (lexicographic over the
+    region's segment list), the 3 plane angles in [0, pi/2]. Zero-length segments and collapsed planes contribute angle 0 and set the
     frame's degenerate flag instead of raising, so long noisy captures
     survive.
     """
@@ -118,12 +107,6 @@ def geo_descriptors(region_joints: RegionJoints) -> tuple[np.ndarray, np.ndarray
         angles[:, GEO_DIM - 3 + col] = np.where(
             seg_ok, np.arcsin(np.clip(dots, 0.0, 1.0)), 0.0)
     return angles, degenerate
-
-
-def geo_descriptor(region_joints: RegionJoints, t: int) -> GeoDescriptor:
-    """Geometric descriptor of a single frame."""
-    angles, degenerate = geo_descriptors(region_joints)
-    return GeoDescriptor(angles=angles[t], degenerate=bool(degenerate[t]))
 
 
 def velocity_descriptors(coords: np.ndarray, window: int = 7) -> np.ndarray:

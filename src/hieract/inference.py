@@ -1,12 +1,21 @@
-"""Energy maximization over labelings: exact DP, beam filter, and oracle.
+"""Energy maximization over labelings: one batched DP core and an oracle.
 
-Per region and candidate complex action the maximization is a Viterbi pass
-over joint (poselet, actionlet) states; the complex action is picked by
-exhaustive enumeration. State (k, a) maps to index k*A + a, and every
-argmax breaks ties toward the lowest index, so results are deterministic:
-among equal-scoring label sequences the one minimizing
-(state_T, state_{T-1}, ..., state_1) lexicographically is returned, and the
-brute-force enumerator reproduces the same choice.
+``maximize`` solves every maximization the model needs. A query is a video
+with its complex action fixed or free, optional frame constraints and an
+optional loss-augmenting truth. Per region and candidate complex action the
+maximization is a Viterbi pass over joint (poselet, actionlet) states; the
+(query, candidate y) rows of one length share a single batched pass, and a
+free complex action is picked by exhaustive enumeration. Its one-call
+wrappers are ``infer`` (labeling a test video), ``loss_augmented_infer_many``
+(the most-violating labelings for the cutting plane) and ``complete_latent``
+(latent completion at the true complex action). ``brute_force`` enumerates
+every labeling and is the independent oracle for all of them.
+
+State (k, a) maps to index k*A + a, and every argmax breaks ties toward
+the lowest index, so results are deterministic: among equal-scoring label
+sequences the one minimizing (state_T, state_{T-1}, ..., state_1)
+lexicographically is returned, and the brute-force enumerator reproduces the
+same choice.
 
 An optional beam keeps only the B best states per frame ranked by the
 non-sequential part of the score before running the sequential pass.
@@ -152,15 +161,14 @@ def _transition_tables(params: ModelParams,
 
 
 def _apply_beam(unary: np.ndarray, beam: int) -> np.ndarray:
-    """Keep the ``beam`` best states per frame by unary score, rest -inf."""
-    T, N = unary.shape
-    if beam >= N:
+    """Keep the ``beam`` best states per frame by unary score, rest -inf;
+    ``unary`` is a (B, T, N) stack."""
+    if beam >= unary.shape[-1]:
         return unary
-    order = np.argsort(-unary, axis=1, kind="stable")
+    keep = np.argsort(-unary, axis=-1, kind="stable")[..., :beam]
     out = np.full_like(unary, NEG_INF)
-    rows = np.repeat(np.arange(T), beam)
-    cols = order[:, :beam].ravel()
-    out[rows, cols] = unary[rows, cols]
+    np.put_along_axis(out, keep, np.take_along_axis(unary, keep, axis=-1),
+                      axis=-1)
     return out
 
 
@@ -215,114 +223,105 @@ def _viterbi_batch(unary: np.ndarray, eta: np.ndarray,
 
 
 def _unary_margins(unary: np.ndarray) -> np.ndarray:
-    """Gap between the best and second-best finite unary score per frame."""
-    T = unary.shape[0]
-    margins = np.zeros(T)
-    for t in range(T):
-        finite = unary[t][np.isfinite(unary[t])]
-        if finite.size >= 2:
-            top2 = np.partition(finite, -2)[-2:]
-            margins[t] = top2[1] - top2[0]
-    return margins
+    """Gap between the best and second-best unary score of each frame of a
+    (T, N) table; 0 where a frame has fewer than two finite scores."""
+    if unary.shape[1] < 2:
+        return np.zeros(unary.shape[0])
+    top2 = np.partition(unary, -2, axis=1)[:, -2:]
+    with np.errstate(invalid="ignore"):
+        gap = top2[:, 1] - top2[:, 0]
+    return np.where(np.isfinite(unary).sum(axis=1) >= 2, gap, 0.0)
 
 
-def dp_region(x: np.ndarray, y: int, params: ModelParams, r: int,
-              constraints: FrameConstraints | None = None,
-              loss_addends: np.ndarray | None = None,
-              beam: int | None = None
-              ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best (z, v) sequence for one region at a fixed complex action.
+@dataclass
+class Query:
+    """One maximization: a (T, R, D) video, its complex action (None
+    maximizes over every y), optional frame constraints and an optional
+    truth whose margin-rescaling loss is added to the energy."""
+    x: np.ndarray
+    y: int | None = None
+    constraints: FrameConstraints | None = None
+    loss: LossSpec | None = None
 
-    Returns (z, v, score). ``beam`` of None (or >= the state count) runs the
-    exact pass; otherwise only the ``beam`` best states per frame by unary
-    score survive, which can only lower the attained score.
+
+def maximize(queries: list[Query], params: ModelParams,
+             lambda_y: float = 0.0, lambda_v: float = 0.0,
+             beam: int | None = None) -> list[InferenceResult]:
+    """Best labeling per query, with the per-frame unary margins of the
+    chosen complex action; ties go to the smallest y.
+
+    With a loss the objective is energy plus the margin-rescaling loss of
+    ``loss_value``. The loss decomposes into a constant per candidate y plus
+    per-frame addends in the designated loss region, so each region still
+    solves an independent DP and ``result.score`` equals ``result.energy``
+    plus the loss of the returned labeling. Queries of equal length share
+    one Viterbi pass per region over all their candidate rows; the rows are
+    independent, so every result equals that of its query run alone, bit
+    for bit. ``beam`` of None (or >= the state count) runs the exact pass;
+    otherwise only the ``beam`` best states per frame by unary score
+    survive, which can only lower the attained score. A query whose
+    constraints or beam leave no path raises InfeasibleError for the batch.
     """
     if beam is not None and beam < 1:
         raise ValueError("beam must be >= 1")
-    unary = _region_unary(x, y, params, r, constraints, loss_addends)
-    if beam is not None:
-        unary = _apply_beam(unary, beam)
-    eta, gamma = _transition_tables(params, r)
-    states, scores = _viterbi_batch(unary[None, :, :], eta, gamma)
-    A = params.dims.A
-    return states[0] // A, states[0] % A, float(scores[0])
+    d = params.dims
+    xs = [np.asarray(q.x, dtype=float) for q in queries]
+    alphas = [np.stack([_alpha_term(params, r, y) for y in range(d.Y)])
+              for r in range(d.R)]
+    results: list[InferenceResult | None] = [None] * len(queries)
+    by_len: dict[int, list[int]] = {}
+    for i, x in enumerate(xs):
+        by_len.setdefault(x.shape[0], []).append(i)
+    for T, idxs in sorted(by_len.items()):
+        cands, totals, addends = [], [], []
+        for i in idxs:
+            q = queries[i]
+            # candidate complex actions of the query's rows
+            cand = slice(0, d.Y) if q.y is None else slice(q.y, q.y + 1)
+            cands.append(cand)
+            row_y = np.arange(d.Y)[cand]
+            totals.append(np.zeros(row_y.size) if q.loss is None
+                          else np.where(row_y == q.loss.y, 0.0, lambda_y))
+            add = [None] * d.R
+            if q.loss is not None and q.loss.allowed_v is not None \
+                    and lambda_v != 0.0:
+                add[q.loss.region] = \
+                    (lambda_v / T) * (~q.loss.allowed_v).astype(float)
+            addends.append(add)
+        totals = np.concatenate(totals)
+        starts = np.cumsum([0] + [c.stop - c.start for c in cands])
+        states, bases = [], []
+        for r in range(d.R):
+            bases.append([_region_unary_base(xs[i], params, r,
+                                             queries[i].constraints, add[r])
+                          for i, add in zip(idxs, addends)])
+            stack = np.concatenate([base[None, :, :] + alphas[r][c, None, :]
+                                    for base, c in zip(bases[r], cands)])
+            if beam is not None:
+                stack = _apply_beam(stack, beam)
+            eta, gamma = _transition_tables(params, r)
+            region_states, scores = _viterbi_batch(stack, eta, gamma)
+            totals += scores
+            states.append(region_states)
+        for j, i in enumerate(idxs):
+            best = int(np.argmax(totals[starts[j]:starts[j + 1]]))
+            row, y = starts[j] + best, cands[j].start + best
+            joint = np.stack([states[r][row] for r in range(d.R)], axis=1)
+            labeling = Labeling(z=joint // d.A, v=joint % d.A, y=y)
+            margins = np.stack([_unary_margins(bases[r][j] + alphas[r][y])
+                                for r in range(d.R)], axis=1)
+            results[i] = InferenceResult(
+                labeling=labeling, energy=energy_total(xs[i], labeling, params),
+                score=float(totals[row]), margins=margins)
+    return results
 
 
 def infer(x: np.ndarray, params: ModelParams,
           constraints: FrameConstraints | None = None,
-          beam: int | None = None,
-          want_margins: bool = True) -> InferenceResult:
+          beam: int | None = None) -> InferenceResult:
     """Maximize the energy over (y, v, z); ties go to the smallest y."""
-    x = np.asarray(x, dtype=float)
-    return _search(x, params, constraints, beam, loss_spec=None,
-                   lambda_y=0.0, lambda_v=0.0, want_margins=want_margins)
-
-
-def loss_augmented_infer(x: np.ndarray, params: ModelParams, spec: LossSpec,
-                         lambda_y: float, lambda_v: float,
-                         constraints: FrameConstraints | None = None,
-                         beam: int | None = None,
-                         want_margins: bool = False) -> InferenceResult:
-    """Maximize energy plus margin-rescaling loss against the given truth.
-
-    The loss decomposes into a constant per candidate y plus per-frame
-    addends in the designated loss region, so each region still solves an
-    independent DP. ``result.score`` equals ``result.energy`` plus the loss
-    of the returned labeling.
-    """
-    x = np.asarray(x, dtype=float)
-    return _search(x, params, constraints, beam, loss_spec=spec,
-                   lambda_y=lambda_y, lambda_v=lambda_v,
-                   want_margins=want_margins)
-
-
-def _search(x, params, constraints, beam, loss_spec, lambda_y, lambda_v,
-            want_margins=True):
-    """Shared maximization: batched Viterbi over all y per region."""
-    d = params.dims
-    T = x.shape[0]
-    addends = None
-    if loss_spec is not None and loss_spec.allowed_v is not None \
-            and lambda_v != 0.0:
-        addends = (lambda_v / T) * (~loss_spec.allowed_v).astype(float)
-
-    def region_addends(r):
-        return addends if (loss_spec is not None
-                           and r == loss_spec.region) else None
-
-    totals = np.zeros(d.Y)
-    if loss_spec is not None and lambda_y != 0.0:
-        totals += lambda_y
-        totals[loss_spec.y] -= lambda_y
-    all_states = []
-    bases = []
-    for r in range(d.R):
-        base = _region_unary_base(x, params, r, constraints,
-                                  region_addends(r))
-        bases.append(base)
-        stack = base[None, :, :] + np.stack(
-            [_alpha_term(params, r, y) for y in range(d.Y)])[:, None, :]
-        if beam is not None:
-            stack = np.stack([_apply_beam(stack[y], beam)
-                              for y in range(d.Y)])
-        eta, gamma = _transition_tables(params, r)
-        states, scores = _viterbi_batch(stack, eta, gamma)
-        totals += scores
-        all_states.append(states)
-    # ties toward the smallest y
-    best_y = int(np.argmax(totals))
-    z = np.stack([all_states[r][best_y] // d.A for r in range(d.R)], axis=1)
-    v = np.stack([all_states[r][best_y] % d.A for r in range(d.R)], axis=1)
-    if want_margins:
-        margins = np.stack(
-            [_unary_margins(bases[r] + _alpha_term(params, r, best_y))
-             for r in range(d.R)], axis=1)
-    else:
-        margins = np.zeros((T, d.R))
-    labeling = Labeling(z=z, v=v, y=best_y)
-    return InferenceResult(labeling=labeling,
-                           energy=energy_total(x, labeling, params),
-                           score=float(totals[best_y]), margins=margins)
+    return maximize([Query(x, constraints=constraints)], params,
+                    beam=beam)[0]
 
 
 def loss_augmented_infer_many(xs: list[np.ndarray], params: ModelParams,
@@ -330,76 +329,18 @@ def loss_augmented_infer_many(xs: list[np.ndarray], params: ModelParams,
                               lambda_v: float,
                               beam: int | None = None
                               ) -> list[InferenceResult]:
-    """Loss-augmented inference over many videos in batched Viterbi passes.
-
-    Equivalent to calling loss_augmented_infer per video (bit for bit);
-    videos of equal length share one DP over a stacked unary tensor, which
-    amortizes per-call overhead during training.
-    """
-    d = params.dims
-    results: list[InferenceResult | None] = [None] * len(xs)
-    by_len: dict[int, list[int]] = {}
-    for i, x in enumerate(xs):
-        by_len.setdefault(x.shape[0], []).append(i)
-    alphas = [np.stack([_alpha_term(params, r, y) for y in range(d.Y)])
-              for r in range(d.R)]
-    for T, idxs in sorted(by_len.items()):
-        n_vid = len(idxs)
-        totals = np.zeros((n_vid, d.Y))
-        addends_of: list[np.ndarray | None] = []
-        for j, i in enumerate(idxs):
-            spec = specs[i]
-            if lambda_y != 0.0:
-                totals[j] += lambda_y
-                totals[j, spec.y] -= lambda_y
-            if spec.allowed_v is not None and lambda_v != 0.0:
-                addends_of.append(
-                    (lambda_v / T) * (~spec.allowed_v).astype(float))
-            else:
-                addends_of.append(None)
-        region_states = []
-        for r in range(d.R):
-            rows = []
-            for j, i in enumerate(idxs):
-                addends = addends_of[j] if specs[i].region == r else None
-                base = _region_unary_base(xs[i], params, r, None, addends)
-                stack = base[None, :, :] + alphas[r][:, None, :]
-                if beam is not None:
-                    stack = np.stack([_apply_beam(stack[y], beam)
-                                      for y in range(d.Y)])
-                rows.append(stack)
-            eta, gamma = _transition_tables(params, r)
-            states, scores = _viterbi_batch(np.concatenate(rows), eta, gamma)
-            totals += scores.reshape(n_vid, d.Y)
-            region_states.append(states.reshape(n_vid, d.Y, T))
-        for j, i in enumerate(idxs):
-            best_y = int(np.argmax(totals[j]))
-            z = np.stack([region_states[r][j, best_y] // d.A
-                          for r in range(d.R)], axis=1)
-            v = np.stack([region_states[r][j, best_y] % d.A
-                          for r in range(d.R)], axis=1)
-            labeling = Labeling(z=z, v=v, y=best_y)
-            results[i] = InferenceResult(
-                labeling=labeling,
-                energy=energy_total(xs[i], labeling, params),
-                score=float(totals[j, best_y]),
-                margins=np.zeros((T, d.R)))
-    return results
+    """Most-violating labeling per video: energy plus margin-rescaling loss
+    against the given truth, maximized in batched Viterbi passes."""
+    return maximize([Query(x, loss=spec) for x, spec in zip(xs, specs)],
+                    params, lambda_y, lambda_v, beam)
 
 
 def complete_latent(x: np.ndarray, params: ModelParams, y: int,
                     constraints: FrameConstraints | None = None,
                     beam: int | None = None) -> Labeling:
     """Best labeling at a fixed complex action, under constraints."""
-    x = np.asarray(x, dtype=float)
-    d = params.dims
-    zs, vs = [], []
-    for r in range(d.R):
-        z_r, v_r, _ = dp_region(x, y, params, r, constraints=constraints,
-                                beam=beam)
-        zs.append(z_r)
-        vs.append(v_r)
-    return Labeling(z=np.stack(zs, axis=1), v=np.stack(vs, axis=1), y=y)
+    return maximize([Query(x, y=y, constraints=constraints)], params,
+                    beam=beam)[0].labeling
 
 
 def _enumerate_best(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray

@@ -94,7 +94,7 @@ class TestCriterion1:
             t0 = time.time()
             for _ in range(200):
                 x, params = _random_instance(rng)
-                dp = infer(x, params, want_margins=False)
+                dp = infer(x, params)
                 oracle = brute_force(x, params)
                 assert dp.y == oracle.y
                 np.testing.assert_array_equal(dp.labeling.z,
@@ -129,8 +129,8 @@ class TestCriterion3:
             for _ in range(50):
                 x, params = _random_instance(rng)
                 full = params.num_poselet_states * params.dims.A
-                exact = infer(x, params, want_margins=False)
-                at_full = infer(x, params, beam=full, want_margins=False)
+                exact = infer(x, params)
+                at_full = infer(x, params, beam=full)
                 assert at_full.y == exact.y
                 np.testing.assert_array_equal(at_full.labeling.z,
                                               exact.labeling.z)
@@ -138,8 +138,7 @@ class TestCriterion3:
                                               exact.labeling.v)
                 assert at_full.score == exact.score
                 for beam in (1, max(1, full // 2)):
-                    narrowed = infer(x, params, beam=beam,
-                                     want_margins=False)
+                    narrowed = infer(x, params, beam=beam)
                     assert narrowed.score <= exact.score + 1e-9
 
 
@@ -263,7 +262,7 @@ class TestCriterion8:
             u_total = 0
             u_of_v = result.params.u_of_v()
             for video in test_videos:
-                res = infer(video.x, result.params, want_margins=False)
+                res = infer(video.x, result.params)
                 hits += res.y == video.y
                 u_pred = u_of_v[res.labeling.v]
                 u_hits += int((u_pred == video.u).sum())
@@ -295,8 +294,7 @@ class TestCriterion9:
                                      use_gc=use_gc, max_cccp_iters=2,
                                      max_cutting_plane_iters=200)
                 result = _fit(train_videos, spec, config)
-                hits = sum(infer(v.x, result.params,
-                                 want_margins=False).y == v.y
+                hits = sum(infer(v.x, result.params).y == v.y
                            for v in test_videos)
                 return hits / len(test_videos)
 

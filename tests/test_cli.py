@@ -171,6 +171,26 @@ class TestPipeline:
         assert frames2.read_bytes() == frames_csv.read_bytes()
         assert labels2.read_bytes() == labels_csv.read_bytes()
 
+    def test_infer_jobs_2_matches_jobs_1(self, synth_dataset, tmp_path):
+        base = synth_dataset / "train"
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--features", str(base / "features"),
+                     "--annotations", str(base / "annotations.csv"),
+                     "--labels", str(base / "labels.csv"),
+                     "--out", str(model_path), "--num-poselets", "3",
+                     "--C", "10", "--max-cccp-iters", "1",
+                     "--max-cutting-plane-iters", "150"]) == 0
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["infer", "--model", str(model_path),
+                         "--features", str(synth_dataset / "test" / "features"),
+                         "--out", str(out), "--jobs", jobs]) == 0
+            outs.append(out)
+        for name in ("predictions.jsonl", "predictions.csv"):
+            assert (outs[1] / name).read_bytes() == \
+                (outs[0] / name).read_bytes(), name
+
     def test_init_commands(self, synth_dataset, tmp_path):
         base = synth_dataset / "train"
         dict_path = tmp_path / "dictionary.json"

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from hieract.cli import main
 from hieract.config import RunConfig, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,3 +49,35 @@ def test_overrides_win_and_defaults_fill(tmp_path):
 def test_unknown_key_is_named(tmp_path):
     with pytest.raises(ValueError, match="'c'"):
         load_config(_write(tmp_path, "[train]\nc = 10\n"))
+
+
+@pytest.mark.parametrize("raw, expected", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+    ("0", False), ("False", False), ("NO", False), ("Off", False)])
+def test_boolean_spellings(tmp_path, raw, expected):
+    config = load_config(_write(tmp_path, f"[train]\nuse_gc = {raw}\n"))
+    assert config.use_gc is expected
+
+
+@pytest.mark.parametrize("line, key", [
+    ("use_gc = ture", "use_gc"), ("beam = 40.5", "beam"),
+    ("C = ten", "C"), ("window = 7.0", "window")])
+def test_unparsable_value_names_key_section_and_file(tmp_path, line, key):
+    path = _write(tmp_path, f"[train]\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    message = str(err.value)
+    assert repr(key) in message
+    assert "[train]" in message
+    assert path in message
+
+
+def test_cli_exits_1_on_unparsable_value(tmp_path, capsys):
+    path = _write(tmp_path, "[train]\nbeam = 40.5\n")
+    code = main(["infer", "--config", path,
+                 "--model", str(tmp_path / "model.json"),
+                 "--features", str(tmp_path / "features"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'beam'" in err and path in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hieract.descriptors import (GEO_DIM, build_descriptors, fit_pca,
-                                 geo_descriptor, geo_descriptors, lift_2d,
+                                 geo_descriptors, lift_2d,
                                  load_motion_sidecar, velocity_descriptors)
 from hieract.skeleton import (KINECT20, SchemaError, SkeletonSequence,
                               get_schema, parse_skeleton, split_regions)
@@ -34,25 +34,25 @@ class TestGeoDescriptor:
         joints = _frame_with({"left_wrist": (0, 0, 0),
                               "left_elbow": (1, 0, 0),
                               "left_shoulder": (2, 0, 0)})
-        desc = geo_descriptor(_left_arm(joints), 0)
+        angles = geo_descriptors(_left_arm(joints))[0][0]
         # pair (0, 3) = (wrist-elbow, wrist-shoulder) sits at column 2
-        assert desc.angles[2] == pytest.approx(0.0, abs=1e-12)
+        assert angles[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pair(self):
         joints = _frame_with({"left_wrist": (0, 0, 0),
                               "left_elbow": (1, 0, 0),
                               "left_shoulder": (1, 1, 0)})
-        desc = geo_descriptor(_left_arm(joints), 0)
+        angles = geo_descriptors(_left_arm(joints))[0][0]
         # pair (0, 1) = (wrist-elbow, elbow-shoulder) is the first column
-        assert desc.angles[0] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert angles[0] == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_quarter_pi_pair(self):
         joints = _frame_with({"left_wrist": (0, 0, 0),
                               "left_elbow": (1, 0, 0),
                               "left_shoulder": (1, 1, 0)})
-        desc = geo_descriptor(_left_arm(joints), 0)
+        angles = geo_descriptors(_left_arm(joints))[0][0]
         # wrist->shoulder = (1,1,0) against wrist->elbow = (1,0,0)
-        assert desc.angles[2] == pytest.approx(np.pi / 4, rel=1e-12)
+        assert angles[2] == pytest.approx(np.pi / 4, rel=1e-12)
 
     def test_ranges(self):
         rng = np.random.default_rng(0)
@@ -87,9 +87,9 @@ class TestGeoDescriptor:
     def test_degenerate_segment_flagged_as_zero(self):
         joints = _frame_with({"left_wrist": (0.5, 0.5, 0.5),
                               "left_elbow": (0.5, 0.5, 0.5)})
-        desc = geo_descriptor(_left_arm(joints), 0)
-        assert desc.degenerate
-        assert desc.angles[0] == 0.0  # pair with the zero-length segment
+        angles, degenerate = geo_descriptors(_left_arm(joints))
+        assert degenerate[0]
+        assert angles[0][0] == 0.0  # pair with the zero-length segment
 
     def test_needs_3d(self):
         seq = SkeletonSequence(video_id="v", schema="puppet15",

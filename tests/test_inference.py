@@ -7,8 +7,9 @@ from conftest import make_dictionary, random_params
 
 from hieract.energy import Labeling, ModelDims, ModelParams, energy_total
 from hieract.inference import (FrameConstraints, InfeasibleError, LossSpec,
-                               brute_force, complete_latent, dp_region, infer,
-                               loss_augmented_infer, loss_value)
+                               Query, _region_unary, brute_force,
+                               complete_latent, infer,
+                               loss_augmented_infer_many, loss_value, maximize)
 
 
 def _random_instance(rng, max_T=5, max_K=3, max_A=3, max_Y=3):
@@ -38,9 +39,9 @@ class TestDpRegion:
         dims = ModelDims(R=1, K=2, D=3, A=2, S=2, Y=2)
         params = ModelParams.zeros(dims, dictionary=make_dictionary(2, 2, 2))
         x = np.zeros((4, 1, 3))
-        z, v, score = dp_region(x, 0, params, 0)
-        assert score == 0.0
-        assert not z.any() and not v.any()
+        labeling = complete_latent(x, params, 0)
+        assert energy_total(x, labeling, params) == 0.0
+        assert not labeling.z.any() and not labeling.v.any()
 
     def test_full_beam_equals_exact(self):
         rng = np.random.default_rng(0)
@@ -66,7 +67,7 @@ class TestDpRegion:
         rng = np.random.default_rng(2)
         x, params = _random_instance(rng)
         with pytest.raises(ValueError):
-            dp_region(x, 0, params, 0, beam=0)
+            infer(x, params, beam=0)
 
 
 class TestOracleEquivalence:
@@ -113,10 +114,7 @@ class TestInfer:
         params = random_params(dims, rng)
         x = rng.normal(size=(4, 2, 3))
         res = infer(x, params)
-        total = 0.0
-        for r in range(2):
-            _, _, score = dp_region(x, 0, params, r)
-            total += score
+        total = energy_total(x, complete_latent(x, params, 0), params)
         assert res.y == 0
         assert res.score == pytest.approx(total, rel=1e-12)
 
@@ -145,7 +143,7 @@ class TestLossAugmented:
             spec = LossSpec(y=0, allowed_v=np.ones(
                 (x.shape[0], params.dims.A), dtype=bool))
             plain = infer(x, params)
-            aug = loss_augmented_infer(x, params, spec, 0.0, 0.0)
+            aug = loss_augmented_infer_many([x], params, [spec], 0.0, 0.0)[0]
             assert _same_result(plain, aug)
 
     def test_zero_params_attains_full_loss(self):
@@ -156,8 +154,8 @@ class TestLossAugmented:
         allowed = np.zeros((T, 2), dtype=bool)
         allowed[:, 0] = True          # actionlet 1 always violates
         spec = LossSpec(y=1, allowed_v=allowed, region=0)
-        res = loss_augmented_infer(x, params, spec, lambda_y=100.0,
-                                   lambda_v=25.0)
+        res, = loss_augmented_infer_many([x], params, [spec], lambda_y=100.0,
+                                         lambda_v=25.0)
         assert res.y != 1
         assert res.score == pytest.approx(125.0)
         assert res.energy == 0.0
@@ -170,7 +168,8 @@ class TestLossAugmented:
             spec = LossSpec(y=int(rng.integers(params.dims.Y)),
                             allowed_v=rng.random((T, params.dims.A)) > 0.4,
                             region=0)
-            res = loss_augmented_infer(x, params, spec, 100.0, 25.0)
+            res = loss_augmented_infer_many([x], params, [spec], 100.0,
+                                            25.0)[0]
             delta = loss_value(res.labeling, spec, 100.0, 25.0)
             assert res.score == pytest.approx(res.energy + delta, abs=1e-9)
 
@@ -182,7 +181,8 @@ class TestLossAugmented:
             spec = LossSpec(y=int(rng.integers(params.dims.Y)),
                             allowed_v=rng.random((T, params.dims.A)) > 0.3,
                             region=0)
-            aug = loss_augmented_infer(x, params, spec, 10.0, 5.0)
+            aug = loss_augmented_infer_many([x], params, [spec], 10.0,
+                                            5.0)[0]
             oracle = brute_force(x, params, loss_spec=spec, lambda_y=10.0,
                                  lambda_v=5.0)
             assert _same_result(aug, oracle)
@@ -199,12 +199,12 @@ class TestLossAugmented:
             checked += 1
             best = np.zeros(params.dims.Y)
             for y in range(params.dims.Y):
-                best[y] = sum(dp_region(x, y, params, r)[2]
-                              for r in range(params.dims.R))
+                best[y] = energy_total(x, complete_latent(x, params, y),
+                                       params)
             lambda_y = 1.0
             y_true = int(rng.integers(params.dims.Y))
-            aug = loss_augmented_infer(x, params, LossSpec(y=y_true),
-                                       lambda_y, 0.0)
+            aug = loss_augmented_infer_many([x], params, [LossSpec(y=y_true)],
+                                            lambda_y, 0.0)[0]
             oracle = brute_force(x, params, loss_spec=LossSpec(y=y_true),
                                  lambda_y=lambda_y, lambda_v=0.0)
             assert _same_result(aug, oracle)
@@ -260,6 +260,120 @@ class TestCompleteLatent:
             complete_latent(x, params, 0, FrameConstraints(allowed_v=allowed))
 
 
+def _margins_reference(unary):
+    """Per-frame gap between the two best finite scores; 0 below two."""
+    out = np.zeros(unary.shape[0])
+    for t, row in enumerate(unary):
+        finite = row[np.isfinite(row)]
+        if finite.size >= 2:
+            top2 = np.partition(finite, -2)[-2:]
+            out[t] = top2[1] - top2[0]
+    return out
+
+
+def _bit_identical(a, b):
+    return (a.y == b.y
+            and np.array_equal(a.labeling.z, b.labeling.z)
+            and np.array_equal(a.labeling.v, b.labeling.v)
+            and a.score == b.score and a.energy == b.energy
+            and np.array_equal(a.margins, b.margins))
+
+
+class TestBatchedCore:
+    LAMBDA_Y, LAMBDA_V = 10.0, 5.0
+
+    def _mixed_batch(self, rng, params):
+        """Ragged lengths; each video once with free y and once per fixed
+        y, under its own mix of constraints and loss region."""
+        d = params.dims
+        queries = []
+        # (T, constrained, loss region or None, per-frame loss term)
+        for T, constrained, region, per_frame in [
+                (3, True, 0, True), (5, False, 1, True), (3, True, None, False),
+                (4, False, None, False), (5, True, 1, False)]:
+            x = rng.normal(size=(T, d.R, d.D))
+            constraints = None
+            if constrained:
+                allowed_v = rng.random((T, d.R, d.A)) > 0.3
+                allowed_v[:, :, 0] = True
+                allowed_z = np.ones((T, d.R, d.K + 1), dtype=bool)
+                # frame 0 of region 0 admits one (poselet, actionlet) state
+                allowed_v[0, 0] = False
+                allowed_v[0, 0, 1] = True
+                allowed_z[0, 0] = False
+                allowed_z[0, 0, 0] = True
+                constraints = FrameConstraints(allowed_v=allowed_v,
+                                               allowed_z=allowed_z)
+            loss = None
+            if region is not None:
+                allowed = rng.random((T, d.A)) > 0.4 if per_frame else None
+                loss = LossSpec(y=int(rng.integers(d.Y)), allowed_v=allowed,
+                                region=region)
+            queries.append(Query(x, None, constraints, loss))
+            queries += [Query(x, y, constraints, loss) for y in range(d.Y)]
+        return queries
+
+    def test_mixed_batch_equals_queries_run_alone(self):
+        rng = np.random.default_rng(18)
+        dims = ModelDims(R=2, K=2, D=3, A=2, S=2, Y=3)
+        params = random_params(dims, rng)
+        queries = self._mixed_batch(rng, params)
+        lam = (self.LAMBDA_Y, self.LAMBDA_V)
+        for beam in (None, 1):
+            batch = maximize(queries, params, *lam, beam=beam)
+            for q, res in zip(queries, batch):
+                alone, = maximize([q], params, *lam, beam=beam)
+                assert _bit_identical(res, alone)
+                delta = 0.0 if q.loss is None else loss_value(
+                    res.labeling, q.loss, *lam)
+                assert res.score == pytest.approx(res.energy + delta,
+                                                  abs=1e-9)
+            for i in range(0, len(queries), dims.Y + 1):
+                free, fixed = batch[i], batch[i + 1:i + 1 + dims.Y]
+                assert [f.y for f in fixed] == list(range(dims.Y))
+                assert _bit_identical(free, fixed[free.y])
+                assert free.score == max(f.score for f in fixed)
+                if beam is None:
+                    q = queries[i]
+                    oracle = brute_force(q.x, params, q.constraints, q.loss,
+                                         *lam)
+                    assert _same_result(free, oracle)
+                    assert free.score == oracle.score
+
+    def test_margins_match_per_frame_reference(self):
+        rng = np.random.default_rng(19)
+        dims = ModelDims(R=2, K=2, D=3, A=2, S=2, Y=3)
+        params = random_params(dims, rng)
+        queries = self._mixed_batch(rng, params)
+        single_state_frames = 0
+        for q, res in zip(queries,
+                          maximize(queries, params, self.LAMBDA_Y,
+                                   self.LAMBDA_V)):
+            T = q.x.shape[0]
+            for r in range(dims.R):
+                addends = None
+                if q.loss is not None and q.loss.allowed_v is not None \
+                        and q.loss.region == r:
+                    addends = (self.LAMBDA_V / T) \
+                        * (~q.loss.allowed_v).astype(float)
+                unary = _region_unary(q.x, res.y, params, r, q.constraints,
+                                      addends)
+                np.testing.assert_array_equal(res.margins[:, r],
+                                              _margins_reference(unary))
+                lone = np.isfinite(unary).sum(axis=1) == 1
+                assert np.all(res.margins[lone, r] == 0.0)
+                single_state_frames += int(lone.sum())
+        assert single_state_frames > 0
+
+    def test_margins_of_single_state_tables_are_zero(self):
+        dims = ModelDims(R=1, K=1, D=3, A=1, S=1, Y=2)
+        params = random_params(dims, np.random.default_rng(20),
+                               use_gc=False)
+        assert params.num_poselet_states * dims.A == 1
+        res = infer(np.ones((4, 1, 3)), params)
+        np.testing.assert_array_equal(res.margins, np.zeros((4, 1)))
+
+
 class TestRuntimeScaling:
     def test_roughly_linear_in_frames(self):
         rng = np.random.default_rng(16)
@@ -271,7 +385,7 @@ class TestRuntimeScaling:
             times = []
             for _ in range(5):
                 t0 = time.perf_counter()
-                infer(x, params, want_margins=False)
+                infer(x, params)
                 times.append(time.perf_counter() - t0)
             return min(times)
 
