@@ -14,12 +14,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import descriptors as desc
-from .config import load_config
+from .config import RunConfig, _coerce, load_config
 from .energy import ModelDims, load_model, save_model
 from .evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
                          intervals_from_frames, plant_synthetic, pooled_pr)
@@ -131,7 +132,7 @@ def _map_jobs(func, payloads, jobs, initializer=None, initargs=()):
 
 
 def cmd_features(args) -> int:
-    config = load_config(args.config, _overrides(args))
+    config = _config(args)
     schema = get_schema(config.schema)
     paths = sorted(Path(_require(args.skeletons, "skeleton directory"))
                    .glob("*.jsonl"))
@@ -197,13 +198,12 @@ def cmd_features(args) -> int:
 def _run_initialize(args, config):
     videos, num_actions, _ = _load_training_set(
         args.features, args.annotations, args.labels)
-    init = initialize(videos, config.num_poselets, num_actions,
-                      config.train_config())
+    init = initialize(videos, config.num_poselets, num_actions, config)
     return videos, num_actions, init
 
 
 def cmd_init_dictionary(args) -> int:
-    config = load_config(args.config, _overrides(args))
+    config = _config(args)
     _, num_actions, init = _run_initialize(args, config)
     summary = {
         "num_poselets": config.num_poselets,
@@ -219,7 +219,7 @@ def cmd_init_dictionary(args) -> int:
 
 
 def cmd_init_assignments(args) -> int:
-    config = load_config(args.config, _overrides(args))
+    config = _config(args)
     videos, num_actions, init = _run_initialize(args, config)
     if init.p1 is None:
         raise UsageError("assignments come from annotations under full "
@@ -243,17 +243,16 @@ def cmd_init_assignments(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    config = load_config(args.config, _overrides(args))
+    config = _config(args)
     videos, num_actions, num_classes = _load_training_set(
         args.features, args.annotations, args.labels)
-    train_config = config.train_config()
     t0 = time.time()
-    init = initialize(videos, config.num_poselets, num_actions, train_config)
+    init = initialize(videos, config.num_poselets, num_actions, config)
     dims = ModelDims(R=videos[0].x.shape[1], K=config.num_poselets,
                      D=videos[0].x.shape[2],
                      A=init.dictionary.num_actionlets, S=num_actions,
                      Y=num_classes)
-    result = train(videos, dims, train_config, init)
+    result = train(videos, dims, config, init)
     if result.stopped_reason == "non_decreasing_step" \
             and len(result.objective_trace) == 1:
         raise RuntimeError(
@@ -337,7 +336,7 @@ def _frames_csv(params, results) -> str:
 
 
 def cmd_infer(args) -> int:
-    config = load_config(args.config, _overrides(args))
+    config = _config(args)
     params, results = _predict(args, config)
     out_dir = Path(args.out)
     u_of_v = params.u_of_v()
@@ -360,7 +359,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    config = load_config(args.config, _overrides(args))
+    config = _config(args)
     params, results = _predict(args, config)
     _atomic_write(Path(args.out), _frames_csv(params, results))
     _atomic_write(Path(args.labels_out),
@@ -394,7 +393,7 @@ def _frames_to_intervals(path, min_run) -> dict[str, list[ActionInterval]]:
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config, _overrides(args))
+    config = _config(args)
     with open(_require(args.pred_labels, "predicted labels file")) as fh:
         pred_labels = load_labels(fh)
     with open(_require(args.truth_labels, "truth labels file")) as fh:
@@ -489,11 +488,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _overrides(args) -> dict:
-    keys = ("schema", "mode", "window", "pca_dim", "num_poselets",
-            "supervision", "beam", "seed", "C", "min_overlap", "min_run",
-            "jobs", "max_cccp_iters", "max_cutting_plane_iters", "use_gc")
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+def _config(args) -> RunConfig:
+    """The config file's settings with every config flag given on the
+    command line applied over them. Flags not given are absent from
+    ``args``, so a flag can also set an optional key to None."""
+    return replace(load_config(args.config),
+                   **{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                      if hasattr(args, f.name)})
+
+
+def _beam(raw: str) -> int | None:
+    """``--beam`` takes the spellings of the INI key: a width, or ``none``
+    for exact inference."""
+    try:
+        return _coerce("beam", raw, "the command line")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,94 +512,82 @@ def build_parser() -> argparse.ArgumentParser:
                                  "from body-joint sequences")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
+    def command(name, func, **kwargs):
+        # a config flag not given stays absent from the parsed arguments
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS,
+                           **kwargs)
         p.add_argument("--config", default=None,
                        help="INI config file; flags override its keys")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("features", help="compute per-region descriptors")
-    common(p)
+    p = command("features", cmd_features,
+                help="compute per-region descriptors")
     p.add_argument("--skeletons", required=True,
                    help="directory of *.jsonl skeleton files")
     p.add_argument("--out", required=True, help="feature directory")
-    p.add_argument("--schema", default=None)
-    p.add_argument("--mode", default=None,
+    p.add_argument("--schema")
+    p.add_argument("--mode",
                    choices=["geo", "geo+velocity", "geo+precomputed"])
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--pca-dim", dest="pca_dim", type=int, default=None)
+    p.add_argument("--window", type=int)
+    p.add_argument("--pca-dim", dest="pca_dim", type=int)
     p.add_argument("--sidecar-dir", default=None,
                    help="per-video motion sidecars for geo+precomputed")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=int,
                    help="worker processes for per-video stages")
-    p.set_defaults(func=cmd_features)
 
     for name, func in (("init-dictionary", cmd_init_dictionary),
                        ("init-assignments", cmd_init_assignments)):
-        p = sub.add_parser(name)
-        common(p)
+        p = command(name, func)
         p.add_argument("--features", required=True)
         p.add_argument("--annotations", required=True)
         p.add_argument("--labels", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--num-poselets", dest="num_poselets", type=int,
-                       default=None)
-        p.add_argument("--supervision", default=None,
-                       choices=["full", "temporal", "video"])
-        p.set_defaults(func=func)
+        p.add_argument("--num-poselets", dest="num_poselets", type=int)
+        p.add_argument("--supervision", choices=["full", "temporal", "video"])
 
-    p = sub.add_parser("train", help="fit the model")
-    common(p)
+    p = command("train", cmd_train, help="fit the model")
     p.add_argument("--features", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--supervision", default=None,
-                   choices=["full", "temporal", "video"])
-    p.add_argument("--num-poselets", dest="num_poselets", type=int,
-                   default=None)
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--C", type=float, default=None)
-    p.add_argument("--max-cccp-iters", dest="max_cccp_iters", type=int,
-                   default=None)
+    p.add_argument("--supervision", choices=["full", "temporal", "video"])
+    p.add_argument("--num-poselets", dest="num_poselets", type=int)
+    p.add_argument("--beam", type=_beam)
+    p.add_argument("--C", type=float)
+    p.add_argument("--max-cccp-iters", dest="max_cccp_iters", type=int)
     p.add_argument("--max-cutting-plane-iters",
-                   dest="max_cutting_plane_iters", type=int, default=None)
+                   dest="max_cutting_plane_iters", type=int)
     p.add_argument("--no-gc", dest="use_gc", action="store_false",
-                   default=None, help="disable the garbage collector label")
+                   help="disable the garbage collector label")
     p.add_argument("--log", default=None, help="training log (JSON lines)")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="label videos with a trained model")
-    common(p)
+    p = command("infer", cmd_infer, help="label videos with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.set_defaults(func=cmd_infer)
+    p.add_argument("--beam", type=_beam)
+    p.add_argument("--jobs", type=int)
 
-    p = sub.add_parser("annotate", help="per-frame CSV annotations")
-    common(p)
+    p = command("annotate", cmd_annotate, help="per-frame CSV annotations")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="frames CSV path")
     p.add_argument("--labels-out", dest="labels_out", required=True,
                    help="predicted video labels CSV path")
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.set_defaults(func=cmd_annotate)
+    p.add_argument("--beam", type=_beam)
+    p.add_argument("--jobs", type=int)
 
-    p = sub.add_parser("eval", help="score predictions against truth")
-    common(p)
+    p = command("eval", cmd_eval, help="score predictions against truth")
     p.add_argument("--pred-labels", dest="pred_labels", required=True)
     p.add_argument("--truth-labels", dest="truth_labels", required=True)
     p.add_argument("--pred-frames", dest="pred_frames", default=None)
     p.add_argument("--truth-annotations", dest="truth_annotations",
                    default=None)
     p.add_argument("--out", required=True, help="metrics JSON path")
-    p.add_argument("--min-overlap", dest="min_overlap", type=float,
-                   default=None)
-    p.add_argument("--min-run", dest="min_run", type=int, default=None)
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--min-overlap", dest="min_overlap", type=float)
+    p.add_argument("--min-run", dest="min_run", type=int)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)

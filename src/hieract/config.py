@@ -16,12 +16,14 @@ from .learning import TrainConfig
 
 
 @dataclass
-class RunConfig:
-    """Everything the pipeline commands need, with reference defaults.
+class RunConfig(TrainConfig):
+    """Everything the pipeline commands need: the trainer's fields and
+    defaults, inherited from TrainConfig, plus the keys the trainer does
+    not read.
 
     ``num_poselets`` is the dictionary size K (the reference setups use 100
     to 200 depending on the dataset); descriptor mode and PCA width control
-    the feature stage; the training fields mirror TrainConfig.
+    the feature stage.
     """
     # features
     schema: str = "kinect20"
@@ -29,39 +31,12 @@ class RunConfig:
     window: int = 7
     pca_dim: int = 20
     lift_depth: float = 30.0
-    # dictionary / assignments
+    # dictionary
     num_poselets: int = 100
-    gc_fraction: float = 0.20
-    scree_c: float = 2e-3
-    self_pace_rounds: int = 5
-    self_pace_decay: float = 0.5
-    # training
-    C: float = 10.0
-    lambda_y: float = 100.0
-    lambda_v: float = 25.0
-    eps_qp: float | None = None
-    max_cccp_iters: int = 3
-    max_cutting_plane_iters: int = 400
-    beam: int | None = 400
-    supervision: str = "temporal"
-    use_gc: bool = True
-    seed: int = 0
     # evaluation
     min_overlap: float = 0.60
     min_run: int = 3
     jobs: int = 1
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            C=self.C, lambda_y=self.lambda_y, lambda_v=self.lambda_v,
-            eps_qp=self.eps_qp, max_cccp_iters=self.max_cccp_iters,
-            max_cutting_plane_iters=self.max_cutting_plane_iters,
-            beam=self.beam, seed=self.seed, gc_fraction=self.gc_fraction,
-            use_gc=self.use_gc, scree_c=self.scree_c,
-            self_pace_decay=self.self_pace_decay,
-            self_pace_rounds=self.self_pace_rounds,
-            supervision=self.supervision,
-        )
 
     def hash(self) -> str:
         doc = json.dumps(asdict(self), sort_keys=True)
@@ -102,8 +77,8 @@ def load_config(path: str | None = None,
     """Build a RunConfig from an INI file plus explicit overrides.
 
     Sections are organizational only; keys must be RunConfig field names.
-    Unknown keys raise, naming the offender. ``overrides`` (typically CLI
-    flags) win over file values; None overrides are ignored.
+    Unknown keys raise, naming the offender. ``overrides`` win over file
+    values; None overrides are ignored.
     """
     known = {f.name for f in fields(RunConfig)}
     values: dict = {}

@@ -36,10 +36,6 @@ class PcaModel:
     explained_variance: np.ndarray
 
     @property
-    def input_dim(self) -> int:
-        return self.components.shape[0]
-
-    @property
     def out_dim(self) -> int:
         return self.components.shape[1]
 

@@ -35,31 +35,31 @@ from .skeleton import ActionInterval
 log = logging.getLogger(__name__)
 
 SUPERVISION_LEVELS = ("full", "temporal", "video")
+# CCCP stops once a step lowers the objective by less than this, relatively
+CCCP_TOL = 1e-4
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of the trainer; defaults follow the reference setup
-    (loss weights 100 / 25, 20% garbage-collector initialization, beam 400).
+    """Hyperparameters of the trainer, each declared once with the default
+    every ``hieract`` command runs with; ``config.RunConfig`` extends this
+    class with the pipeline's other keys. ``beam`` None is exact inference;
+    a width is an opt-in approximation.
     """
-    C: float = 100.0
+    C: float = 10.0
     lambda_y: float = 100.0
     lambda_v: float = 25.0
     eps_qp: float | None = None       # None: 1e-3 x the initial loss scale
-    max_cccp_iters: int = 6
-    max_cutting_plane_iters: int = 500
-    beam: int | None = 400            # None: exact inference
+    max_cccp_iters: int = 3
+    max_cutting_plane_iters: int = 400
+    beam: int | None = None           # None: exact inference
     seed: int = 0
     gc_fraction: float = 0.20
     use_gc: bool = True
-    beta_includes_gc: bool = True
     scree_c: float = 2e-3
-    self_pace_lambda0: float | None = None   # None: data-driven scale
     self_pace_decay: float = 0.5
     self_pace_rounds: int = 5
     supervision: str = "temporal"
-    loss_region: int = 0
-    cccp_tol: float = 1e-4
 
     def __post_init__(self):
         if self.C <= 0:
@@ -164,15 +164,20 @@ class _StackedP1:
                                *_stack(blocks, waivers=True))
             self.feasible = [not w for w in waived[n:]]
         self.stacked = [i for i, ok in enumerate(self.feasible) if ok]
+        self.last = None, None    # prices and solution of the last program
         if self.stacked:
             self.rows = _stack([blocks[i] for i in self.stacked])
 
     def solve(self, effs: list[np.ndarray]) -> list[np.ndarray]:
         """Minimize sum b*eff for every video; an infeasible video covers
-        each interval at its cheapest region."""
-        x = _solve_01(np.concatenate([effs[i].reshape(-1)
-                                      for i in self.stacked]),
-                      *self.rows) if self.stacked else None
+        each interval at its cheapest region. Prices equal to the last
+        solved ones reuse that solution."""
+        x = None
+        if self.stacked:
+            c = np.concatenate([effs[i].reshape(-1) for i in self.stacked])
+            if not np.array_equal(c, self.last[0]):
+                self.last = c, _solve_01(c, *self.rows)
+            x = self.last[1]
         out, lo = [], 0
         for eff, ok in zip(effs, self.feasible):
             if ok:
@@ -265,16 +270,16 @@ def _p1_objective(assignments, costs, inv_lambda) -> float:
 
 
 def solve_p1(problems: list[AssignmentProblem], num_actions: int,
-             lambda0: float | None = None, decay: float = 0.5,
-             rounds: int = 5, max_alternations: int = 20) -> P1Result:
+             decay: float = 0.5, rounds: int = 5,
+             max_alternations: int = 20) -> P1Result:
     """Self-paced alternation between assignment means and region labels.
 
-    The first round uses 1/lambda = 0 (minimal assignments); subsequent
-    rounds shrink lambda by ``decay``, making extra region assignments
-    progressively cheaper. Each half step is kept only if it does not
-    increase the round's objective, so the per-round objective trace is
-    non-increasing by construction. Every b-step solves all videos exactly
-    in one stacked 0/1 program.
+    The first round uses 1/lambda = 0 (minimal assignments); the next
+    rounds start from lambda = 8 / (mean cost) and shrink it by ``decay``,
+    making extra region assignments progressively cheaper. Each half step
+    is kept only if it does not increase the round's objective, so the
+    per-round objective trace is non-increasing by construction. Every
+    b-step solves all videos exactly in one stacked 0/1 program.
     """
     if not problems:
         raise ValueError("no assignment problems given")
@@ -284,9 +289,7 @@ def solve_p1(problems: list[AssignmentProblem], num_actions: int,
     means = _p1_means(problems, all_ones, num_actions, R, K)
     costs = [_p1_costs(p, means) for p in problems]
 
-    if lambda0 is None:
-        scale = np.mean([c.mean() for c in costs])
-        lambda0 = 8.0 / max(scale, 1e-9)
+    lambda0 = 8.0 / max(np.mean([c.mean() for c in costs]), 1e-9)
     inv_lambdas = [0.0] + [1.0 / (lambda0 * decay ** i) for i in range(rounds)]
 
     program = _StackedP1([(R, p.actions.shape[0]) for p in problems],
@@ -423,7 +426,6 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
             assignments.append(b)
     else:
         p1 = solve_p1(problems, num_actions,
-                      lambda0=config.self_pace_lambda0,
                       decay=config.self_pace_decay,
                       rounds=config.self_pace_rounds)
         assignments = p1.assignments
@@ -559,14 +561,12 @@ def build_constraints(video: TrainingVideo, params: ModelParams,
 
 
 def build_loss_spec(video: TrainingVideo, params: ModelParams,
-                    supervision: str, loss_region: int = 0) -> LossSpec:
-    """Truth for margin rescaling; per-frame term lives in ``loss_region``."""
+                    supervision: str) -> LossSpec:
+    """Truth for margin rescaling; the per-frame term lives in region 0."""
     constraints = build_constraints(video, params, supervision)
     if constraints is None or constraints.allowed_v is None:
-        return LossSpec(y=video.y, allowed_v=None, region=loss_region)
-    return LossSpec(y=video.y,
-                    allowed_v=constraints.allowed_v[:, loss_region, :],
-                    region=loss_region)
+        return LossSpec(y=video.y, allowed_v=None)
+    return LossSpec(y=video.y, allowed_v=constraints.allowed_v[:, 0, :])
 
 
 def impute_latents(videos: list[TrainingVideo], params: ModelParams,
@@ -826,10 +826,9 @@ def train(videos: list[TrainingVideo], dims: ModelDims, config: TrainConfig,
     discarded) and re-completion can only raise completion energies.
     """
     template = ModelParams.zeros(dims, dictionary=init.dictionary,
-                                 use_gc=config.use_gc,
-                                 beta_includes_gc=config.beta_includes_gc)
-    loss_specs = [build_loss_spec(v, template, config.supervision,
-                                  config.loss_region) for v in videos]
+                                 use_gc=config.use_gc)
+    loss_specs = [build_loss_spec(v, template, config.supervision)
+                  for v in videos]
     completions = list(init.completions)
     truth_psis = [feature_map(v.x, comp, template)
                   for v, comp in zip(videos, completions)]
@@ -857,7 +856,7 @@ def train(videos: list[TrainingVideo], dims: ModelDims, config: TrainConfig,
         trace.append(obj_new)
         if obj_new < best_obj:
             best_W, best_obj = W.copy(), obj_new
-        if trace[-2] - trace[-1] < config.cccp_tol * max(1.0, abs(trace[-2])):
+        if trace[-2] - trace[-1] < CCCP_TOL * max(1.0, abs(trace[-2])):
             reason = "converged"
             break
         params = template.with_flat(W)

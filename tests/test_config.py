@@ -1,10 +1,12 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from hieract.cli import main
+from hieract.cli import _config, build_parser, main
 from hieract.config import RunConfig, load_config
+from hieract.learning import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -81,3 +83,37 @@ def test_cli_exits_1_on_unparsable_value(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "'beam'" in err and path in err
+
+
+def test_training_defaults_have_one_source():
+    assert issubclass(RunConfig, TrainConfig)
+    run, trainer = RunConfig(), TrainConfig()
+    for field in fields(TrainConfig):
+        assert getattr(run, field.name) == getattr(trainer, field.name), \
+            field.name
+    assert run.C == 10.0
+    assert run.max_cccp_iters == 3
+    assert run.max_cutting_plane_iters == 400
+    assert run.beam is None
+
+
+def _infer_args(tmp_path, *extra):
+    return ["infer", "--model", str(tmp_path / "model.json"),
+            "--features", str(tmp_path / "features"),
+            "--out", str(tmp_path / "out"), *extra]
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ([], 400), (["--beam", "none"], None), (["--beam", "None"], None),
+    (["--beam", "40"], 40)])
+def test_beam_flag_takes_the_ini_spellings(tmp_path, flags, expected):
+    path = _write(tmp_path, "[infer]\nbeam = 400\n")
+    args = build_parser().parse_args(
+        _infer_args(tmp_path, "--config", path, *flags))
+    assert _config(args).beam == expected
+
+
+def test_unparsable_beam_flag_exits_1_naming_it(tmp_path, capsys):
+    assert main(_infer_args(tmp_path, "--beam", "wide")) == 1
+    err = capsys.readouterr().err
+    assert "--beam" in err and "'wide'" in err

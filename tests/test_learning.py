@@ -3,6 +3,7 @@ import pytest
 
 from conftest import brute_force_assignment, make_dictionary
 
+from hieract import learning
 from hieract.dictionaries import chi2
 from hieract.energy import Labeling, ModelDims, ModelParams, energy_total, feature_map
 from hieract.evaluation import SyntheticSpec, plant_synthetic
@@ -173,6 +174,22 @@ class TestSolveP1:
         result = solve_p1(problems, num_actions=2)
         for b in result.assignments:
             assert b[0, 0] and b[1, 1]
+
+    def test_no_b_step_repeats_the_last_program(self, monkeypatch):
+        priced = []
+        solve_01 = learning._solve_01
+
+        def record(c, *rows):
+            priced.append(c.copy())
+            return solve_01(c, *rows)
+
+        monkeypatch.setattr(learning, "_solve_01", record)
+        result = solve_p1(self._problems(), num_actions=2)
+        for a, b in zip(priced, priced[1:]):
+            assert not np.array_equal(a, b)
+        # every alternation is still traced, b-step and mu-step
+        alternations = sum((len(t) - 1) // 2 for t in result.objective_trace)
+        assert 1 < len(priced) <= alternations
 
     def test_costs_match_scalar_chi2(self):
         problems = self._problems()
