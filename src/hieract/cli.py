@@ -257,8 +257,8 @@ def cmd_train(args) -> int:
             and len(result.objective_trace) == 1:
         raise RuntimeError(
             "training made no progress: the first cutting-plane solve ran "
-            f"{result.cp_infos[0].iterations} of at most "
-            f"{config.max_cutting_plane_iters} iterations "
+            f"{result.cp_infos[0].oracle_passes} of at most "
+            f"{config.max_cutting_plane_iters} exact oracle passes "
             "(--max-cutting-plane-iters) and did not lower the objective "
             f"{result.objective_trace[0]:.6g}; no model written")
 
@@ -280,6 +280,8 @@ def cmd_train(args) -> int:
                 info = result.cp_infos[i - 1]
                 entry["violation"] = info.violation
                 entry["cutting_plane_iterations"] = info.iterations
+                entry["oracle_passes"] = info.oracle_passes
+                entry["cached_steps"] = info.cached_steps
             lines.append(_json_dumps(entry))
         _atomic_write(Path(args.log), "".join(lines))
     print(f"trained in {time.time() - t0:.1f}s; objective "
@@ -558,7 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float)
     p.add_argument("--max-cccp-iters", dest="max_cccp_iters", type=int)
     p.add_argument("--max-cutting-plane-iters",
-                   dest="max_cutting_plane_iters", type=int)
+                   dest="max_cutting_plane_iters", type=int,
+                   help="cap on the exact loss-augmented passes of each "
+                        "cutting-plane solve; steps taken from cached "
+                        "violators do not count")
     p.add_argument("--no-gc", dest="use_gc", action="store_false",
                    help="disable the garbage collector label")
     p.add_argument("--log", default=None, help="training log (JSON lines)")

@@ -72,13 +72,12 @@ def _coerce(key: str, raw: str, where: str):
                          f"{expected}") from None
 
 
-def load_config(path: str | None = None,
-                overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an INI file plus explicit overrides.
+def load_config(path: str | None = None) -> RunConfig:
+    """Build a RunConfig from an INI file; absent keys keep their defaults.
 
     Sections are organizational only; keys must be RunConfig field names.
-    Unknown keys raise, naming the offender. ``overrides`` win over file
-    values; None overrides are ignored.
+    Unknown keys raise, naming the offender. The CLI layers its flags over
+    the result with ``dataclasses.replace``.
     """
     known = {f.name for f in fields(RunConfig)}
     values: dict = {}
@@ -94,10 +93,4 @@ def load_config(path: str | None = None,
                     raise ValueError(
                         f"unknown config key {key!r} in [{section}]")
                 values[key] = _coerce(key, raw, f"[{section}] of {path}")
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in known:
-            raise ValueError(f"unknown config override {key!r}")
-        values[key] = value
     return RunConfig(**values)

@@ -30,9 +30,6 @@ class ActionletDictionary:
     def num_actionlets(self) -> int:
         return int(self.u_of_v.shape[0])
 
-    def actionlets_of(self, action: int) -> np.ndarray:
-        return np.flatnonzero(self.u_of_v == action)
-
     def to_dict(self) -> dict:
         return {"num_actions": self.num_actions,
                 "counts": self.counts.tolist(),
@@ -128,24 +125,6 @@ def gc_init(labels: np.ndarray, distances: np.ndarray, num_poselets: int,
     order = np.lexsort((np.arange(n), -distances))
     labels[order[:n_gc]] = num_poselets
     return labels
-
-
-def chi2(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Chi-squared distance between two nonnegative histograms.
-
-    Sums (h1[k]-h2[k])^2 / (h1[k]+h2[k]) over bins, skipping bins where both
-    entries are zero.
-    """
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    if h1.shape != h2.shape:
-        raise ValueError(f"histogram shapes differ: {h1.shape} vs {h2.shape}")
-    if np.any(h1 < 0) or np.any(h2 < 0):
-        raise ValueError("histogram entries must be nonnegative")
-    denom = h1 + h2
-    mask = denom > 0
-    diff = h1 - h2
-    return float(np.sum(diff[mask] ** 2 / denom[mask]))
 
 
 def chi2_matrix(H: np.ndarray) -> np.ndarray:
@@ -269,11 +248,3 @@ def build_actionlets(histograms: np.ndarray, actions: np.ndarray,
         centroids=np.vstack(centroids),
     )
     return dictionary, assignment
-
-
-def nearest_actionlet(dictionary: ActionletDictionary, action: int,
-                      histogram: np.ndarray) -> int:
-    """Chi-squared nearest actionlet of a given action for one histogram."""
-    candidates = dictionary.actionlets_of(action)
-    dists = [chi2(histogram, dictionary.centroids[a]) for a in candidates]
-    return int(candidates[int(np.argmin(dists))])

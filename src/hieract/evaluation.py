@@ -4,7 +4,8 @@ Detection follows the 60%-overlap rule: a predicted interval of the right
 action is a true positive when its IoU with a ground-truth interval exceeds
 the threshold, or when it is completely covered by the ground truth.
 Matching is greedy one-to-one by descending overlap. Spatio-temporal
-scoring additionally requires region equality.
+scoring (``pooled_pr`` with ``match_region``) additionally requires region
+equality.
 """
 from __future__ import annotations
 
@@ -88,15 +89,6 @@ def detection_pr(preds: list[ActionInterval], truths: list[ActionInterval],
                  ) -> tuple[float, float]:
     """Temporal detection precision/recall for one video's intervals."""
     tp = _match_counts(preds, truths, criterion, match_region=False)
-    return _pr(tp, len(preds), len(truths))
-
-
-def spatiotemporal_pr(preds: list[ActionInterval],
-                      truths: list[ActionInterval],
-                      criterion: DetectionCriterion = DetectionCriterion()
-                      ) -> tuple[float, float]:
-    """As detection_pr, but a match also requires region equality."""
-    tp = _match_counts(preds, truths, criterion, match_region=True)
     return _pr(tp, len(preds), len(truths))
 
 
@@ -186,6 +178,13 @@ class SyntheticSpec:
             raise ValueError("actions_per_class exceeds num_actions")
         if not 0 <= self.pose_noise < 0.5:
             raise ValueError("pose_noise must be in [0, 0.5)")
+        slots = self.num_classes * self.num_regions * self.actions_per_class
+        if slots < self.num_actions:
+            raise ValueError(
+                f"{self.num_classes} classes of {self.actions_per_class} "
+                f"actions over {self.num_regions} regions cannot use all "
+                f"{self.num_actions} actions; raise actions_per_class or "
+                "lower num_actions")
         n_signatures = comb(self.num_actions, self.actions_per_class) \
             ** self.num_regions
         if n_signatures < self.num_classes:
@@ -245,7 +244,21 @@ def _pose_cycles(num_actionlets: int, num_poselets: int) -> list[list[int]]:
 
 def _class_patterns(spec: SyntheticSpec,
                     rng: np.random.Generator) -> list[list[list[int]]]:
-    """Per (class, region) action cycles with distinct per-class signatures."""
+    """Per (class, region) action cycles with distinct per-class signatures.
+
+    A draw that leaves an action unused is redrawn, so every atomic action
+    has annotated samples in a set with a few videos per class."""
+    for _draw in range(1000):
+        patterns = _draw_patterns(spec, rng)
+        used = {a for pattern in patterns for cycle in pattern for a in cycle}
+        if len(used) == spec.num_actions:
+            return patterns
+    raise RuntimeError("could not plant class patterns that use every "
+                       "action")
+
+
+def _draw_patterns(spec: SyntheticSpec,
+                   rng: np.random.Generator) -> list[list[list[int]]]:
     patterns: list[list[list[int]]] = []
     seen: set[tuple] = set()
     for _ in range(spec.num_classes):

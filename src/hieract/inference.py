@@ -44,26 +44,6 @@ class FrameConstraints:
     allowed_v: np.ndarray | None = None
     allowed_z: np.ndarray | None = None
 
-    @classmethod
-    def fixed_v(cls, v: np.ndarray, num_actionlets: int) -> "FrameConstraints":
-        """Pin every (t, r) actionlet to the given labels."""
-        v = np.asarray(v, dtype=int)
-        T, R = v.shape
-        allowed = np.zeros((T, R, num_actionlets), dtype=bool)
-        t_idx, r_idx = np.meshgrid(np.arange(T), np.arange(R), indexing="ij")
-        allowed[t_idx, r_idx, v] = True
-        return cls(allowed_v=allowed)
-
-    @classmethod
-    def from_actionlet_sets(cls, per_frame: list[np.ndarray], num_regions: int,
-                            num_actionlets: int) -> "FrameConstraints":
-        """Same allowed actionlet set for every region of each frame."""
-        T = len(per_frame)
-        allowed = np.zeros((T, num_regions, num_actionlets), dtype=bool)
-        for t, actionlets in enumerate(per_frame):
-            allowed[t, :, np.asarray(actionlets, dtype=int)] = True
-        return cls(allowed_v=allowed)
-
 
 @dataclass
 class LossSpec:

@@ -51,7 +51,7 @@ class TrainConfig:
     lambda_v: float = 25.0
     eps_qp: float | None = None       # None: 1e-3 x the initial loss scale
     max_cccp_iters: int = 3
-    max_cutting_plane_iters: int = 400
+    max_cutting_plane_iters: int = 400   # exact oracle passes per solve
     beam: int | None = None           # None: exact inference
     seed: int = 0
     gc_fraction: float = 0.20
@@ -606,33 +606,32 @@ def _face_optimum(G: np.ndarray, d: np.ndarray, free: np.ndarray,
 
 
 class _WorkingSet:
-    """Aggregated margin constraints <W, g_j> >= d_j - xi plus the dual
-    active-set solver. Slack mass ``C - sum(alpha)`` corresponds to the
-    primal constraint xi >= 0."""
+    """Aggregated margin constraints <W, g_j> >= d_j - xi, stacked as the
+    rows of ``G``, plus the dual active-set solver. Slack mass
+    ``C - sum(alpha)`` corresponds to the primal constraint xi >= 0."""
 
     def __init__(self, C: float):
         self.C = C
-        self.G: list[np.ndarray] = []      # constraint vectors g_j
-        self.deltas: list[float] = []
+        self.G = np.zeros((0, 0))          # constraint vectors g_j as rows
+        self.deltas = np.zeros(0)
         self.alpha = np.zeros(0)
         self.gram = np.zeros((0, 0))
 
     def add(self, g: np.ndarray, delta: float) -> None:
-        dots = np.array([float(g @ h) for h in self.G])
-        n = len(self.G)
+        n = len(self.deltas)
+        dots = self.G @ g if n else np.zeros(0)
         gram = np.zeros((n + 1, n + 1))
         gram[:n, :n] = self.gram
         gram[n, :n] = dots
         gram[:n, n] = dots
         gram[n, n] = float(g @ g)
-        self.G.append(g.copy())
-        self.deltas.append(float(delta))
+        self.G = np.vstack([self.G, g]) if n else g[None, :].copy()
+        self.deltas = np.append(self.deltas, float(delta))
         self.gram = gram
         self.alpha = np.append(self.alpha, 0.0)
 
     def dual_objective(self) -> float:
-        d = np.asarray(self.deltas)
-        return float(d @ self.alpha
+        return float(self.deltas @ self.alpha
                      - 0.5 * self.alpha @ self.gram @ self.alpha)
 
     def solve(self, max_steps: int = 200, tol: float = 1e-10) -> float:
@@ -641,10 +640,10 @@ class _WorkingSet:
         Solved to optimality, so the dual objective is non-decreasing across
         calls: each call's feasible set contains the previous solution.
         """
-        n = len(self.G)
+        n = len(self.deltas)
         if n == 0:
             return 0.0
-        d = np.asarray(self.deltas)
+        d = self.deltas
         G = self.gram
         a = self.alpha.copy()
         scale = max(1.0, float(np.abs(d).max()))
@@ -691,33 +690,118 @@ class _WorkingSet:
         current slack, so removing it leaves the solution unchanged; it can
         always re-enter later as a new most-violated constraint.
         """
-        n = len(self.G)
+        n = len(self.deltas)
         if n <= cap:
             return
-        keep = [j for j in range(n)
-                if self.alpha[j] > 0 or j >= n - keep_recent]
-        idx = np.asarray(keep)
-        self.G = [self.G[j] for j in keep]
-        self.deltas = [self.deltas[j] for j in keep]
+        idx = np.flatnonzero((self.alpha > 0)
+                             | (np.arange(n) >= n - keep_recent))
+        self.G = self.G[idx]
+        self.deltas = self.deltas[idx]
         self.alpha = self.alpha[idx]
         self.gram = self.gram[np.ix_(idx, idx)]
 
     def weights(self) -> np.ndarray:
-        if not self.G:
-            return np.zeros(0)
-        return np.asarray(self.G).T @ self.alpha
+        return self.G.T @ self.alpha
 
     def slack(self, W: np.ndarray) -> float:
-        if not self.G:
+        if not len(self.deltas):
             return 0.0
-        margins = [d - float(W @ g) for g, d in zip(self.G, self.deltas)]
-        return max(0.0, max(margins))
+        return max(0.0, float(np.max(self.deltas - self.G @ W)))
+
+
+# Past most-violating labelings the separation oracle keeps per video
+CACHE_SIZE = 50
+
+
+class ViolatorCache:
+    """The cutting plane's separation oracle: a bounded per-video cache of
+    past most-violating labelings in front of exact loss-augmented
+    inference, the cached oracle of Joachims, Finley & Yu ("Cutting-plane
+    training of structural SVMs", MLJ 2009).
+
+    A labeling is kept as its feature vector psi and its loss. Neither
+    depends on W or on the latent completions, so one cache serves every
+    CCCP round. A video holds at most ``CACHE_SIZE`` labelings; a new one
+    replaces the labeling that was least recently the video's best. The
+    scores of the last exact pass are kept with its W, so exact inference
+    never runs twice at one W.
+    """
+
+    def __init__(self, videos: list[TrainingVideo],
+                 loss_specs: list[LossSpec], template: ModelParams,
+                 config: TrainConfig):
+        self.xs = [video.x for video in videos]
+        self.loss_specs = loss_specs
+        self.template = template
+        self.config = config
+        M = len(videos)
+        # slots past a video's count are zero rows that are never paged in
+        self.psis = np.zeros((M, CACHE_SIZE, template.dims.total))
+        self.losses = np.full((M, CACHE_SIZE), -np.inf)
+        self.count = np.zeros(M, dtype=int)
+        self.last_best = np.zeros((M, CACHE_SIZE))   # clock of last win
+        self.clock = 0
+        self.pass_W: np.ndarray | None = None
+        self.pass_scores: np.ndarray | None = None
+
+    def holds_pass_at(self, W: np.ndarray) -> bool:
+        return self.pass_W is not None and np.array_equal(W, self.pass_W)
+
+    def exact(self, W: np.ndarray) -> np.ndarray:
+        """Per video the maximum of energy plus loss at W. Runs one exact
+        pass unless the last pass was at this W; its violators enter the
+        cache."""
+        if self.holds_pass_at(W):
+            return self.pass_scores
+        cfg = self.config
+        results = loss_augmented_infer_many(
+            self.xs, self.template.with_flat(W), self.loss_specs,
+            cfg.lambda_y, cfg.lambda_v, beam=cfg.beam)
+        self.clock += 1
+        for i, (x, spec, res) in enumerate(zip(self.xs, self.loss_specs,
+                                               results)):
+            self._insert(i, feature_map(x, res.labeling, self.template),
+                         loss_value(res.labeling, spec, cfg.lambda_y,
+                                    cfg.lambda_v))
+        self.pass_W = np.array(W, dtype=float)
+        self.pass_scores = np.array([res.score for res in results])
+        return self.pass_scores
+
+    def _insert(self, i: int, psi: np.ndarray, loss: float) -> None:
+        n = self.count[i]
+        same = np.flatnonzero((self.losses[i, :n] == loss)
+                              & (self.psis[i, :n] == psi).all(axis=1))
+        if same.size:
+            j = same[0]
+        elif n < CACHE_SIZE:
+            j = n
+            self.count[i] += 1
+        else:
+            j = int(np.argmin(self.last_best[i]))
+        self.psis[i, j] = psi
+        self.losses[i, j] = loss
+        self.last_best[i, j] = self.clock
+
+    def constraint(self, W: np.ndarray, truth_psi: np.ndarray
+                   ) -> tuple[np.ndarray, float]:
+        """Aggregated constraint (g, delta) from each video's cached
+        labeling of highest loss + <W, psi>: g is ``truth_psi`` (the mean
+        completion psi) minus their mean psi, delta their mean loss."""
+        n = self.count.max()
+        pick = np.argmax(self.losses[:, :n] + self.psis[:, :n] @ W, axis=1)
+        rows = np.arange(pick.size)
+        self.clock += 1
+        self.last_best[rows, pick] = self.clock
+        return (truth_psi - self.psis[rows, pick].mean(axis=0),
+                float(self.losses[rows, pick].mean()))
 
 
 @dataclass
 class CuttingPlaneInfo:
     converged: bool
-    iterations: int
+    iterations: int           # QP steps, one per constraint added
+    oracle_passes: int        # exact loss-augmented passes run
+    cached_steps: int         # QP steps whose constraint came from the cache
     violation: float
     xi: float
     eps: float
@@ -728,57 +812,73 @@ class CuttingPlaneInfo:
 def cutting_plane(videos: list[TrainingVideo], truth_psis: list[np.ndarray],
                   loss_specs: list[LossSpec], template: ModelParams,
                   config: TrainConfig,
-                  warm: np.ndarray | None = None
+                  warm: np.ndarray | None = None,
+                  cache: ViolatorCache | None = None
                   ) -> tuple[np.ndarray, CuttingPlaneInfo]:
     """Solve the regularized risk for fixed latent completions.
 
-    Maintains one aggregated constraint per iteration: the mean feature gap
-    between the completions and the current most-violating labelings, with
-    the mean loss as margin. Terminates once the newest violation is within
-    ``eps_qp`` of the current slack.
+    Each step adds one aggregated constraint: the mean feature gap between
+    the completions and a most-violating labeling per video, with the mean
+    loss as margin. The constraint comes from the violator cache first:
+    per video, the cached labeling of highest loss + <W, psi>. Exact
+    loss-augmented inference runs only when that constraint is violated by
+    no more than the current slack plus ``eps_qp``, or when the last cached
+    step did not raise the dual. The exact pass's violation is never below
+    the cached one, so termination is decided by an exact pass at the
+    returned W, whose scores ``cache`` keeps. ``max_cutting_plane_iters``
+    caps the exact passes; the first step of a solve uses the pass the
+    cache holds at ``warm``, if any. Pass ``cache`` to share violators and
+    passes across solves.
     """
-    M = len(videos)
-    dim = template.dims.total
+    if cache is None:
+        cache = ViolatorCache(videos, loss_specs, template, config)
     ws = _WorkingSet(config.C)
-    W = np.zeros(dim) if warm is None else np.asarray(warm, dtype=float).copy()
+    W = np.zeros(template.dims.total) if warm is None \
+        else np.asarray(warm, dtype=float).copy()
+    truth_psi = np.mean(truth_psis, axis=0)
     eps = config.eps_qp
     dual_trace: list[float] = []
     violation_trace: list[float] = []
     converged = False
     violation = 0.0
-    xs = [video.x for video in videos]
-    for it in range(config.max_cutting_plane_iters):
-        params = template.with_flat(W)
-        gbar = np.zeros(dim)
-        dbar = 0.0
-        violators = loss_augmented_infer_many(xs, params, loss_specs,
-                                              config.lambda_y,
-                                              config.lambda_v,
-                                              beam=config.beam)
-        for video, psi_true, spec, res in zip(videos, truth_psis, loss_specs,
-                                              violators):
-            psi_bad = feature_map(video.x, res.labeling, template)
-            gbar += psi_true - psi_bad
-            dbar += loss_value(res.labeling, spec, config.lambda_y,
-                               config.lambda_v)
-        gbar /= M
-        dbar /= M
-        if eps is None:
-            eps = max(1e-3 * dbar, 1e-8)
-        violation = dbar - float(W @ gbar)
-        violation_trace.append(violation)
+    passes = cached_steps = 0
+    while True:
         xi = ws.slack(W)
-        if violation <= xi + eps:
+        cached = False
+        rising = len(dual_trace) < 2 or dual_trace[-1] > dual_trace[-2]
+        if dual_trace and rising:
+            g, delta = cache.constraint(W, truth_psi)
+            violation = delta - float(W @ g)
+            cached = violation > xi + eps
+        if not cached:
+            if not cache.holds_pass_at(W):
+                if passes == config.max_cutting_plane_iters:
+                    log.warning("cutting plane hit its cap of %d exact "
+                                "passes; returning the current iterate",
+                                passes)
+                    break
+                passes += 1
+            elif dual_trace:
+                log.warning("dual QP made no progress; returning the "
+                            "current iterate")
+                break
+            cache.exact(W)
+            g, delta = cache.constraint(W, truth_psi)
+            violation = delta - float(W @ g)
+            if eps is None:
+                eps = max(1e-3 * delta, 1e-8)
+        violation_trace.append(violation)
+        if not cached and violation <= xi + eps:
             converged = True
             break
-        ws.add(gbar, dbar)
+        cached_steps += cached
+        ws.add(g, delta)
         dual_trace.append(ws.solve())
         W = ws.weights()
-    else:
-        log.warning("cutting plane hit the iteration cap (%d); returning "
-                    "the current iterate", config.max_cutting_plane_iters)
     info = CuttingPlaneInfo(converged=converged,
                             iterations=len(dual_trace),
+                            oracle_passes=passes,
+                            cached_steps=cached_steps,
                             violation=violation,
                             xi=ws.slack(W),
                             eps=float(eps if eps is not None else 0.0),
@@ -802,17 +902,13 @@ class TrainResult:
 
 def primal_objective(videos: list[TrainingVideo], W: np.ndarray,
                      template: ModelParams, completions: list[Labeling],
-                     loss_specs: list[LossSpec],
-                     config: TrainConfig) -> float:
-    """Regularized risk at fixed completions: 0.5|W|^2 + (C/M) sum xi_i."""
+                     scores: np.ndarray, config: TrainConfig) -> float:
+    """Regularized risk at fixed completions: 0.5|W|^2 + (C/M) sum xi_i,
+    where ``scores[i]`` is video i's loss-augmented maximum at W."""
     params = template.with_flat(W)
     total = 0.0
-    results = loss_augmented_infer_many([v.x for v in videos], params,
-                                        loss_specs, config.lambda_y,
-                                        config.lambda_v, beam=config.beam)
-    for video, comp, res in zip(videos, completions, results):
-        slack = res.score - energy_total(video.x, comp, params)
-        total += max(0.0, slack)
+    for video, comp, score in zip(videos, completions, scores):
+        total += max(0.0, score - energy_total(video.x, comp, params))
     return 0.5 * float(W @ W) + config.C * total / len(videos)
 
 
@@ -833,18 +929,19 @@ def train(videos: list[TrainingVideo], dims: ModelDims, config: TrainConfig,
     truth_psis = [feature_map(v.x, comp, template)
                   for v, comp in zip(videos, completions)]
 
+    cache = ViolatorCache(videos, loss_specs, template, config)
     W = np.zeros(dims.total)
-    trace = [primal_objective(videos, W, template, completions, loss_specs,
-                              config)]
+    trace = [primal_objective(videos, W, template, completions,
+                              cache.exact(W), config)]
     cp_infos: list[CuttingPlaneInfo] = []
     best_W, best_obj = W.copy(), trace[0]
     reason = "max_cccp_iters"
     for outer in range(config.max_cccp_iters):
         W_new, info = cutting_plane(videos, truth_psis, loss_specs, template,
-                                    config, warm=W)
+                                    config, warm=W, cache=cache)
         cp_infos.append(info)
         obj_new = primal_objective(videos, W_new, template, completions,
-                                   loss_specs, config)
+                                   cache.exact(W_new), config)
         if obj_new > trace[-1]:
             # The approximate convex solve failed to improve; keep the
             # previous iterate and stop (only possible via approximation).

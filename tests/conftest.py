@@ -19,6 +19,25 @@ def make_dictionary(num_actionlets: int, num_actions: int,
     )
 
 
+def chi2(h1: np.ndarray, h2: np.ndarray) -> float:
+    """Chi-squared distance between two nonnegative histograms, the scalar
+    reference for the vectorized distances of the program.
+
+    Sums (h1[k]-h2[k])^2 / (h1[k]+h2[k]) over bins, skipping bins where both
+    entries are zero.
+    """
+    h1 = np.asarray(h1, dtype=float)
+    h2 = np.asarray(h2, dtype=float)
+    if h1.shape != h2.shape:
+        raise ValueError(f"histogram shapes differ: {h1.shape} vs {h2.shape}")
+    if np.any(h1 < 0) or np.any(h2 < 0):
+        raise ValueError("histogram entries must be nonnegative")
+    denom = h1 + h2
+    mask = denom > 0
+    diff = h1 - h2
+    return float(np.sum(diff[mask] ** 2 / denom[mask]))
+
+
 def random_params(dims: ModelDims, rng: np.random.Generator,
                   scale: float = 1.0, **flags) -> ModelParams:
     params = ModelParams.zeros(dims, dictionary=make_dictionary(

@@ -127,6 +127,10 @@ class TestPipeline:
                      for line in log_path.read_text().splitlines()]
         assert log_lines[0]["iteration"] == 0
         assert "objective" in log_lines[0]
+        for entry in log_lines[1:]:
+            assert entry["oracle_passes"] >= 0
+            assert 0 <= entry["cached_steps"] \
+                <= entry["cutting_plane_iterations"]
 
         out_dir = tmp_path / "pred"
         code = main(["infer", "--model", str(model_path),
@@ -232,7 +236,7 @@ class TestPipeline:
 
     def test_train_without_progress_writes_no_model(self, synth_dataset,
                                                     tmp_path, capsys):
-        # two cutting-plane iterations leave an iterate whose objective is
+        # two exact oracle passes leave an iterate whose objective is
         # above the all-zero model's, so no CCCP step is accepted
         base = synth_dataset / "train"
         model_path = tmp_path / "model.json"
@@ -247,7 +251,25 @@ class TestPipeline:
         assert not model_path.exists()
         err = capsys.readouterr().err
         assert "--max-cutting-plane-iters" in err
-        assert "at most 2 iterations" in err
+        assert "at most 2 exact oracle passes" in err
+
+
+    @pytest.mark.parametrize("seed", [7, 10])
+    def test_planted_default_set_trains(self, tmp_path, seed):
+        # these seeds used to plant a set missing an atomic action, which
+        # training rejected
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", str(seed),
+                     "--videos-per-class", "4", "--test-per-class", "2"]) == 0
+        config = tmp_path / "run.ini"
+        config.write_text("[train]\neps_qp = 20\n")
+        base = data / "train"
+        assert main(["train", "--config", str(config),
+                     "--features", str(base / "features"),
+                     "--annotations", str(base / "annotations.csv"),
+                     "--labels", str(base / "labels.csv"),
+                     "--out", str(tmp_path / "model.json"),
+                     "--num-poselets", "8", "--max-cccp-iters", "1"]) == 0
 
 
 class TestErrors:

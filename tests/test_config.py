@@ -42,9 +42,13 @@ def test_values_take_their_field_types(tmp_path):
 
 
 def test_overrides_win_and_defaults_fill(tmp_path):
-    config = load_config(_write(tmp_path, "[train]\nC = 3\n"),
-                         overrides={"C": 7.0, "seed": None})
+    path = _write(tmp_path, "[train]\nC = 3\nlambda_v = 5\n")
+    args = build_parser().parse_args(
+        ["train", "--config", path, "--features", "f", "--annotations", "a",
+         "--labels", "l", "--out", "m.json", "--C", "7"])
+    config = _config(args)
     assert config.C == 7.0
+    assert config.lambda_v == 5.0
     assert config.seed == RunConfig().seed
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from hieract.dictionaries import (assign_labels, build_actionlets, chi2,
+from conftest import chi2
+
+from hieract.dictionaries import (assign_labels, build_actionlets,
                                   chi2_matrix, gc_init, interval_histogram,
-                                  kmeans, nearest_actionlet, scree_count)
+                                  kmeans, scree_count)
 
 
 class TestKmeans:
@@ -225,14 +227,6 @@ class TestBuildActionlets:
         actions = np.sort(rng.integers(0, 3, size=30))
         dictionary, _ = build_actionlets(H, actions, num_actions=3)
         assert (np.diff(dictionary.u_of_v) >= 0).all()
-
-    def test_nearest_actionlet_respects_action(self):
-        H = np.vstack([np.tile([0.9, 0.1], (5, 1)),
-                       np.tile([0.1, 0.9], (5, 1))])
-        actions = np.repeat([0, 1], 5)
-        dictionary, _ = build_actionlets(H, actions, num_actions=2)
-        pick = nearest_actionlet(dictionary, 1, np.array([0.2, 0.8]))
-        assert dictionary.u_of_v[pick] == 1
 
 
 class TestIntervalHistogram:

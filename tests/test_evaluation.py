@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,13 @@ from hieract.dictionaries import assign_labels, kmeans
 from hieract.evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
                                 detection_pr, interval_iou,
                                 intervals_from_frames, plant_synthetic,
-                                pooled_pr, spatiotemporal_pr)
+                                pooled_pr)
 from hieract.skeleton import ActionInterval
+
+
+def _spatiotemporal_pr(preds, truths):
+    """Spatio-temporal precision/recall of one video's intervals."""
+    return pooled_pr({"v": preds}, {"v": truths}, match_region=True)
 
 
 class TestAccuracy:
@@ -101,12 +108,12 @@ class TestSpatioTemporalPr:
     def test_region_mismatch_is_fp(self):
         pred = [ActionInterval(0, 0, 9, region=0)]
         truth = [ActionInterval(0, 0, 9, region=1)]
-        assert spatiotemporal_pr(pred, truth) == (0.0, 0.0)
+        assert _spatiotemporal_pr(pred, truth) == (0.0, 0.0)
         assert detection_pr(pred, truth) == (1.0, 1.0)
 
     def test_identical(self):
         items = [ActionInterval(0, 0, 9, region=2)]
-        assert spatiotemporal_pr(items, items) == (1.0, 1.0)
+        assert _spatiotemporal_pr(items, items) == (1.0, 1.0)
 
     def test_mixed_two_of_three(self):
         pred = [ActionInterval(0, 0, 9, region=0),
@@ -115,7 +122,7 @@ class TestSpatioTemporalPr:
         truth = [ActionInterval(0, 0, 9, region=0),
                  ActionInterval(1, 10, 19, region=1),
                  ActionInterval(0, 30, 35, region=1)]
-        precision, recall = spatiotemporal_pr(pred, truth)
+        precision, recall = _spatiotemporal_pr(pred, truth)
         assert precision == pytest.approx(2 / 3)
         assert recall == pytest.approx(2 / 3)
 
@@ -207,3 +214,39 @@ class TestPlantSynthetic:
     def test_separability_guard(self):
         with pytest.raises(ValueError, match="sigma"):
             self._spec(sigma=0.5)
+
+    def test_seed0_default_sets_keep_their_first_draw(self):
+        # digests of the planted labels of the default seed-0 spec at the
+        # acceptance suite's size and at the desk benchmark's pool size, as
+        # planted before unused-action redraws existed
+        expected = {
+            25: "7f8f8ba883e149b08018e53dff0a14f2"
+                "12204bae5e5735de317d249cd5774c71",
+            204: "fda86e1d3d1360c233e6bc6d745eb862"
+                 "9aa57a50de776c6c5fc1ba2b522c3288"}
+        for per_class, digest in expected.items():
+            ds = plant_synthetic(SyntheticSpec(videos_per_class=per_class))
+            assert ds.class_patterns == [[[2, 1], [0, 2]], [[3, 1], [3, 2]],
+                                         [[1, 0], [2, 1]]]
+            h = hashlib.sha256()
+            for video in ds.videos:
+                h.update(np.ascontiguousarray(video.z, np.int64).tobytes())
+                h.update(np.ascontiguousarray(video.v, np.int64).tobytes())
+            assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", [7, 10])
+    def test_every_action_is_planted(self, seed):
+        # the first draw of these seeds leaves an action unused
+        spec = SyntheticSpec(videos_per_class=4, seed=seed)
+        ds = plant_synthetic(spec)
+        used = {a for pattern in ds.class_patterns for cycle in pattern
+                for a in cycle}
+        assert used == set(range(spec.num_actions))
+        planted = {iv.action_id for video in ds.videos
+                   for iv in video.intervals}
+        assert planted == set(range(spec.num_actions))
+
+    def test_spec_that_cannot_use_every_action_is_rejected(self):
+        with pytest.raises(ValueError, match="cannot use all 4 actions"):
+            self._spec(num_classes=1, num_actions=4, num_actionlets=4,
+                       num_poselets=4)

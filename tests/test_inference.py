@@ -220,7 +220,8 @@ class TestCompleteLatent:
         x, params = _random_instance(rng)
         T = x.shape[0]
         v_fixed = rng.integers(0, params.dims.A, size=(T, params.dims.R))
-        constraints = FrameConstraints.fixed_v(v_fixed, params.dims.A)
+        allowed = v_fixed[:, :, None] == np.arange(params.dims.A)
+        constraints = FrameConstraints(allowed_v=allowed)
         labeling = complete_latent(x, params, 0, constraints)
         np.testing.assert_array_equal(labeling.v, v_fixed)
 
@@ -230,8 +231,9 @@ class TestCompleteLatent:
         params = random_params(dims, rng)
         T = 4
         x = rng.normal(size=(T, 2, 3))
-        per_frame = [np.array([2])] * T
-        constraints = FrameConstraints.from_actionlet_sets(per_frame, 2, 3)
+        allowed = np.zeros((T, 2, 3), dtype=bool)
+        allowed[:, :, 2] = True
+        constraints = FrameConstraints(allowed_v=allowed)
         labeling = complete_latent(x, params, 0, constraints)
         assert (labeling.v == 2).all()
 

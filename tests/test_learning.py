@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_assignment, make_dictionary
+from conftest import brute_force_assignment, chi2, make_dictionary
 
 from hieract import learning
-from hieract.dictionaries import chi2
 from hieract.energy import Labeling, ModelDims, ModelParams, energy_total, feature_map
 from hieract.evaluation import SyntheticSpec, plant_synthetic
-from hieract.inference import LossSpec, infer
+from hieract.inference import LossSpec, infer, loss_value
 from hieract.learning import (AssignmentProblem, TrainConfig, TrainingVideo,
                               _WorkingSet, _p1_costs, assign_regions,
                               build_constraints, build_loss_spec,
@@ -342,6 +341,115 @@ class TestCuttingPlane:
         _, info = cutting_plane(videos, psis, specs, template, cfg)
         assert info.converged
         assert info.violation <= info.xi + info.eps + 1e-12
+
+
+def _cutting_plane_problem(C=1.0, **config):
+    """The toy set's first convex problem: template, truth psis, loss specs
+    and the trainer config."""
+    spec, ds, videos = _training_set()
+    cfg = TrainConfig(C=C, seed=0, supervision="temporal", beam=None,
+                      **config)
+    init = initialize(videos, spec.num_poselets, spec.num_actions, cfg)
+    dims = ModelDims(R=2, K=spec.num_poselets, D=spec.dim,
+                     A=init.dictionary.num_actionlets,
+                     S=spec.num_actions, Y=spec.num_classes)
+    template = ModelParams.zeros(dims, dictionary=init.dictionary)
+    specs = [build_loss_spec(v, template, "temporal") for v in videos]
+    psis = [feature_map(v.x, c, template)
+            for v, c in zip(videos, init.completions)]
+    return videos, psis, specs, template, cfg
+
+
+def _exact_violation(videos, psis, specs, template, cfg, W):
+    """Violation at W of the constraint from a fresh exact oracle pass."""
+    results = learning.loss_augmented_infer_many(
+        [v.x for v in videos], template.with_flat(W), specs, cfg.lambda_y,
+        cfg.lambda_v)
+    g = np.mean(psis, axis=0) - np.mean(
+        [feature_map(v.x, r.labeling, template)
+         for v, r in zip(videos, results)], axis=0)
+    delta = np.mean([loss_value(r.labeling, s, cfg.lambda_y, cfg.lambda_v)
+                     for r, s in zip(results, specs)])
+    return delta - float(W @ g)
+
+
+def _count_passes(monkeypatch):
+    """Record the W of every exact oracle pass the trainer makes."""
+    seen = []
+    exact = learning.loss_augmented_infer_many
+
+    def counted(xs, params, *args, **kwargs):
+        seen.append(params.flatten().copy())
+        return exact(xs, params, *args, **kwargs)
+
+    monkeypatch.setattr(learning, "loss_augmented_infer_many", counted)
+    return seen
+
+
+class TestCachedOracle:
+    def test_converged_solve_holds_against_a_fresh_exact_pass(self):
+        problem = _cutting_plane_problem()
+        W, info = cutting_plane(*problem)
+        assert info.converged
+        violation = _exact_violation(*problem, W)
+        assert violation <= info.xi + info.eps + 1e-9
+        assert info.cached_steps > 0
+
+    def test_cached_violation_never_exceeds_exact(self):
+        videos, psis, specs, template, cfg = _cutting_plane_problem()
+        cache = learning.ViolatorCache(videos, specs, template, cfg)
+        W, _ = cutting_plane(videos, psis, specs, template, cfg, cache=cache)
+        truth = np.mean(psis, axis=0)
+        rng = np.random.default_rng(5)
+        for point in (W, 0.5 * W, np.zeros_like(W),
+                      W + rng.normal(scale=0.1, size=W.shape)):
+            g, delta = cache.constraint(point, truth)
+            cached = delta - float(point @ g)
+            exact = _exact_violation(videos, psis, specs, template, cfg,
+                                     point)
+            assert cached <= exact + 1e-9 * max(1.0, abs(exact))
+        # where the last exact pass ran, the cache holds its violators
+        g, delta = cache.constraint(cache.pass_W, truth)
+        assert delta - float(cache.pass_W @ g) == pytest.approx(
+            _exact_violation(videos, psis, specs, template, cfg,
+                             cache.pass_W), rel=1e-9, abs=1e-9)
+
+    def test_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(learning, "CACHE_SIZE", 3)
+        videos, psis, specs, template, cfg = _cutting_plane_problem()
+        cache = learning.ViolatorCache(videos, specs, template, cfg)
+        _, info = cutting_plane(videos, psis, specs, template, cfg,
+                                cache=cache)
+        assert info.converged
+        assert info.oracle_passes > 3
+        assert cache.psis.shape[1] == 3
+        assert (cache.count <= 3).all() and cache.count.max() == 3
+
+    def test_train_never_passes_one_w_twice(self, monkeypatch):
+        seen = _count_passes(monkeypatch)
+        spec, ds, videos = _training_set()
+        cfg = TrainConfig(C=10.0, seed=0, supervision="temporal", beam=None,
+                          max_cccp_iters=3)
+        init = initialize(videos, spec.num_poselets, spec.num_actions, cfg)
+        dims = ModelDims(R=2, K=spec.num_poselets, D=spec.dim,
+                         A=init.dictionary.num_actionlets,
+                         S=spec.num_actions, Y=spec.num_classes)
+        result = train(videos, dims, cfg, init)
+        assert len(result.cp_infos) >= 2
+        assert len({W.tobytes() for W in seen}) == len(seen)
+        # converged solves hand their last pass to the objective, so only
+        # the pass at W = 0 falls outside the solves
+        assert all(info.converged for info in result.cp_infos)
+        assert len(seen) == 1 + sum(i.oracle_passes for i in result.cp_infos)
+
+    def test_cap_counts_exact_passes(self, monkeypatch):
+        problem = _cutting_plane_problem(max_cutting_plane_iters=4)
+        seen = _count_passes(monkeypatch)
+        _, info = cutting_plane(*problem)
+        assert not info.converged
+        assert len(seen) == info.oracle_passes == 4
+        assert info.cached_steps > 0
+        assert info.iterations == 4 + info.cached_steps
 
 
 class TestWorkingSet:
