@@ -26,9 +26,9 @@ from .evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
                          intervals_from_frames, plant_synthetic, pooled_pr)
 from .inference import infer
 from .learning import TrainingVideo, initialize, train
-from .skeleton import (ActionInterval, ParseError, SchemaError, get_schema,
-                       load_annotations, load_labels, parse_skeleton,
-                       save_annotations, save_labels)
+from .skeleton import (ActionInterval, get_schema, load_annotations,
+                       load_labels, parse_skeleton, save_annotations,
+                       save_labels)
 
 
 class UsageError(ValueError):
@@ -626,10 +626,8 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, SchemaError, FileNotFoundError, ValueError) as exc:
+    # UsageError, ParseError and SchemaError are ValueErrors
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -180,10 +180,16 @@ def interval_histogram(frame_labels: np.ndarray, num_poselets: int,
     return hist / total if total > 0 else hist
 
 
+# Actionlet affinity bandwidth, in mean pairwise chi-squared distances. A
+# wide bandwidth keeps the affinity in its near-linear regime, where
+# within-cluster distance noise contributes eigenvalues growing like sqrt(n)
+# while cluster structure grows like n, so the scree rule stays at the
+# cluster count as samples accumulate.
+AFFINITY_BANDWIDTH = 8.0
+
+
 def build_actionlets(histograms: np.ndarray, actions: np.ndarray,
-                     num_actions: int, c: float = 2e-3, seed: int = 0,
-                     bandwidth_scale: float = 8.0,
-                     laplacian_normalize: bool = False
+                     num_actions: int, c: float = 2e-3, seed: int = 0
                      ) -> tuple[ActionletDictionary, np.ndarray]:
     """Discover the actionlet dictionary from per-interval histograms.
 
@@ -192,15 +198,8 @@ def build_actionlets(histograms: np.ndarray, actions: np.ndarray,
     affinity over chi-squared distances is eigendecomposed, the scree rule
     picks the actionlet count (clamped to the sample count), and k-means
     splits the samples. Returns the dictionary plus the per-sample actionlet
-    assignment.
-
-    The affinity bandwidth is ``bandwidth_scale`` times the mean pairwise
-    distance within the action. A wide bandwidth keeps the affinity in its
-    near-linear regime, where within-cluster distance noise contributes
-    eigenvalues growing like sqrt(n) while cluster structure grows like n,
-    so the scree rule stays at the cluster count as samples accumulate.
-    ``laplacian_normalize`` switches the spectrum to the degree-normalized
-    affinity D^-1/2 A D^-1/2 instead of A itself.
+    assignment. The affinity bandwidth is ``AFFINITY_BANDWIDTH`` times the
+    mean pairwise distance within the action.
     """
     histograms = np.asarray(histograms, dtype=float)
     actions = np.asarray(actions, dtype=int)
@@ -222,12 +221,10 @@ def build_actionlets(histograms: np.ndarray, actions: np.ndarray,
             g = 1
         else:
             dist = chi2_matrix(H)
-            sigma = bandwidth_scale * dist[np.triu_indices(rows.size, k=1)].mean()
+            sigma = AFFINITY_BANDWIDTH \
+                * dist[np.triu_indices(rows.size, k=1)].mean()
             affinity = np.exp(-dist / sigma) if sigma > 0 \
                 else np.ones_like(dist)
-            if laplacian_normalize:
-                scale = 1.0 / np.sqrt(affinity.sum(axis=1))
-                affinity = affinity * scale[:, None] * scale[None, :]
             lam = np.sort(np.linalg.eigvalsh(affinity))[::-1]
             g = min(scree_count(lam, c=c), rows.size)
         if g == 1:

@@ -100,9 +100,9 @@ class ModelParams:
 
     Shapes per region r: w[r] (K, D), beta[r] (A, K+1), alpha[r] (Y, S),
     eta[r] (K+1, K+1), gamma[r] (A, A); theta is (R,). ``use_gc`` gates the
-    reserved poselet label K during inference and initialization;
-    ``beta_includes_gc`` keeps GC-labeled frames visible to the beta counts
-    (column K), so actionlets can still see collected frames.
+    reserved poselet label K during inference and initialization. GC-labeled
+    frames stay visible to the beta counts (column K), so actionlets can
+    still see collected frames.
     """
     dims: ModelDims
     w: list[np.ndarray]
@@ -113,7 +113,6 @@ class ModelParams:
     gamma: list[np.ndarray]
     dictionary: ActionletDictionary | None = None
     use_gc: bool = True
-    beta_includes_gc: bool = True
 
     def __post_init__(self):
         d = self.dims
@@ -178,8 +177,7 @@ class ModelParams:
         d = self.dims
         K1 = d.K + 1
         new = ModelParams.zeros(d, dictionary=self.dictionary,
-                                use_gc=self.use_gc,
-                                beta_includes_gc=self.beta_includes_gc)
+                                use_gc=self.use_gc)
         for r in range(d.R):
             sl = region_slices(d, r)
             new.alpha[r] = vec[sl["alpha"]].reshape(d.Y, d.S).copy()
@@ -220,12 +218,7 @@ def energy_pose(x: np.ndarray, labeling: Labeling, params: ModelParams,
 def energy_bow_poselets(labeling: Labeling, params: ModelParams,
                         r: int) -> float:
     """Actionlet-conditioned poselet co-occurrence scores (counts x beta)."""
-    z = labeling.z[:, r]
-    v = labeling.v[:, r]
-    if not params.beta_includes_gc:
-        keep = z < params.dims.K
-        z, v = z[keep], v[keep]
-    return float(params.beta[r][v, z].sum())
+    return float(params.beta[r][labeling.v[:, r], labeling.z[:, r]].sum())
 
 
 def energy_bow_actions(labeling: Labeling, params: ModelParams,
@@ -281,11 +274,7 @@ def feature_map(x: np.ndarray, labeling: Labeling,
         psi[sl["alpha"]] = alpha.ravel()
 
         beta = np.zeros((d.A, K1))
-        if params.beta_includes_gc:
-            np.add.at(beta, (v, z), 1.0)
-        else:
-            keep = z < d.K
-            np.add.at(beta, (v[keep], z[keep]), 1.0)
+        np.add.at(beta, (v, z), 1.0)
         psi[sl["beta"]] = beta.ravel()
 
         w = np.zeros((d.K, d.D))
@@ -320,7 +309,7 @@ def save_model(params: ModelParams, pca_models: list[PcaModel] | None = None,
         "version": MODEL_VERSION,
         "dims": {"R": d.R, "K": d.K, "D": d.D, "A": d.A, "S": d.S, "Y": d.Y},
         "use_gc": params.use_gc,
-        "beta_includes_gc": params.beta_includes_gc,
+        "beta_includes_gc": True,
         "weights": params.flatten().tolist(),
         "dictionary": (params.dictionary.to_dict()
                        if params.dictionary is not None else None),
@@ -337,12 +326,13 @@ def load_model(text: str) -> tuple[ModelParams, list[PcaModel] | None, str]:
         raise ValueError("not a model file")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
+    if doc.get("beta_includes_gc") is not True:
+        raise ValueError("unsupported model: beta_includes_gc must be true")
     dims = ModelDims(**doc["dims"])
     dictionary = (ActionletDictionary.from_dict(doc["dictionary"])
                   if doc.get("dictionary") is not None else None)
     params = ModelParams.zeros(
-        dims, dictionary=dictionary, use_gc=doc["use_gc"],
-        beta_includes_gc=doc["beta_includes_gc"],
+        dims, dictionary=dictionary, use_gc=doc["use_gc"]
     ).with_flat(np.asarray(doc["weights"], dtype=float))
     pca = None
     if doc.get("pca") is not None:

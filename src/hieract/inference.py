@@ -95,10 +95,7 @@ def _region_unary_base(x: np.ndarray, params: ModelParams, r: int,
     pose[:, :d.K] = x[:, r, :] @ params.w[r].T
     if params.use_gc:
         pose[:, d.K] = params.theta[r]
-    beta_eff = params.beta[r][:, :KK].copy()
-    if params.use_gc and not params.beta_includes_gc:
-        beta_eff[:, d.K] = 0.0
-    unary = pose[:, :, None] + beta_eff.T[None, :, :]
+    unary = pose[:, :, None] + params.beta[r][:, :KK].T[None, :, :]
     if loss_addends is not None:
         unary = unary + loss_addends[:, None, :]
     unary = unary.reshape(T, KK * d.A)

@@ -20,7 +20,7 @@ loss-augmented inference an exact per-region DP.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,8 @@ log = logging.getLogger(__name__)
 SUPERVISION_LEVELS = ("full", "temporal", "video")
 # CCCP stops once a step lowers the objective by less than this, relatively
 CCCP_TOL = 1e-4
+# P1 alternations per self-paced round, at most
+P1_MAX_ALTERNATIONS = 20
 
 
 @dataclass
@@ -270,8 +272,7 @@ def _p1_objective(assignments, costs, inv_lambda) -> float:
 
 
 def solve_p1(problems: list[AssignmentProblem], num_actions: int,
-             decay: float = 0.5, rounds: int = 5,
-             max_alternations: int = 20) -> P1Result:
+             decay: float = 0.5, rounds: int = 5) -> P1Result:
     """Self-paced alternation between assignment means and region labels.
 
     The first round uses 1/lambda = 0 (minimal assignments); the next
@@ -306,7 +307,7 @@ def solve_p1(problems: list[AssignmentProblem], num_actions: int,
         trace = []
         obj = _p1_objective(assignments, costs, inv_lambda)
         trace.append(obj)
-        for _ in range(max_alternations):
+        for _ in range(P1_MAX_ALTERNATIONS):
             # b-step: exact for every video, kept only on descent
             new_assignments = program.solve([c - inv_lambda for c in costs])
             new_obj = _p1_objective(new_assignments, costs, inv_lambda)
@@ -341,13 +342,14 @@ def solve_p1(problems: list[AssignmentProblem], num_actions: int,
 
 @dataclass
 class InitArtifacts:
-    """Everything the CCCP loop needs to start: the dictionary, initial
-    labelings (first latent completion), and the poselet centroids."""
+    """Everything the CCCP loop needs from initialization: the dictionary,
+    the first latent completion of every video, and the frame constraints
+    its annotations imply (None for a video without intervals, and for
+    every video under video supervision)."""
     dictionary: ActionletDictionary
-    centroids: list[np.ndarray]           # per region (K, D)
     completions: list[Labeling]
+    constraints: list[FrameConstraints | None]
     p1: P1Result | None = None
-    summary: dict = field(default_factory=dict)
 
 
 def _overlap_pairs(intervals: list[ActionInterval]) -> list[tuple[int, int]]:
@@ -367,8 +369,9 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
     most dissimilar ``gc_fraction`` handed to the garbage collector.
     Interval regions come from annotations when supervision is full,
     otherwise from the self-paced assignment problem. Actionlets are
-    discovered from the per-(interval, region) histograms, and the first
-    latent completion fills every frame from its covering interval.
+    discovered from the per-(interval, region) histograms; each annotated
+    video's (R, Q) table of them yields its first latent completion and its
+    frame constraints. Nothing is written into ``videos``.
     """
     if not videos:
         raise ValueError("empty training set")
@@ -378,20 +381,23 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
     # Per-region k-means over the stacked dataset, then GC reassignment.
     lengths = [v.num_frames for v in videos]
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    centroids, labels_per_region = [], []
+    labels_per_region = []
     for r in range(R):
         points = np.concatenate([v.x[:, r, :] for v in videos])
         cents, _ = kmeans(points, K, seed=config.seed + r)
         labels, dists = assign_labels(points, cents)
         if config.use_gc and config.gc_fraction > 0:
             labels = gc_init(labels, dists, K, fraction=config.gc_fraction)
-        centroids.append(cents)
         labels_per_region.append(labels)
     z_init = [np.stack([labels_per_region[r][offsets[i]:offsets[i + 1]]
                         for r in range(R)], axis=1)
               for i in range(len(videos))]
 
     # Interval histograms in every region, from the initial labels.
+    annotated = [v for v in videos if v.intervals]
+    if not annotated:
+        raise ValueError(
+            "initialization needs interval annotations on at least one video")
     problems = []
     for i, video in enumerate(videos):
         if not video.intervals:
@@ -407,15 +413,11 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
             actions=np.array([iv.action_id for iv in video.intervals]),
             histograms=hists,
             overlaps=_overlap_pairs(video.intervals)))
-    if not problems:
-        raise ValueError(
-            "initialization needs interval annotations on at least one video")
 
     p1 = None
     if config.supervision == "full":
         assignments = []
-        for prob, video in zip(problems,
-                               [v for v in videos if v.intervals]):
+        for prob, video in zip(problems, annotated):
             b = np.zeros((R, prob.actions.shape[0]), dtype=bool)
             for q, iv in enumerate(video.intervals):
                 if iv.region < 0:
@@ -430,75 +432,88 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
                       rounds=config.self_pace_rounds)
         assignments = p1.assignments
 
-    # Actionlet discovery over (interval, assigned region) samples.
-    samples, sample_actions, owners = [], [], []
-    for p_idx, prob in enumerate(problems):
-        b = assignments[p_idx]
-        for q in range(prob.actions.shape[0]):
-            for r in range(R):
-                if b[r, q]:
-                    samples.append(prob.histograms[r, q])
-                    sample_actions.append(prob.actions[q])
-                    owners.append((p_idx, q, r))
+    # Actionlet discovery over the (assigned region, interval) samples,
+    # interval by interval.
+    cells = [np.nonzero(b.T) for b in assignments]      # (q, r) per video
     dictionary, sample_assignment = build_actionlets(
-        np.asarray(samples), np.asarray(sample_actions), num_actions,
-        c=config.scree_c, seed=config.seed)
+        np.concatenate([prob.histograms[r, q]
+                        for prob, (q, r) in zip(problems, cells)]),
+        np.concatenate([prob.actions[q]
+                        for prob, (q, _) in zip(problems, cells)]),
+        num_actions, c=config.scree_c, seed=config.seed)
 
-    # Actionlet per (problem, interval, region) and a canonical per interval.
-    actionlet_rq: dict[tuple[int, int, int], int] = {}
-    canonical: dict[tuple[int, int], int] = {}
-    for (p_idx, q, r), a in zip(owners, sample_assignment):
-        actionlet_rq[(p_idx, q, r)] = int(a)
-        canonical.setdefault((p_idx, q), int(a))
-
-    p_iter = iter(range(len(problems)))
-    p_of_video = {}
-    for i, video in enumerate(videos):
+    # Each annotated video's actionlet table, the actionlet of each
+    # assigned (region, interval) and -1 elsewhere, gives its first
+    # completion and its frame constraints.
+    cell_of, lo = iter(cells), 0
+    completions, constraints = [], []
+    for video, z in zip(videos, z_init):
+        v, c = np.zeros(z.shape, dtype=int), None
         if video.intervals:
-            p_of_video[i] = next(p_iter)
+            q, r = next(cell_of)
+            table = np.full((R, len(video.intervals)), -1, dtype=int)
+            table[r, q] = sample_assignment[lo:lo + q.size]
+            lo += q.size
+            v = _first_actionlets(video.intervals, table, video.num_frames)
+            c = _frame_constraints(video.intervals, table, video.num_frames,
+                                   dictionary.u_of_v, config.supervision)
+        completions.append(Labeling(z=z, v=v, y=video.y))
+        constraints.append(c)
+    return InitArtifacts(dictionary=dictionary, completions=completions,
+                         constraints=constraints, p1=p1)
 
-    # Record the discovered actionlet on each interval (used by the fixed-v
-    # constraints of full supervision).
-    for i, video in enumerate(videos):
-        if not video.intervals:
-            continue
-        p_idx = p_of_video[i]
-        video.intervals = [
-            replace(iv, actionlet=actionlet_rq.get((p_idx, q, iv.region),
-                                                   canonical[(p_idx, q)]))
-            for q, iv in enumerate(video.intervals)]
 
-    # First completion: covering-interval actionlets, nearest-cover fill-in.
-    completions = []
-    for i, video in enumerate(videos):
-        T = video.num_frames
-        v_init = np.zeros((T, R), dtype=int)
-        if video.intervals:
-            p_idx = p_of_video[i]
-            b = assignments[p_idx]
-            for r in range(R):
-                column = np.full(T, -1, dtype=int)
-                for q, iv in enumerate(video.intervals):
-                    if b[r, q]:
-                        hi = min(iv.t_end, T - 1)
-                        column[iv.t_start:hi + 1] = actionlet_rq[(p_idx, q, r)]
-                for q, iv in enumerate(video.intervals):  # unassigned regions
-                    hi = min(iv.t_end, T - 1)
-                    span = slice(iv.t_start, hi + 1)
-                    fill = column[span] == -1
-                    column[span] = np.where(fill, canonical[(p_idx, q)],
-                                            column[span])
-                v_init[:, r] = _fill_gaps(column)
-        completions.append(Labeling(z=z_init[i], v=v_init, y=video.y))
+def _first_actionlets(intervals: list[ActionInterval], table: np.ndarray,
+                      T: int) -> np.ndarray:
+    """(T, R) first actionlet labels from a video's actionlet table: a
+    frame of an assigned (region, interval) takes its actionlet (a later
+    interval wins), a frame an interval covers only in unassigned regions
+    takes the interval's actionlet in its first assigned region, and the
+    rest take the nearest labeled frame's."""
+    R, Q = table.shape
+    first = table[np.argmax(table >= 0, axis=0), np.arange(Q)]
+    v = np.empty((T, R), dtype=int)
+    for r in range(R):
+        column = np.full(T, -1, dtype=int)
+        for q, iv in enumerate(intervals):
+            if table[r, q] >= 0:
+                column[iv.t_start:iv.t_end + 1] = table[r, q]
+        for q, iv in enumerate(intervals):
+            span = column[iv.t_start:iv.t_end + 1]
+            span[span == -1] = first[q]
+        v[:, r] = _fill_gaps(column)
+    return v
 
-    summary = {
-        "num_poselets": K,
-        "actionlet_counts": dictionary.counts.tolist(),
-        "num_actionlets": dictionary.num_actionlets,
-        "p1_infeasible": list(p1.infeasible) if p1 is not None else [],
-    }
-    return InitArtifacts(dictionary=dictionary, centroids=centroids,
-                         completions=completions, p1=p1, summary=summary)
+
+def _frame_constraints(intervals: list[ActionInterval], table: np.ndarray,
+                       T: int, u_of_v: np.ndarray,
+                       supervision: str) -> FrameConstraints | None:
+    """Allowed actionlets per frame and region. Full supervision pins each
+    assigned (region, interval)'s frames to its actionlet in the table.
+    Temporal supervision restricts every region of a covered frame to the
+    actionlets of the actions annotated there. Other frames are free, and
+    video supervision constrains nothing."""
+    if supervision == "video":
+        return None
+    R = table.shape[0]
+    A = u_of_v.shape[0]
+    if supervision == "full":
+        allowed = np.zeros((T, R, A), dtype=bool)
+        fixed = np.zeros((T, R), dtype=bool)
+        for r, q in zip(*np.nonzero(table >= 0)):
+            span = slice(intervals[q].t_start, intervals[q].t_end + 1)
+            allowed[span, r, table[r, q]] = True
+            fixed[span, r] = True
+        allowed[~fixed] = True
+        return FrameConstraints(allowed_v=allowed)
+    allowed = np.zeros((T, A), dtype=bool)
+    covered = np.zeros(T, dtype=bool)
+    for iv in intervals:
+        allowed[iv.t_start:iv.t_end + 1] |= (u_of_v == iv.action_id)[None, :]
+        covered[iv.t_start:iv.t_end + 1] = True
+    allowed[~covered] = True
+    return FrameConstraints(allowed_v=np.repeat(allowed[:, None, :], R,
+                                                axis=1))
 
 
 def _fill_gaps(column: np.ndarray) -> np.ndarray:
@@ -523,62 +538,24 @@ def _fill_gaps(column: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Constraints, loss specs, imputation
+# Loss specs, imputation
 # ---------------------------------------------------------------------------
 
-def build_constraints(video: TrainingVideo, params: ModelParams,
-                      supervision: str) -> FrameConstraints | None:
-    """Frame constraints implied by a video's annotations."""
-    d = params.dims
-    T = video.num_frames
-    if supervision == "video" or not video.intervals:
-        return None
-    if supervision == "full":
-        allowed = np.zeros((T, d.R, d.A), dtype=bool)
-        fixed = np.zeros((T, d.R), dtype=bool)
-        for iv in video.intervals:
-            if iv.region < 0 or iv.actionlet is None:
-                raise ValueError(
-                    f"{video.video_id}: full supervision requires regions "
-                    "and initialized actionlet labels")
-            hi = min(iv.t_end, T - 1)
-            allowed[iv.t_start:hi + 1, iv.region, iv.actionlet] = True
-            fixed[iv.t_start:hi + 1, iv.region] = True
-        allowed[~fixed] = True
-        return FrameConstraints(allowed_v=allowed)
-    # temporal: any covered frame restricts every region to the actionlets
-    # of the actions annotated there; uncovered frames are unrestricted.
-    allowed = np.zeros((T, d.A), dtype=bool)
-    covered = np.zeros(T, dtype=bool)
-    u_of_v = params.u_of_v()
-    for iv in video.intervals:
-        hi = min(iv.t_end, T - 1)
-        allowed[iv.t_start:hi + 1] |= (u_of_v == iv.action_id)[None, :]
-        covered[iv.t_start:hi + 1] = True
-    allowed[~covered] = True
-    full = np.repeat(allowed[:, None, :], d.R, axis=1)
-    return FrameConstraints(allowed_v=full)
-
-
-def build_loss_spec(video: TrainingVideo, params: ModelParams,
-                    supervision: str) -> LossSpec:
+def build_loss_spec(video: TrainingVideo,
+                    constraints: FrameConstraints | None) -> LossSpec:
     """Truth for margin rescaling; the per-frame term lives in region 0."""
-    constraints = build_constraints(video, params, supervision)
-    if constraints is None or constraints.allowed_v is None:
-        return LossSpec(y=video.y, allowed_v=None)
+    if constraints is None:
+        return LossSpec(y=video.y)
     return LossSpec(y=video.y, allowed_v=constraints.allowed_v[:, 0, :])
 
 
 def impute_latents(videos: list[TrainingVideo], params: ModelParams,
-                   supervision: str,
+                   constraints: list[FrameConstraints | None],
                    beam: int | None = None) -> list[Labeling]:
     """Best constrained labeling per video at its true complex action."""
-    out = []
-    for video in videos:
-        constraints = build_constraints(video, params, supervision)
-        out.append(complete_latent(video.x, params, video.y,
-                                   constraints=constraints, beam=beam))
-    return out
+    return [complete_latent(video.x, params, video.y, constraints=c,
+                            beam=beam)
+            for video, c in zip(videos, constraints)]
 
 
 # ---------------------------------------------------------------------------
@@ -923,8 +900,8 @@ def train(videos: list[TrainingVideo], dims: ModelDims, config: TrainConfig,
     """
     template = ModelParams.zeros(dims, dictionary=init.dictionary,
                                  use_gc=config.use_gc)
-    loss_specs = [build_loss_spec(v, template, config.supervision)
-                  for v in videos]
+    loss_specs = [build_loss_spec(v, c)
+                  for v, c in zip(videos, init.constraints)]
     completions = list(init.completions)
     truth_psis = [feature_map(v.x, comp, template)
                   for v, comp in zip(videos, completions)]
@@ -957,7 +934,7 @@ def train(videos: list[TrainingVideo], dims: ModelDims, config: TrainConfig,
             reason = "converged"
             break
         params = template.with_flat(W)
-        completions = impute_latents(videos, params, config.supervision,
+        completions = impute_latents(videos, params, init.constraints,
                                      beam=config.beam)
         truth_psis = [feature_map(v.x, comp, template)
                       for v, comp in zip(videos, completions)]

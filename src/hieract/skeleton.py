@@ -210,10 +210,6 @@ def get_schema(name: str) -> JointSchema:
     return SCHEMAS[name]
 
 
-def register_schema(schema: JointSchema) -> None:
-    SCHEMAS[schema.name] = schema
-
-
 @dataclass
 class SkeletonSequence:
     """Per-frame joint coordinates for one video.
@@ -252,13 +248,11 @@ class ActionInterval:
     """One temporal annotation: atomic action over [t_start, t_end] inclusive.
 
     ``region`` is the region index, or -1 when the spatial span is unknown.
-    ``actionlet`` is filled in during initialization, never read from files.
     """
     action_id: int
     t_start: int
     t_end: int
     region: int = -1
-    actionlet: int | None = None
 
     def __post_init__(self):
         if self.t_start < 0 or self.t_end < self.t_start:
@@ -269,9 +263,6 @@ class ActionInterval:
 
     def overlaps(self, other: "ActionInterval") -> bool:
         return self.t_start <= other.t_end and other.t_start <= self.t_end
-
-    def covers(self, t: int) -> bool:
-        return self.t_start <= t <= self.t_end
 
 
 @dataclass

@@ -172,8 +172,8 @@ class TestCriterion5:
                              A=init.dictionary.num_actionlets,
                              S=spec.num_actions, Y=spec.num_classes)
             template = ModelParams.zeros(dims, dictionary=init.dictionary)
-            specs = [build_loss_spec(v, template, "temporal")
-                     for v in videos]
+            specs = [build_loss_spec(v, c)
+                     for v, c in zip(videos, init.constraints)]
             psis = [feature_map(v.x, comp, template)
                     for v, comp in zip(videos, init.completions)]
             W, info = cutting_plane(videos, psis, specs, template, config)

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TOY_JOINT_BASE
+from conftest import TOY_JOINT_BASE, make_dictionary
 
 from hieract.cli import load_features, main
+from hieract.energy import ModelDims, ModelParams, save_model
 from hieract.skeleton import KINECT20
 
 
@@ -285,3 +286,20 @@ class TestErrors:
                      "--features", str(tmp_path), "--out",
                      str(tmp_path / "o")])
         assert code == 1
+
+    def test_model_without_gc_beta_counts_is_validation_error(
+            self, synth_dataset, tmp_path, capsys):
+        dims = ModelDims(R=2, K=3, D=5, A=2, S=2, Y=2)
+        doc = json.loads(save_model(ModelParams.zeros(
+            dims, dictionary=make_dictionary(2, 2, 3))))
+        assert doc["beta_includes_gc"] is True
+        doc["beta_includes_gc"] = False
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "pred"
+        code = main(["infer", "--model", str(model_path),
+                     "--features", str(synth_dataset / "test" / "features"),
+                     "--out", str(out)])
+        assert code == 1
+        assert "beta_includes_gc" in capsys.readouterr().err
+        assert not out.exists()

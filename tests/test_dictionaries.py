@@ -208,17 +208,15 @@ class TestBuildActionlets:
         dictionary, _ = build_actionlets(H, np.array([0]), num_actions=1)
         assert dictionary.counts.tolist() == [1]
 
-    def test_laplacian_switch_keeps_planted_count(self):
+    def test_two_blobs_keep_planted_count(self):
         rng = np.random.default_rng(11)
         blob = lambda c: np.abs(c + rng.normal(scale=0.01, size=(10, 4)))
         H = np.vstack([blob(np.array([0.9, 0.1, 0.0, 0.0])),
                        blob(np.array([0.0, 0.1, 0.9, 0.0]))])
         H /= H.sum(axis=1, keepdims=True)
         actions = np.zeros(20, dtype=int)
-        for flag in (False, True):
-            dictionary, _ = build_actionlets(H, actions, num_actions=1,
-                                             laplacian_normalize=flag)
-            assert dictionary.counts.tolist() == [2]
+        dictionary, _ = build_actionlets(H, actions, num_actions=1)
+        assert dictionary.counts.tolist() == [2]
 
     def test_u_of_v_nondecreasing(self):
         rng = np.random.default_rng(10)

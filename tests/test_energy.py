@@ -194,19 +194,6 @@ class TestFeatureMap:
                 assert np.all(vals >= 0)
                 np.testing.assert_array_equal(vals, np.round(vals))
 
-    def test_beta_excludes_gc_when_disabled(self):
-        dims = ModelDims(R=1, K=1, D=2, A=1, S=1, Y=1)
-        params = ModelParams.zeros(dims, dictionary=make_dictionary(1, 1, 1),
-                                   beta_includes_gc=False)
-        params.beta[0][0, 1] = 5.0
-        x = np.zeros((2, 1, 2))
-        labeling = Labeling(z=np.full((2, 1), 1), v=np.zeros((2, 1), int),
-                            y=0)
-        assert energy_total(x, labeling, params) == 0.0
-        psi = feature_map(x, labeling, params)
-        sl = region_slices(dims, 0)
-        assert not psi[sl["beta"]].any()
-
 
 class TestStructure:
     def test_linearity_in_params(self):

@@ -9,9 +9,8 @@ from hieract.evaluation import SyntheticSpec, plant_synthetic
 from hieract.inference import LossSpec, infer, loss_value
 from hieract.learning import (AssignmentProblem, TrainConfig, TrainingVideo,
                               _WorkingSet, _p1_costs, assign_regions,
-                              build_constraints, build_loss_spec,
-                              cutting_plane, impute_latents, initialize,
-                              primal_objective, solve_p1, train)
+                              build_loss_spec, cutting_plane, impute_latents,
+                              initialize, primal_objective, solve_p1, train)
 from hieract.skeleton import ActionInterval
 
 
@@ -216,7 +215,7 @@ class TestConstraintsAndImputation:
                          A=init.dictionary.num_actionlets,
                          S=spec.num_actions, Y=spec.num_classes)
         params = ModelParams.zeros(dims, dictionary=init.dictionary)
-        labelings = impute_latents(videos, params, "temporal")
+        labelings = impute_latents(videos, params, init.constraints)
         u_of_v = init.dictionary.u_of_v
         for video, lab in zip(videos, labelings):
             allowed = np.zeros((video.num_frames, spec.num_actions),
@@ -238,12 +237,45 @@ class TestConstraintsAndImputation:
                          A=init.dictionary.num_actionlets,
                          S=spec.num_actions, Y=spec.num_classes)
         params = ModelParams.zeros(dims, dictionary=init.dictionary)
-        labelings = impute_latents(videos, params, "full")
-        for video, lab in zip(videos, labelings):
+        labelings = impute_latents(videos, params, init.constraints)
+        for video, first, lab in zip(videos, init.completions, labelings):
             for iv in video.intervals:
+                pinned = first.v[iv.t_start, iv.region]
                 hi = min(iv.t_end, video.num_frames - 1)
                 chunk = lab.v[iv.t_start:hi + 1, iv.region]
-                assert (chunk == iv.actionlet).all()
+                assert (chunk == pinned).all()
+
+    def test_initialize_leaves_its_input_unchanged(self):
+        spec, ds, videos = _training_set()
+        before = [(v.video_id, v.x.copy(), v.y, v.intervals,
+                   list(v.intervals)) for v in videos]
+        for supervision in ("full", "temporal"):
+            cfg = TrainConfig(seed=0, supervision=supervision)
+            initialize(videos, spec.num_poselets, spec.num_actions, cfg)
+            for video, (vid, x, y, intervals, items) in zip(videos, before):
+                assert (video.video_id, video.y) == (vid, y)
+                np.testing.assert_array_equal(video.x, x)
+                assert video.intervals is intervals
+                assert video.intervals == items
+
+    def test_temporal_constraints_from_intervals_and_dictionary(self):
+        spec, ds, videos = _training_set()
+        videos.append(TrainingVideo(video_id="bare", x=videos[0].x,
+                                    y=videos[0].y))
+        cfg = TrainConfig(seed=0, supervision="temporal")
+        init = initialize(videos, spec.num_poselets, spec.num_actions, cfg)
+        u_of_v = init.dictionary.u_of_v
+        for video, constraints in zip(videos, init.constraints):
+            if not video.intervals:
+                assert constraints is None
+                continue
+            expected = np.ones((video.num_frames, 2, u_of_v.size), dtype=bool)
+            for t in range(video.num_frames):
+                actions = [iv.action_id for iv in video.intervals
+                           if iv.t_start <= t <= iv.t_end]
+                if actions:
+                    expected[t] = np.isin(u_of_v, actions)
+            np.testing.assert_array_equal(constraints.allowed_v, expected)
 
     def test_imputation_dominates_random_feasible_labelings(self):
         rng = np.random.default_rng(2)
@@ -256,8 +288,8 @@ class TestConstraintsAndImputation:
         params = ModelParams.zeros(dims, dictionary=init.dictionary)
         params = params.with_flat(rng.normal(size=dims.total))
         video = videos[0]
-        constraints = build_constraints(video, params, "temporal")
-        labelings = impute_latents([video], params, "temporal")
+        constraints = init.constraints[0]
+        labelings = impute_latents([video], params, [constraints])
         best = energy_total(video.x, labelings[0], params)
         T = video.num_frames
         for _ in range(50):
@@ -319,7 +351,8 @@ class TestCuttingPlane:
                          A=init.dictionary.num_actionlets,
                          S=spec.num_actions, Y=spec.num_classes)
         template = ModelParams.zeros(dims, dictionary=init.dictionary)
-        specs = [build_loss_spec(v, template, "temporal") for v in videos]
+        specs = [build_loss_spec(v, c)
+                 for v, c in zip(videos, init.constraints)]
         psis = [feature_map(v.x, c, template)
                 for v, c in zip(videos, init.completions)]
         _, info = cutting_plane(videos, psis, specs, template, cfg)
@@ -335,7 +368,8 @@ class TestCuttingPlane:
                          A=init.dictionary.num_actionlets,
                          S=spec.num_actions, Y=spec.num_classes)
         template = ModelParams.zeros(dims, dictionary=init.dictionary)
-        specs = [build_loss_spec(v, template, "temporal") for v in videos]
+        specs = [build_loss_spec(v, c)
+                 for v, c in zip(videos, init.constraints)]
         psis = [feature_map(v.x, c, template)
                 for v, c in zip(videos, init.completions)]
         _, info = cutting_plane(videos, psis, specs, template, cfg)
@@ -354,7 +388,7 @@ def _cutting_plane_problem(C=1.0, **config):
                      A=init.dictionary.num_actionlets,
                      S=spec.num_actions, Y=spec.num_classes)
     template = ModelParams.zeros(dims, dictionary=init.dictionary)
-    specs = [build_loss_spec(v, template, "temporal") for v in videos]
+    specs = [build_loss_spec(v, c) for v, c in zip(videos, init.constraints)]
     psis = [feature_map(v.x, c, template)
             for v, c in zip(videos, init.completions)]
     return videos, psis, specs, template, cfg

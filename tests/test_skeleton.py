@@ -7,7 +7,7 @@ from hieract.skeleton import (KINECT20, ActionInterval, JointSchema,
                               ParseError, RegionSpec, SchemaError,
                               SkeletonSequence, VideoSample, get_schema,
                               load_annotations, load_labels, parse_skeleton,
-                              register_schema, save_annotations, save_labels,
+                              save_annotations, save_labels,
                               serialize_skeleton, split_regions,
                               validate_annotations)
 
@@ -92,7 +92,6 @@ class TestSplitRegions:
                 segments=KINECT20.regions[0].segments,
                 plane=KINECT20.regions[0].plane),),
         )
-        register_schema(schema)
         seq = SkeletonSequence(video_id="v", schema="all_in_one",
                                joints=np.zeros((2, 20, 3)))
         subsets = split_regions(seq, schema)
