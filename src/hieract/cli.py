@@ -9,6 +9,7 @@ or missing input), 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -26,9 +27,9 @@ from .evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
                          intervals_from_frames, plant_synthetic, pooled_pr)
 from .inference import infer
 from .learning import TrainingVideo, initialize, train
-from .skeleton import (ActionInterval, get_schema, load_annotations,
-                       load_labels, parse_skeleton, save_annotations,
-                       save_labels)
+from .skeleton import (ActionInterval, SchemaError, SkeletonSequence,
+                       get_schema, load_annotations, load_labels,
+                       parse_skeleton, save_annotations, save_labels)
 
 
 class UsageError(ValueError):
@@ -61,12 +62,9 @@ def _json_dumps(obj) -> str:
 
 def save_features(out_dir: Path, video_id: str, x: np.ndarray,
                   config_hash: str) -> None:
-    array_path = out_dir / f"{video_id}.npy"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = array_path.with_name(array_path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.save(fh, x)
-    os.replace(tmp, array_path)
+    array = io.BytesIO()
+    np.save(array, x)
+    _atomic_write(out_dir / f"{video_id}.npy", array.getvalue())
     header = {"video_id": video_id, "frames": int(x.shape[0]),
               "regions": int(x.shape[1]), "dim": int(x.shape[2]),
               "config_hash": config_hash}
@@ -113,9 +111,20 @@ def _load_training_set(features_dir, annotations_path, labels_path
 # features
 # ---------------------------------------------------------------------------
 
-def _geo_task(payload):
-    text, depth = payload
+def _parse_for_schema(path: Path, text: str, schema: str
+                      ) -> SkeletonSequence:
+    """Parse a skeleton file, rejecting one whose header names another
+    schema than the configured one."""
     seq = parse_skeleton(text)
+    if seq.schema != schema:
+        raise SchemaError(f"{path}: skeleton schema {seq.schema!r} is not "
+                          f"the configured schema {schema!r}")
+    return seq
+
+
+def _geo_task(payload):
+    path, text, schema, depth = payload
+    seq = _parse_for_schema(path, text, schema)
     if seq.joints.shape[-1] == 2:
         seq = desc.lift_2d(seq, depth=depth)
     return seq.video_id, desc.build_descriptors(seq, mode="geo")
@@ -142,7 +151,8 @@ def cmd_features(args) -> int:
     config_hash = config.hash()
 
     if config.mode == "geo":
-        payloads = [(p.read_text(), config.lift_depth) for p in paths]
+        payloads = [(p, p.read_text(), schema.name, config.lift_depth)
+                    for p in paths]
         for video_id, x in _map_jobs(_geo_task, payloads, config.jobs):
             save_features(out_dir, video_id, x, config_hash)
         print(f"wrote {len(paths)} geo feature files to {out_dir}")
@@ -150,7 +160,7 @@ def cmd_features(args) -> int:
 
     sequences = []
     for path in paths:
-        seq = parse_skeleton(path.read_text())
+        seq = _parse_for_schema(path, path.read_text(), schema.name)
         if schema.dims == 2 and seq.joints.shape[-1] == 2:
             seq = desc.lift_2d(seq, depth=config.lift_depth)
         sequences.append(seq)
@@ -163,13 +173,16 @@ def cmd_features(args) -> int:
         for seq in sequences:
             sidecar_path = _require(sidecar_dir / f"{seq.video_id}.jsonl",
                                     "motion sidecar")
-            sidecars[seq.video_id] = desc.load_motion_sidecar(
-                sidecar_path.read_text(), seq.num_frames, seq.num_joints)
+            try:
+                sidecars[seq.video_id] = desc.load_motion_sidecar(
+                    sidecar_path.read_text(), seq.num_frames, seq.num_joints)
+            except SchemaError as exc:
+                raise SchemaError(f"{sidecar_path}: {exc}") from None
 
     # PCA is fit over the whole dataset, so raw motion comes first.
     raw_per_video = {
         seq.video_id: desc.raw_motion_vectors(
-            seq, get_schema(seq.schema), motion_mode, window=config.window,
+            seq, schema, motion_mode, window=config.window,
             sidecar=sidecars.get(seq.video_id))
         for seq in sequences}
     pca_models = []
@@ -537,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sidecar-dir", default=None,
                    help="per-video motion sidecars for geo+precomputed")
     p.add_argument("--jobs", type=int,
-                   help="worker processes for per-video stages")
+                   help="worker processes for the per-video descriptors of "
+                        "--mode geo; the motion modes run in one process")
 
     for name, func in (("init-dictionary", cmd_init_dictionary),
                        ("init-assignments", cmd_init_assignments)):

@@ -187,7 +187,8 @@ def load_motion_sidecar(stream, num_frames: int, num_joints: int) -> np.ndarray:
     """Read a precomputed per-joint motion feature sidecar.
 
     Returns (T, J, F). Every (t, joint) pair present must carry the same
-    feature length; missing pairs default to zeros.
+    feature length and lie inside the video (0 <= t < T, 0 <= joint < J);
+    missing pairs default to zeros.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -204,7 +205,14 @@ def load_motion_sidecar(stream, num_frames: int, num_joints: int) -> np.ndarray:
         elif vec.shape[0] != dim:
             raise SchemaError(
                 f"sidecar line {lineno}: feature length {vec.shape[0]} != {dim}")
-        feats[(int(obj["t"]), int(obj["joint"]))] = vec
+        t, joint = int(obj["t"]), int(obj["joint"])
+        if not 0 <= t < num_frames:
+            raise SchemaError(f"sidecar line {lineno}: t {t} outside "
+                              f"0..{num_frames - 1}")
+        if not 0 <= joint < num_joints:
+            raise SchemaError(f"sidecar line {lineno}: joint {joint} outside "
+                              f"0..{num_joints - 1}")
+        feats[(t, joint)] = vec
     if dim is None:
         raise SchemaError("motion sidecar is empty")
     out = np.zeros((num_frames, num_joints, dim))

@@ -7,15 +7,17 @@ score theta for the reserved label K), actionlet-conditioned poselet counts
 transition terms (eta over poselets, gamma over actionlets). Bag-of-words
 terms use unnormalized counts so the energy decomposes per frame.
 
-All weights flatten to a single vector in a fixed documented order (per
-region: alpha row-major, beta, w, gamma, eta, theta) and ``feature_map``
-produces the matching sufficient statistics, so that
+All weights live in a single vector in a fixed documented order (per
+region: alpha row-major, beta, w, gamma, eta, theta; ``ModelDims.blocks``);
+each weight block is a view of it. ``feature_map`` fills the matching
+sufficient statistics through views of the same layout, so that
 ``params.flatten() @ feature_map(x, labeling, params)`` equals
 ``energy_total(x, labeling, params)`` exactly.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +45,16 @@ class ModelDims:
             if getattr(self, name) < 1:
                 raise ValueError(f"dimension {name} must be positive")
 
+    def blocks(self) -> list[tuple[str, tuple[int, ...]]]:
+        """One region's weight blocks and their shapes, in flat order."""
+        K1 = self.K + 1
+        return [("alpha", (self.Y, self.S)), ("beta", (self.A, K1)),
+                ("w", (self.K, self.D)), ("gamma", (self.A, self.A)),
+                ("eta", (K1, K1)), ("theta", ())]
+
     @property
     def region_block(self) -> int:
-        K1 = self.K + 1
-        return (self.Y * self.S + self.A * K1 + self.K * self.D
-                + self.A * self.A + K1 * K1 + 1)
+        return sum(math.prod(shape) for _, shape in self.blocks())
 
     @property
     def total(self) -> int:
@@ -56,16 +63,21 @@ class ModelDims:
 
 def region_slices(dims: ModelDims, r: int) -> dict[str, slice]:
     """Named slices of region r's blocks inside the flat weight vector."""
-    K1 = dims.K + 1
     base = r * dims.region_block
-    sizes = [("alpha", dims.Y * dims.S), ("beta", dims.A * K1),
-             ("w", dims.K * dims.D), ("gamma", dims.A * dims.A),
-             ("eta", K1 * K1), ("theta", 1)]
     out = {}
-    for name, size in sizes:
+    for name, shape in dims.blocks():
+        size = math.prod(shape)
         out[name] = slice(base, base + size)
         base += size
     return out
+
+
+def block_views(dims: ModelDims, vec: np.ndarray) -> dict[str, np.ndarray]:
+    """Every region's copy of each block as one (R, *shape) view of ``vec``,
+    a flat weight or statistics vector; theta's view is (R,)."""
+    regions = vec.reshape(dims.R, dims.region_block)
+    return {name: regions[:, sl].reshape(dims.R, *shape) for (name, shape), sl
+            in zip(dims.blocks(), region_slices(dims, 0).values())}
 
 
 @dataclass
@@ -96,56 +108,39 @@ class Labeling:
 
 @dataclass
 class ModelParams:
-    """All learned weights, per region, plus the actionlet dictionary.
+    """All learned weights as one flat vector, plus the actionlet dictionary.
 
-    Shapes per region r: w[r] (K, D), beta[r] (A, K+1), alpha[r] (Y, S),
-    eta[r] (K+1, K+1), gamma[r] (A, A); theta is (R,). ``use_gc`` gates the
-    reserved poselet label K during inference and initialization. GC-labeled
-    frames stay visible to the beta counts (column K), so actionlets can
-    still see collected frames.
+    ``vec`` is laid out as ``ModelDims.blocks`` declares. ``w``, ``beta``,
+    ``alpha``, ``eta`` and ``gamma`` are lists of per-region views of it and
+    ``theta`` is an (R,) view, so writing a block writes ``vec``. ``use_gc``
+    gates the reserved poselet label K during inference and initialization.
+    GC-labeled frames stay visible to the beta counts (column K), so
+    actionlets can still see collected frames. Pickling would part the views
+    from ``vec``; processes exchange models as ``save_model`` text.
     """
     dims: ModelDims
-    w: list[np.ndarray]
-    theta: np.ndarray
-    beta: list[np.ndarray]
-    alpha: list[np.ndarray]
-    eta: list[np.ndarray]
-    gamma: list[np.ndarray]
+    vec: np.ndarray
     dictionary: ActionletDictionary | None = None
     use_gc: bool = True
 
     def __post_init__(self):
-        d = self.dims
-        K1 = d.K + 1
-        expect = {"w": (d.K, d.D), "beta": (d.A, K1), "alpha": (d.Y, d.S),
-                  "eta": (K1, K1), "gamma": (d.A, d.A)}
-        for name, shape in expect.items():
-            blocks = getattr(self, name)
-            if len(blocks) != d.R:
-                raise ValueError(f"{name} needs {d.R} region blocks")
-            for r, block in enumerate(blocks):
-                if block.shape != shape:
-                    raise ValueError(
-                        f"{name}[{r}] has shape {block.shape}, want {shape}")
-        if self.theta.shape != (d.R,):
-            raise ValueError("theta must be (R,)")
+        self.vec = np.array(self.vec, dtype=float)
+        if self.vec.shape != (self.dims.total,):
+            raise ValueError(
+                f"flat vector must have length {self.dims.total}")
+        views = block_views(self.dims, self.vec)
+        self.w = list(views["w"])
+        self.beta = list(views["beta"])
+        self.alpha = list(views["alpha"])
+        self.eta = list(views["eta"])
+        self.gamma = list(views["gamma"])
+        self.theta = views["theta"]
 
     @classmethod
     def zeros(cls, dims: ModelDims,
               dictionary: ActionletDictionary | None = None,
-              **flags) -> "ModelParams":
-        K1 = dims.K + 1
-        return cls(
-            dims=dims,
-            w=[np.zeros((dims.K, dims.D)) for _ in range(dims.R)],
-            theta=np.zeros(dims.R),
-            beta=[np.zeros((dims.A, K1)) for _ in range(dims.R)],
-            alpha=[np.zeros((dims.Y, dims.S)) for _ in range(dims.R)],
-            eta=[np.zeros((K1, K1)) for _ in range(dims.R)],
-            gamma=[np.zeros((dims.A, dims.A)) for _ in range(dims.R)],
-            dictionary=dictionary,
-            **flags,
-        )
+              use_gc: bool = True) -> "ModelParams":
+        return cls(dims, np.zeros(dims.total), dictionary, use_gc)
 
     @property
     def num_poselet_states(self) -> int:
@@ -158,35 +153,11 @@ class ModelParams:
         return self.dictionary.u_of_v
 
     def flatten(self) -> np.ndarray:
-        out = np.empty(self.dims.total)
-        for r in range(self.dims.R):
-            sl = region_slices(self.dims, r)
-            out[sl["alpha"]] = self.alpha[r].ravel()
-            out[sl["beta"]] = self.beta[r].ravel()
-            out[sl["w"]] = self.w[r].ravel()
-            out[sl["gamma"]] = self.gamma[r].ravel()
-            out[sl["eta"]] = self.eta[r].ravel()
-            out[sl["theta"]] = self.theta[r]
-        return out
+        return self.vec.copy()
 
     def with_flat(self, vec: np.ndarray) -> "ModelParams":
         """A copy of this model carrying weights from a flat vector."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.dims.total,):
-            raise ValueError(f"flat vector must have length {self.dims.total}")
-        d = self.dims
-        K1 = d.K + 1
-        new = ModelParams.zeros(d, dictionary=self.dictionary,
-                                use_gc=self.use_gc)
-        for r in range(d.R):
-            sl = region_slices(d, r)
-            new.alpha[r] = vec[sl["alpha"]].reshape(d.Y, d.S).copy()
-            new.beta[r] = vec[sl["beta"]].reshape(d.A, K1).copy()
-            new.w[r] = vec[sl["w"]].reshape(d.K, d.D).copy()
-            new.gamma[r] = vec[sl["gamma"]].reshape(d.A, d.A).copy()
-            new.eta[r] = vec[sl["eta"]].reshape(K1, K1).copy()
-            new.theta[r] = vec[sl["theta"]][0]
-        return new
+        return ModelParams(self.dims, vec, self.dictionary, self.use_gc)
 
 
 def _check_shapes(x: np.ndarray, labeling: Labeling, params: ModelParams):
@@ -260,39 +231,19 @@ def feature_map(x: np.ndarray, labeling: Labeling,
     x = np.asarray(x, dtype=float)
     _check_shapes(x, labeling, params)
     d = params.dims
-    K1 = d.K + 1
     psi = np.zeros(d.total)
+    views = block_views(d, psi)
     u_of_v = params.u_of_v()
     for r in range(d.R):
-        sl = region_slices(d, r)
         z = labeling.z[:, r]
         v = labeling.v[:, r]
-        u = u_of_v[v]
-
-        alpha = np.zeros((d.Y, d.S))
-        np.add.at(alpha, (labeling.y, u), 1.0)
-        psi[sl["alpha"]] = alpha.ravel()
-
-        beta = np.zeros((d.A, K1))
-        np.add.at(beta, (v, z), 1.0)
-        psi[sl["beta"]] = beta.ravel()
-
-        w = np.zeros((d.K, d.D))
+        np.add.at(views["alpha"][r], (labeling.y, u_of_v[v]), 1.0)
+        np.add.at(views["beta"][r], (v, z), 1.0)
         keep = z < d.K
-        np.add.at(w, z[keep], x[keep, r, :])
-        psi[sl["w"]] = w.ravel()
-
-        gamma = np.zeros((d.A, d.A))
-        if v.shape[0] > 1:
-            np.add.at(gamma, (v[:-1], v[1:]), 1.0)
-        psi[sl["gamma"]] = gamma.ravel()
-
-        eta = np.zeros((K1, K1))
-        if z.shape[0] > 1:
-            np.add.at(eta, (z[:-1], z[1:]), 1.0)
-        psi[sl["eta"]] = eta.ravel()
-
-        psi[sl["theta"]] = float(np.sum(z == d.K))
+        np.add.at(views["w"][r], z[keep], x[keep, r, :])
+        np.add.at(views["gamma"][r], (v[:-1], v[1:]), 1.0)
+        np.add.at(views["eta"][r], (z[:-1], z[1:]), 1.0)
+        views["theta"][r] = np.sum(z == d.K)
     return psi
 
 
@@ -331,9 +282,7 @@ def load_model(text: str) -> tuple[ModelParams, list[PcaModel] | None, str]:
     dims = ModelDims(**doc["dims"])
     dictionary = (ActionletDictionary.from_dict(doc["dictionary"])
                   if doc.get("dictionary") is not None else None)
-    params = ModelParams.zeros(
-        dims, dictionary=dictionary, use_gc=doc["use_gc"]
-    ).with_flat(np.asarray(doc["weights"], dtype=float))
+    params = ModelParams(dims, doc["weights"], dictionary, doc["use_gc"])
     pca = None
     if doc.get("pca") is not None:
         pca = [PcaModel.from_dict(m) if m is not None else None

@@ -15,7 +15,7 @@ from conftest import random_params
 from hieract.dictionaries import scree_count
 from hieract.energy import (Labeling, ModelDims, ModelParams, energy_total,
                             feature_map)
-from hieract.evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
+from hieract.evaluation import (DetectionCriterion, SyntheticSpec,
                                 detection_pr, plant_synthetic)
 from hieract.inference import brute_force, infer
 from hieract.learning import (TrainConfig, TrainingVideo, assign_regions,

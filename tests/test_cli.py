@@ -1,4 +1,5 @@
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hieract.skeleton import KINECT20
 
 
 def _write_skeleton(path: Path, video_id: str, T: int = 30, shift: float = 0.02):
-    rng = np.random.default_rng(abs(hash(video_id)) % 2 ** 31)
+    rng = np.random.default_rng(zlib.crc32(video_id.encode()))
     lines = [json.dumps({"schema": "kinect20", "video_id": video_id,
                          "fps": 30})]
     base = np.array([TOY_JOINT_BASE[n] for n in KINECT20.joint_names])
@@ -92,6 +93,41 @@ class TestFeatures:
         code = main(["features", "--skeletons", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "f")])
         assert code == 1
+
+    @pytest.mark.parametrize("mode, jobs", [
+        ("geo", "1"), ("geo", "2"), ("geo+velocity", "1")])
+    def test_other_schema_is_validation_error(self, tmp_path, capsys,
+                                              mode, jobs):
+        skel = tmp_path / "skel"
+        skel.mkdir()
+        for i in range(2):
+            _write_skeleton(skel / f"v{i}.jsonl", f"v{i}", T=40)
+        out = tmp_path / "features"
+        code = main(["features", "--skeletons", str(skel), "--out", str(out),
+                     "--schema", "puppet15", "--mode", mode, "--jobs", jobs])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "v0.jsonl" in err
+        assert "'kinect20'" in err and "'puppet15'" in err
+        assert not out.exists()
+
+    def test_sidecar_frame_past_the_video_is_validation_error(
+            self, tmp_path, capsys):
+        skel, sidecars = tmp_path / "skel", tmp_path / "sidecars"
+        skel.mkdir()
+        sidecars.mkdir()
+        _write_skeleton(skel / "v0.jsonl", "v0", T=30)
+        (sidecars / "v0.jsonl").write_text("\n".join(
+            json.dumps({"t": t, "joint": 0, "feat": [1.0, 2.0]})
+            for t in (0, 30)) + "\n")
+        code = main(["features", "--skeletons", str(skel),
+                     "--out", str(tmp_path / "features"),
+                     "--mode", "geo+precomputed",
+                     "--sidecar-dir", str(sidecars)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(sidecars / "v0.jsonl") in err
+        assert "line 2: t 30 outside 0..29" in err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         skel = tmp_path / "skel"

@@ -5,7 +5,7 @@ from hieract.descriptors import (GEO_DIM, build_descriptors, fit_pca,
                                  geo_descriptors, lift_2d,
                                  load_motion_sidecar, velocity_descriptors)
 from hieract.skeleton import (KINECT20, SchemaError, SkeletonSequence,
-                              get_schema, parse_skeleton, split_regions)
+                              get_schema, split_regions)
 
 
 def _frame_with(positions: dict) -> np.ndarray:
@@ -281,6 +281,18 @@ class TestMotionSidecar:
         np.testing.assert_allclose(arr[1, 2], (1, 2))
         np.testing.assert_allclose(arr[0, 0], (3, 4))
         assert not arr[0, 1].any()
+
+    @pytest.mark.parametrize("t, joint, fault", [
+        (-1, 0, "t -1 outside 0..1"), (2, 0, "t 2 outside 0..1"),
+        (0, 3, "joint 3 outside 0..2"), (0, -1, "joint -1 outside 0..2")])
+    def test_record_outside_the_video_rejected(self, t, joint, fault):
+        import json as _json
+
+        lines = [_json.dumps({"t": 0, "joint": 0, "feat": [1.0]}),
+                 _json.dumps({"t": t, "joint": joint, "feat": [2.0]})]
+        with pytest.raises(SchemaError, match=f"line 2: {fault}"):
+            load_motion_sidecar("\n".join(lines), num_frames=2,
+                                num_joints=3)
 
     def test_inconsistent_length_rejected(self):
         import json as _json

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,21 @@ from conftest import make_dictionary, random_labeling_arrays, random_params
 from hieract.energy import (Labeling, ModelDims, ModelParams, energy_pose,
                             energy_total, feature_map, load_model,
                             region_slices, save_model, transition_energy)
+
+
+CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+BLOCKS = ("alpha", "beta", "w", "gamma", "eta")
+
+
+def _independent_model_reader():
+    """The benchmark's model reader, which cuts the weight blocks from the
+    model file without the library."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.read_model
 
 
 def _single_frame_params():
@@ -268,3 +286,45 @@ class TestModelFile:
         doc["version"] = 99
         with pytest.raises(ValueError, match="version"):
             load_model(json.dumps(doc))
+
+
+class TestFlatLayout:
+    def test_blocks_match_independent_reader(self, tmp_path):
+        read_model = _independent_model_reader()
+        rng = np.random.default_rng(10)
+        for trial in range(25):
+            R, K, D, S, Y = (int(n) for n in rng.integers(1, 5, size=5))
+            dims = ModelDims(R=R, K=K, D=D, A=S + int(rng.integers(0, 3)),
+                             S=S, Y=Y)
+            params = random_params(dims, rng)
+            path = tmp_path / f"model{trial}.json"
+            path.write_text(save_model(params))
+            model = read_model(path)
+            for name in BLOCKS:
+                for r in range(R):
+                    np.testing.assert_array_equal(
+                        getattr(model, name)[r], getattr(params, name)[r],
+                        err_msg=f"{name}[{r}] of {dims}")
+            np.testing.assert_array_equal(model.theta, params.theta)
+
+    def test_blocks_are_views_of_the_vector(self):
+        dims = ModelDims(R=2, K=3, D=4, A=3, S=2, Y=2)
+        params = random_params(dims, np.random.default_rng(11))
+        for name in BLOCKS:
+            for block in getattr(params, name):
+                assert np.shares_memory(block, params.vec)
+        assert np.shares_memory(params.theta, params.vec)
+        params.w[0][1, 2] = 5.0
+        params.theta[1] = -2.0
+        flat = params.flatten()
+        assert flat[region_slices(dims, 0)["w"]][1 * dims.D + 2] == 5.0
+        assert flat[region_slices(dims, 1)["theta"]] == [-2.0]
+
+    def test_with_flat_does_not_alias_its_input(self):
+        dims = ModelDims(R=2, K=2, D=3, A=2, S=2, Y=2)
+        rng = np.random.default_rng(12)
+        vec = rng.normal(size=dims.total)
+        params = random_params(dims, rng).with_flat(vec)
+        vec[:] = 0.0
+        assert not np.shares_memory(params.vec, vec)
+        assert params.flatten().any() and params.w[1].any()

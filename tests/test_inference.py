@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_dictionary, random_params
 
-from hieract.energy import Labeling, ModelDims, ModelParams, energy_total
+from hieract.energy import ModelDims, ModelParams, energy_total
 from hieract.inference import (FrameConstraints, InfeasibleError, LossSpec,
                                Query, _region_unary, brute_force,
                                complete_latent, infer,

@@ -10,8 +10,7 @@ from hieract.inference import LossSpec, infer, loss_value
 from hieract.learning import (AssignmentProblem, TrainConfig, TrainingVideo,
                               _WorkingSet, _p1_costs, assign_regions,
                               build_loss_spec, cutting_plane, impute_latents,
-                              initialize, primal_objective, solve_p1, train)
-from hieract.skeleton import ActionInterval
+                              initialize, solve_p1, train)
 
 
 def _training_set(spec=None, **overrides):

@@ -5,7 +5,7 @@ import pytest
 
 from hieract.skeleton import (KINECT20, ActionInterval, JointSchema,
                               ParseError, RegionSpec, SchemaError,
-                              SkeletonSequence, VideoSample, get_schema,
+                              SkeletonSequence, VideoSample,
                               load_annotations, load_labels, parse_skeleton,
                               save_annotations, save_labels,
                               serialize_skeleton, split_regions,
