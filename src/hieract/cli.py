@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -27,9 +26,10 @@ from .evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
                          intervals_from_frames, plant_synthetic, pooled_pr)
 from .inference import infer
 from .learning import TrainingVideo, initialize, train
-from .skeleton import (ActionInterval, SchemaError, SkeletonSequence,
-                       get_schema, load_annotations, load_labels,
-                       parse_skeleton, save_annotations, save_labels)
+from .skeleton import (ActionInterval, JointSchema, ParseError, SchemaError,
+                       SkeletonSequence, get_schema, load_annotations,
+                       load_labels, parse_skeleton, save_annotations,
+                       save_labels, validate_annotations)
 
 
 class UsageError(ValueError):
@@ -72,14 +72,30 @@ def save_features(out_dir: Path, video_id: str, x: np.ndarray,
 
 
 def load_features(features_dir: str | Path) -> dict[str, np.ndarray]:
+    """Every video's (frames, regions, dim) array under ``features_dir``.
+
+    Each array must have the shape its JSON header declares, and all videos
+    must share ``regions`` and ``dim``.
+    """
     directory = _require(features_dir, "features directory")
-    out = {}
+    out, shape = {}, None
     for header_path in sorted(directory.glob("*.json")):
         if header_path.name == "pca.json":
             continue
         header = json.loads(header_path.read_text())
         video_id = header["video_id"]
-        out[video_id] = np.load(directory / f"{video_id}.npy")
+        array_path = directory / f"{video_id}.npy"
+        x = np.load(array_path)
+        declared = (header["frames"], header["regions"], header["dim"])
+        if x.shape != declared:
+            raise UsageError(f"{array_path}: array shape {x.shape} is not "
+                             f"the (frames, regions, dim) {declared} of "
+                             f"its header {header_path.name}")
+        if shape is not None and x.shape[1:] != shape:
+            raise UsageError(f"{array_path}: (regions, dim) {x.shape[1:]} "
+                             f"differs from {shape} of the videos before it")
+        shape = x.shape[1:]
+        out[video_id] = x
     if not out:
         raise UsageError(f"no feature files under {directory}")
     return out
@@ -96,9 +112,15 @@ def _load_training_set(features_dir, annotations_path, labels_path
     for video_id in sorted(features):
         if video_id not in labels:
             raise UsageError(f"video {video_id!r} missing from labels file")
-        videos.append(TrainingVideo(
-            video_id=video_id, x=features[video_id], y=labels[video_id],
-            intervals=intervals.get(video_id, [])))
+        x = features[video_id]
+        video_intervals = intervals.get(video_id, [])
+        violations = validate_annotations(video_intervals, x.shape[0])
+        if violations:
+            raise UsageError(f"{annotations_path}: video {video_id!r}: "
+                             + "; ".join(violations))
+        videos.append(TrainingVideo(video_id=video_id, x=x,
+                                    y=labels[video_id],
+                                    intervals=video_intervals))
     num_actions = 1 + max((iv.action_id for ivs in intervals.values()
                            for iv in ivs), default=-1)
     num_classes = 1 + max(labels.values())
@@ -111,33 +133,19 @@ def _load_training_set(features_dir, annotations_path, labels_path
 # features
 # ---------------------------------------------------------------------------
 
-def _parse_for_schema(path: Path, text: str, schema: str
-                      ) -> SkeletonSequence:
-    """Parse a skeleton file, rejecting one whose header names another
-    schema than the configured one."""
-    seq = parse_skeleton(text)
-    if seq.schema != schema:
+def _read_skeleton(path: Path, schema: JointSchema) -> SkeletonSequence:
+    """Parse one skeleton file of the configured schema, naming the file in
+    any error, and lift 2-D joints to 3-D."""
+    try:
+        seq = parse_skeleton(path.read_text())
+    except (ParseError, SchemaError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    if seq.schema != schema.name:
         raise SchemaError(f"{path}: skeleton schema {seq.schema!r} is not "
-                          f"the configured schema {schema!r}")
+                          f"the configured schema {schema.name!r}")
+    if schema.dims == 2:
+        seq = desc.lift_2d(seq)
     return seq
-
-
-def _geo_task(payload):
-    path, text, schema, depth = payload
-    seq = _parse_for_schema(path, text, schema)
-    if seq.joints.shape[-1] == 2:
-        seq = desc.lift_2d(seq, depth=depth)
-    return seq.video_id, desc.build_descriptors(seq, mode="geo")
-
-
-def _map_jobs(func, payloads, jobs, initializer=None, initargs=()):
-    """Order-preserving map, fanned out across processes when jobs > 1;
-    ``initializer(*initargs)`` then runs once in each worker process."""
-    if jobs <= 1:
-        return [func(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=initializer,
-                             initargs=initargs) as pool:
-        return list(pool.map(func, payloads))
 
 
 def cmd_features(args) -> int:
@@ -149,23 +157,10 @@ def cmd_features(args) -> int:
         raise UsageError(f"no *.jsonl skeleton files under {args.skeletons}")
     out_dir = Path(args.out)
     config_hash = config.hash()
+    # every file is read and checked before anything is written
+    sequences = [_read_skeleton(path, schema) for path in paths]
 
-    if config.mode == "geo":
-        payloads = [(p, p.read_text(), schema.name, config.lift_depth)
-                    for p in paths]
-        for video_id, x in _map_jobs(_geo_task, payloads, config.jobs):
-            save_features(out_dir, video_id, x, config_hash)
-        print(f"wrote {len(paths)} geo feature files to {out_dir}")
-        return 0
-
-    sequences = []
-    for path in paths:
-        seq = _parse_for_schema(path, path.read_text(), schema.name)
-        if schema.dims == 2 and seq.joints.shape[-1] == 2:
-            seq = desc.lift_2d(seq, depth=config.lift_depth)
-        sequences.append(seq)
-
-    motion_mode = config.mode.split("+", 1)[1]
+    motion_mode = config.mode.partition("+")[2]     # "" for geo
     sidecars = {}
     if motion_mode == "precomputed":
         sidecar_dir = Path(_require(args.sidecar_dir,
@@ -179,28 +174,31 @@ def cmd_features(args) -> int:
             except SchemaError as exc:
                 raise SchemaError(f"{sidecar_path}: {exc}") from None
 
-    # PCA is fit over the whole dataset, so raw motion comes first.
-    raw_per_video = {
-        seq.video_id: desc.raw_motion_vectors(
-            seq, schema, motion_mode, window=config.window,
-            sidecar=sidecars.get(seq.video_id))
-        for seq in sequences}
-    pca_models = []
-    for r in range(schema.num_regions):
-        stacked = np.concatenate([raw_per_video[s.video_id][r]
-                                  for s in sequences])
-        pca_models.append(desc.fit_pca(stacked, out_dim=config.pca_dim))
+    pca_models = None
+    if motion_mode:
+        # PCA is fit over the whole dataset, so raw motion comes first.
+        raw_per_video = {
+            seq.video_id: desc.raw_motion_vectors(
+                seq, schema, motion_mode, window=config.window,
+                sidecar=sidecars.get(seq.video_id))
+            for seq in sequences}
+        pca_models = []
+        for r in range(schema.num_regions):
+            stacked = np.concatenate([raw_per_video[s.video_id][r]
+                                      for s in sequences])
+            pca_models.append(desc.fit_pca(stacked, out_dim=config.pca_dim))
     for seq in sequences:
         x = desc.build_descriptors(seq, mode=config.mode,
                                    pca_models=pca_models,
                                    window=config.window,
                                    sidecar=sidecars.get(seq.video_id))
         save_features(out_dir, seq.video_id, x, config_hash)
-    _atomic_write(out_dir / "pca.json", _json_dumps(
-        {"config_hash": config_hash,
-         "models": [m.to_dict() for m in pca_models]}))
-    print(f"wrote {len(sequences)} feature files (D="
-          f"{desc.GEO_DIM + config.pca_dim}) to {out_dir}")
+    if pca_models is not None:
+        _atomic_write(out_dir / "pca.json", _json_dumps(
+            {"config_hash": config_hash,
+             "models": [m.to_dict() for m in pca_models]}))
+    print(f"wrote {len(sequences)} feature files (D={x.shape[2]}) "
+          f"to {out_dir}")
     return 0
 
 
@@ -308,33 +306,12 @@ def cmd_train(args) -> int:
 # infer / annotate
 # ---------------------------------------------------------------------------
 
-# the model and beam of an ``infer`` worker process, parsed once per worker
-_worker_model: tuple | None = None
-
-
-def _init_infer_worker(model_text, beam):
-    global _worker_model
-    _worker_model = load_model(model_text)[0], beam
-
-
-def _infer_task(x):
-    params, beam = _worker_model
-    return infer(x, params, beam=beam)
-
-
 def _predict(args, config):
-    model_text = _require(args.model, "model file").read_text()
-    params, _pca, _hash = load_model(model_text)
+    params, _pca, _hash = load_model(
+        _require(args.model, "model file").read_text())
     features = load_features(args.features)
-    ids = sorted(features)
-    if config.jobs > 1:
-        outs = _map_jobs(_infer_task, [features[vid] for vid in ids],
-                         config.jobs, initializer=_init_infer_worker,
-                         initargs=(model_text, config.beam))
-    else:
-        outs = [infer(features[vid], params, beam=config.beam)
-                for vid in ids]
-    return params, dict(zip(ids, outs))
+    return params, {vid: infer(features[vid], params, beam=config.beam)
+                    for vid in sorted(features)}
 
 
 def _frames_csv(params, results) -> str:
@@ -549,9 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca-dim", dest="pca_dim", type=int)
     p.add_argument("--sidecar-dir", default=None,
                    help="per-video motion sidecars for geo+precomputed")
-    p.add_argument("--jobs", type=int,
-                   help="worker processes for the per-video descriptors of "
-                        "--mode geo; the motion modes run in one process")
 
     for name, func in (("init-dictionary", cmd_init_dictionary),
                        ("init-assignments", cmd_init_assignments)):
@@ -587,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--beam", type=_beam)
-    p.add_argument("--jobs", type=int)
 
     p = command("annotate", cmd_annotate, help="per-frame CSV annotations")
     p.add_argument("--model", required=True)
@@ -596,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels-out", dest="labels_out", required=True,
                    help="predicted video labels CSV path")
     p.add_argument("--beam", type=_beam)
-    p.add_argument("--jobs", type=int)
 
     p = command("eval", cmd_eval, help="score predictions against truth")
     p.add_argument("--pred-labels", dest="pred_labels", required=True)

@@ -30,13 +30,11 @@ class RunConfig(TrainConfig):
     mode: str = "geo+velocity"
     window: int = 7
     pca_dim: int = 20
-    lift_depth: float = 30.0
     # dictionary
     num_poselets: int = 100
     # evaluation
     min_overlap: float = 0.60
     min_run: int = 3
-    jobs: int = 1
 
     def hash(self) -> str:
         doc = json.dumps(asdict(self), sort_keys=True)

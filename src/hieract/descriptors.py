@@ -198,7 +198,15 @@ def load_motion_sidecar(stream, num_frames: int, num_joints: int) -> np.ndarray:
         line = raw.strip()
         if not line:
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(
+                f"sidecar line {lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict) or \
+                not {"t", "joint", "feat"} <= obj.keys():
+            raise SchemaError(f"sidecar line {lineno}: record needs 't', "
+                              "'joint' and 'feat'")
         vec = np.asarray(obj["feat"], dtype=float)
         if dim is None:
             dim = vec.shape[0]

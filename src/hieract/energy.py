@@ -116,7 +116,7 @@ class ModelParams:
     gates the reserved poselet label K during inference and initialization.
     GC-labeled frames stay visible to the beta counts (column K), so
     actionlets can still see collected frames. Pickling would part the views
-    from ``vec``; processes exchange models as ``save_model`` text.
+    from ``vec``.
     """
     dims: ModelDims
     vec: np.ndarray

@@ -56,11 +56,7 @@ class TrainConfig:
     max_cutting_plane_iters: int = 400   # exact oracle passes per solve
     beam: int | None = None           # None: exact inference
     seed: int = 0
-    gc_fraction: float = 0.20
     use_gc: bool = True
-    scree_c: float = 2e-3
-    self_pace_decay: float = 0.5
-    self_pace_rounds: int = 5
     supervision: str = "temporal"
 
     def __post_init__(self):
@@ -70,8 +66,6 @@ class TrainConfig:
             raise ValueError("loss weights must be nonnegative")
         if self.eps_qp is not None and self.eps_qp <= 0:
             raise ValueError("eps_qp must be positive")
-        if not 0 <= self.gc_fraction < 1:
-            raise ValueError("gc_fraction must be in [0, 1)")
         if self.supervision not in SUPERVISION_LEVELS:
             raise ValueError(f"supervision must be one of {SUPERVISION_LEVELS}")
 
@@ -366,7 +360,8 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
     """Build initial poselet labels, region assignments, and actionlets.
 
     Poselet labels come from per-region k-means over all frames, with the
-    most dissimilar ``gc_fraction`` handed to the garbage collector.
+    most dissimilar 20% (``gc_init``'s fraction) handed to the garbage
+    collector when ``use_gc`` is on.
     Interval regions come from annotations when supervision is full,
     otherwise from the self-paced assignment problem. Actionlets are
     discovered from the per-(interval, region) histograms; each annotated
@@ -386,8 +381,8 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
         points = np.concatenate([v.x[:, r, :] for v in videos])
         cents, _ = kmeans(points, K, seed=config.seed + r)
         labels, dists = assign_labels(points, cents)
-        if config.use_gc and config.gc_fraction > 0:
-            labels = gc_init(labels, dists, K, fraction=config.gc_fraction)
+        if config.use_gc:
+            labels = gc_init(labels, dists, K)
         labels_per_region.append(labels)
     z_init = [np.stack([labels_per_region[r][offsets[i]:offsets[i + 1]]
                         for r in range(R)], axis=1)
@@ -427,9 +422,7 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
                 b[iv.region, q] = True
             assignments.append(b)
     else:
-        p1 = solve_p1(problems, num_actions,
-                      decay=config.self_pace_decay,
-                      rounds=config.self_pace_rounds)
+        p1 = solve_p1(problems, num_actions)
         assignments = p1.assignments
 
     # Actionlet discovery over the (assigned region, interval) samples,
@@ -440,7 +433,7 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
                         for prob, (q, r) in zip(problems, cells)]),
         np.concatenate([prob.actions[q]
                         for prob, (q, _) in zip(problems, cells)]),
-        num_actions, c=config.scree_c, seed=config.seed)
+        num_actions, seed=config.seed)
 
     # Each annotated video's actionlet table, the actionlet of each
     # assigned (region, interval) and -1 elsewhere, gives its first

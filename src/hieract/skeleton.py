@@ -3,7 +3,8 @@
 A skeleton file is JSON-lines: a header object on the first line
 (``{"schema": ..., "video_id": ..., "fps": ...}``) followed by one object
 per frame (``{"t": <int>, "joints": [[x, y, z], ...]}``). Frames may appear
-out of order; parsing sorts them ascending by ``t``. Annotation files are
+out of order; parsing sorts them ascending by ``t``, which must then run
+0..T-1 with no frame missing or repeated. Annotation files are
 CSV with header ``video_id,action_id,t_start,t_end,region`` (region -1 =
 unknown); label files are CSV ``video_id,complex_action``. Frame indices
 are 0-based and intervals are inclusive on both ends. Action and label ids
@@ -266,18 +267,6 @@ class ActionInterval:
 
 
 @dataclass
-class VideoSample:
-    """A skeleton sequence with whatever supervision accompanies it."""
-    skeleton: SkeletonSequence
-    complex_action: int | None = None
-    intervals: list[ActionInterval] = field(default_factory=list)
-
-    @property
-    def video_id(self) -> str:
-        return self.skeleton.video_id
-
-
-@dataclass
 class RegionJoints:
     """Joint coordinates of one region for a whole sequence.
 
@@ -305,7 +294,8 @@ def parse_skeleton(stream) -> SkeletonSequence:
 
     ``stream`` is an iterable of text lines or a str. The first line must be
     the header object; frame records follow in any order and are returned
-    sorted ascending by ``t``.
+    sorted ascending by ``t``. The sorted indices must be exactly 0..T-1: a
+    repeated or missing ``t`` raises ParseError.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -328,7 +318,7 @@ def parse_skeleton(stream) -> SkeletonSequence:
             continue
         if "t" not in obj or "joints" not in obj:
             raise ParseError(f"line {lineno}: frame record needs 't' and 'joints'")
-        frames.append((int(obj["t"]), obj["joints"]))
+        frames.append((int(obj["t"]), lineno, obj["joints"]))
     if header is None:
         raise ParseError("empty stream: missing header line")
     if not frames:
@@ -337,7 +327,13 @@ def parse_skeleton(stream) -> SkeletonSequence:
     schema = get_schema(header["schema"])
     frames.sort(key=lambda item: item[0])
     coords = []
-    for t, joints in frames:
+    for expected, (t, lineno, joints) in enumerate(frames):
+        if t < expected:
+            raise ParseError(f"line {lineno}: frame t={t} "
+                             + ("is negative" if t < 0 else "is repeated"))
+        if t > expected:
+            raise ParseError(f"line {lineno}: frame t={expected} is missing "
+                             f"before frame t={t}")
         arr = np.asarray(joints, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != schema.num_joints:
             raise SchemaError(
@@ -390,22 +386,23 @@ def split_regions(seq: SkeletonSequence,
     return subsets
 
 
-def validate_annotations(sample: VideoSample) -> list[str]:
-    """Report structural violations in a sample's intervals.
+def validate_annotations(intervals: list[ActionInterval],
+                         num_frames: int) -> list[str]:
+    """Report structural violations in one video's intervals.
 
     Checkable constraints: intervals with a known region must not overlap
-    pairwise within that region, and bounds must fit the sequence. Intervals
-    with unknown region cannot violate anything checkable. Returns
-    human-readable violation strings; empty means consistent.
+    pairwise within that region, and bounds must fit the video's
+    ``num_frames``. Intervals with unknown region cannot overlap checkably.
+    Returns human-readable violation strings; empty means consistent.
     """
     violations = []
-    T = sample.skeleton.num_frames
-    for q, iv in enumerate(sample.intervals):
-        if iv.t_end >= T:
+    for q, iv in enumerate(intervals):
+        if iv.t_end >= num_frames:
             violations.append(
-                f"interval {q} ends at {iv.t_end} but video has {T} frames")
+                f"interval {q} (action {iv.action_id}, frames {iv.t_start}"
+                f"..{iv.t_end}) ends past the last frame {num_frames - 1}")
     by_region: dict[int, list[tuple[int, ActionInterval]]] = {}
-    for q, iv in enumerate(sample.intervals):
+    for q, iv in enumerate(intervals):
         if iv.region >= 0:
             by_region.setdefault(iv.region, []).append((q, iv))
     for region, items in sorted(by_region.items()):

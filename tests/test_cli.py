@@ -7,7 +7,7 @@ import pytest
 
 from conftest import TOY_JOINT_BASE, make_dictionary
 
-from hieract.cli import load_features, main
+from hieract.cli import UsageError, load_features, main, save_features
 from hieract.energy import ModelDims, ModelParams, save_model
 from hieract.skeleton import KINECT20
 
@@ -94,21 +94,36 @@ class TestFeatures:
                      "--out", str(tmp_path / "f")])
         assert code == 1
 
-    @pytest.mark.parametrize("mode, jobs", [
-        ("geo", "1"), ("geo", "2"), ("geo+velocity", "1")])
-    def test_other_schema_is_validation_error(self, tmp_path, capsys,
-                                              mode, jobs):
+    @pytest.mark.parametrize("mode", ["geo", "geo+velocity"])
+    def test_other_schema_is_validation_error(self, tmp_path, capsys, mode):
         skel = tmp_path / "skel"
         skel.mkdir()
         for i in range(2):
             _write_skeleton(skel / f"v{i}.jsonl", f"v{i}", T=40)
         out = tmp_path / "features"
         code = main(["features", "--skeletons", str(skel), "--out", str(out),
-                     "--schema", "puppet15", "--mode", mode, "--jobs", jobs])
+                     "--schema", "puppet15", "--mode", mode])
         assert code == 1
         err = capsys.readouterr().err
         assert "v0.jsonl" in err
         assert "'kinect20'" in err and "'puppet15'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["geo", "geo+velocity"])
+    def test_parse_error_names_the_file(self, tmp_path, capsys, mode):
+        skel = tmp_path / "skel"
+        skel.mkdir()
+        _write_skeleton(skel / "v0.jsonl", "v0", T=40)
+        bad = skel / "v1.jsonl"
+        bad.write_text(json.dumps({"schema": "kinect20", "video_id": "v1"})
+                       + "\n" + json.dumps({"t": 0, "joints": [[0, 0, 0]]})
+                       + "\n")
+        out = tmp_path / "features"
+        code = main(["features", "--skeletons", str(skel), "--out", str(out),
+                     "--mode", mode])
+        assert code == 1
+        assert f"{bad}: frame t=0: expected 20 joints" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_sidecar_frame_past_the_video_is_validation_error(
@@ -212,26 +227,6 @@ class TestPipeline:
         assert frames2.read_bytes() == frames_csv.read_bytes()
         assert labels2.read_bytes() == labels_csv.read_bytes()
 
-    def test_infer_jobs_2_matches_jobs_1(self, synth_dataset, tmp_path):
-        base = synth_dataset / "train"
-        model_path = tmp_path / "model.json"
-        assert main(["train", "--features", str(base / "features"),
-                     "--annotations", str(base / "annotations.csv"),
-                     "--labels", str(base / "labels.csv"),
-                     "--out", str(model_path), "--num-poselets", "3",
-                     "--C", "10", "--max-cccp-iters", "1",
-                     "--max-cutting-plane-iters", "150"]) == 0
-        outs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            assert main(["infer", "--model", str(model_path),
-                         "--features", str(synth_dataset / "test" / "features"),
-                         "--out", str(out), "--jobs", jobs]) == 0
-            outs.append(out)
-        for name in ("predictions.jsonl", "predictions.csv"):
-            assert (outs[1] / name).read_bytes() == \
-                (outs[0] / name).read_bytes(), name
-
     def test_init_commands(self, synth_dataset, tmp_path):
         base = synth_dataset / "train"
         dict_path = tmp_path / "dictionary.json"
@@ -316,6 +311,45 @@ class TestErrors:
     def test_no_command_prints_usage(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("command", [
+        "train", "init-dictionary", "init-assignments"])
+    def test_interval_past_the_last_frame_is_validation_error(
+            self, synth_dataset, tmp_path, capsys, command):
+        base = synth_dataset / "train"
+        video_id = "synth_0_000"
+        frames = load_features(base / "features")[video_id].shape[0]
+        rows = (base / "annotations.csv").read_text().splitlines()
+        i = next(i for i, row in enumerate(rows)
+                 if row.startswith(video_id + ","))
+        fields = rows[i].split(",")
+        fields[3] = str(frames)                    # t_end one past the end
+        rows[i] = ",".join(fields)
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out.json"
+        code = main([command, "--features", str(base / "features"),
+                     "--annotations", str(annotations),
+                     "--labels", str(base / "labels.csv"),
+                     "--out", str(out), "--num-poselets", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{annotations}: video {video_id!r}: interval 0 " in err
+        assert f"..{frames}) ends past the last frame {frames - 1}" in err
+        assert not out.exists()
+
+    def test_feature_array_must_match_its_header(self, tmp_path):
+        features = tmp_path / "features"
+        save_features(features, "a", np.zeros((5, 2, 3)), "h")
+        save_features(features, "b", np.zeros((4, 2, 3)), "h")
+        assert load_features(features)["b"].shape == (4, 2, 3)
+        header = json.loads((features / "b.json").read_text())
+        (features / "b.json").write_text(json.dumps({**header, "frames": 6}))
+        with pytest.raises(UsageError, match="b.npy: array shape"):
+            load_features(features)
+        save_features(features, "b", np.zeros((4, 2, 4)), "h")
+        with pytest.raises(UsageError, match=r"b.npy: \(regions, dim\)"):
+            load_features(features)
 
     def test_missing_model_is_validation_error(self, tmp_path):
         code = main(["infer", "--model", str(tmp_path / "missing.json"),

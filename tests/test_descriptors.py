@@ -294,6 +294,21 @@ class TestMotionSidecar:
             load_motion_sidecar("\n".join(lines), num_frames=2,
                                 num_joints=3)
 
+    @pytest.mark.parametrize("bad_line, fault", [
+        ("not json", "line 2: invalid JSON"),
+        ('{"joint": 0, "feat": [1.0]}', "line 2: record needs"),
+        ('{"t": 0, "feat": [1.0]}', "line 2: record needs"),
+        ('{"t": 0, "joint": 0}', "line 2: record needs"),
+        ("[0, 0, [1.0]]", "line 2: record needs")],
+        ids=["not-json", "no-t", "no-joint", "no-feat", "not-an-object"])
+    def test_malformed_record_names_the_line(self, bad_line, fault):
+        import json as _json
+
+        text = _json.dumps({"t": 0, "joint": 0, "feat": [1.0]}) + "\n" \
+            + bad_line + "\n"
+        with pytest.raises(SchemaError, match=fault):
+            load_motion_sidecar(text, num_frames=2, num_joints=3)
+
     def test_inconsistent_length_rejected(self):
         import json as _json
 

@@ -5,9 +5,8 @@ import pytest
 
 from hieract.skeleton import (KINECT20, ActionInterval, JointSchema,
                               ParseError, RegionSpec, SchemaError,
-                              SkeletonSequence, VideoSample,
-                              load_annotations, load_labels, parse_skeleton,
-                              save_annotations, save_labels,
+                              SkeletonSequence, load_annotations, load_labels,
+                              parse_skeleton, save_annotations, save_labels,
                               serialize_skeleton, split_regions,
                               validate_annotations)
 
@@ -37,6 +36,21 @@ class TestParse:
         seq = parse_skeleton(toy_skeleton_text)
         assert seq.num_frames == 3
         np.testing.assert_allclose(seq.joint(0, "head"), (0.0, 1.8, 0.0))
+
+    def test_duplicate_frame_rejected(self):
+        frame = [[0.0, 0.0, 0.0]] * 20
+        with pytest.raises(ParseError, match="line 4: frame t=1 is repeated"):
+            parse_skeleton(_stream([{"t": 1, "joints": frame},
+                                    {"t": 0, "joints": frame},
+                                    {"t": 1, "joints": frame}]))
+
+    def test_missing_frame_rejected(self):
+        frame = [[0.0, 0.0, 0.0]] * 20
+        with pytest.raises(ParseError,
+                           match="line 3: frame t=1 is missing before "
+                                 "frame t=2"):
+            parse_skeleton(_stream([{"t": 0, "joints": frame},
+                                    {"t": 2, "joints": frame}]))
 
     def test_malformed_line_reports_lineno(self):
         text = _stream([{"t": 0, "joints": [[0, 0, 0]] * 20}]) + "{broken\n"
@@ -106,31 +120,25 @@ class TestSplitRegions:
 
 
 class TestValidateAnnotations:
-    def _sample(self, intervals, T=30):
-        seq = SkeletonSequence(video_id="v", schema="kinect20",
-                               joints=np.zeros((T, 20, 3)))
-        return VideoSample(skeleton=seq, complex_action=0,
-                           intervals=intervals)
-
     def test_same_region_overlap_flagged(self):
-        sample = self._sample([ActionInterval(0, 0, 10, region=1),
-                               ActionInterval(1, 5, 15, region=1)])
-        assert len(validate_annotations(sample)) == 1
+        intervals = [ActionInterval(0, 0, 10, region=1),
+                     ActionInterval(1, 5, 15, region=1)]
+        assert len(validate_annotations(intervals, 30)) == 1
 
     def test_unknown_regions_not_checkable(self):
-        sample = self._sample([ActionInterval(0, 0, 10, region=-1),
-                               ActionInterval(1, 5, 15, region=-1)])
-        assert validate_annotations(sample) == []
+        intervals = [ActionInterval(0, 0, 10, region=-1),
+                     ActionInterval(1, 5, 15, region=-1)]
+        assert validate_annotations(intervals, 30) == []
 
     def test_disjoint_intervals_clean(self):
-        sample = self._sample([ActionInterval(0, 0, 5, region=0),
-                               ActionInterval(1, 6, 10, region=0),
-                               ActionInterval(0, 11, 20, region=0)])
-        assert validate_annotations(sample) == []
+        intervals = [ActionInterval(0, 0, 5, region=0),
+                     ActionInterval(1, 6, 10, region=0),
+                     ActionInterval(0, 11, 20, region=0)]
+        assert validate_annotations(intervals, 30) == []
 
     def test_out_of_range_interval_flagged(self):
-        sample = self._sample([ActionInterval(0, 0, 40, region=0)], T=30)
-        assert len(validate_annotations(sample)) == 1
+        intervals = [ActionInterval(0, 0, 40, region=0)]
+        assert len(validate_annotations(intervals, 30)) == 1
 
 
 class TestAnnotationFiles:
