@@ -520,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of *.jsonl skeleton files")
     p.add_argument("--out", required=True, help="feature directory")
     p.add_argument("--schema")
-    p.add_argument("--mode",
-                   choices=["geo", "geo+velocity", "geo+precomputed"])
+    p.add_argument("--mode", choices=desc.MODES)
     p.add_argument("--window", type=int)
     p.add_argument("--pca-dim", dest="pca_dim", type=int)
     p.add_argument("--sidecar-dir", default=None,

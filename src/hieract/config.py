@@ -12,6 +12,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_type_hints
 
+from .descriptors import MODES
 from .learning import TrainConfig
 
 
@@ -49,11 +50,15 @@ def _coerce(key: str, raw: str, where: str):
     """Parse an INI value as the type its RunConfig field is annotated
     with; ``none`` or an empty value sets an optional field to None.
 
-    Booleans take 1/true/yes/on or 0/false/no/off in any case. A value that
-    does not parse raises ValueError naming the key and ``where`` it is.
+    Booleans take 1/true/yes/on or 0/false/no/off in any case; ``mode``
+    takes one of ``descriptors.MODES``, like ``--mode``. A value that does
+    not parse raises ValueError naming the key and ``where`` it is.
     """
     kind = get_type_hints(RunConfig)[key]
     value = raw.strip()
+    if key == "mode" and value not in MODES:
+        raise ValueError(f"config key {key!r} in {where}: {value!r} is not "
+                         f"one of {', '.join(MODES)}")
     options = get_args(kind)
     if type(None) in options:
         if value.lower() in ("none", ""):

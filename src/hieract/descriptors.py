@@ -20,6 +20,8 @@ from .skeleton import (JointSchema, RegionJoints, SchemaError,
                        SkeletonSequence, get_schema, split_regions)
 
 GEO_DIM = 18
+# descriptor modes: geometry alone, or with velocity or sidecar motion
+MODES = ("geo", "geo+velocity", "geo+precomputed")
 _PAIR_INDEX = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 _ZERO_NORM = 1e-12
 

@@ -63,6 +63,35 @@ def _pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return centroids
 
 
+# Points per block of the nearest-centroid search: a (256, K, D) block of
+# differences stays a few megabytes where the whole (N, K, D) tensor of a
+# paper-scale region (N ~ 10^4 frames, K = 100) would take hundreds.
+NEAREST_CHUNK_ROWS = 256
+
+
+def _nearest(points: np.ndarray,
+             centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid labels (ties: lowest index) and squared distances,
+    computed block by block of ``NEAREST_CHUNK_ROWS`` points. Each squared
+    distance is the same sum over D that one (N, K, D) broadcast would take,
+    so the result does not depend on the block size."""
+    n = points.shape[0]
+    labels = np.empty(n, dtype=np.intp)
+    nearest = np.empty(n)
+    buf = np.empty((min(n, NEAREST_CHUNK_ROWS),) + centroids.shape,
+                   dtype=np.result_type(points, centroids))
+    for s in range(0, n, NEAREST_CHUNK_ROWS):
+        block = points[s:s + NEAREST_CHUNK_ROWS]
+        diff = buf[:block.shape[0]]
+        np.subtract(block[:, None, :], centroids, out=diff)
+        np.square(diff, out=diff)
+        d2 = diff.sum(axis=2)
+        best = d2.argmin(axis=1)
+        labels[s:s + best.size] = best
+        nearest[s:s + best.size] = d2[np.arange(best.size), best]
+    return labels, nearest
+
+
 def kmeans(points: np.ndarray, k: int, seed: int = 0,
            max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean k-means with k-means++ seeding.
@@ -80,9 +109,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0,
     prev_labels = None
     labels = np.zeros(n, dtype=int)
     for _ in range(max_iter):
-        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)
-        nearest = d2[np.arange(n), labels]
+        labels, nearest = _nearest(points, centroids)
         for c in range(k):
             members = labels == c
             if not np.any(members):
@@ -101,9 +128,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0,
 def assign_labels(points: np.ndarray,
                   centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels and distances for new points."""
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
-    return labels, np.sqrt(d2[np.arange(points.shape[0]), labels])
+    labels, nearest = _nearest(points, centroids)
+    return labels, np.sqrt(nearest)
 
 
 def gc_init(labels: np.ndarray, distances: np.ndarray, num_poselets: int,

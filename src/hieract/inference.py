@@ -149,6 +149,12 @@ def _apply_beam(unary: np.ndarray, beam: int) -> np.ndarray:
     return out
 
 
+# Byte budget of one row chunk's poselet-transition table (B_c, A, K', K'),
+# the largest per-frame temporary of the Viterbi pass: about an L2 cache, so
+# the frame loop works in cache instead of streaming tens of megabytes.
+VITERBI_CHUNK_BYTES = 2 << 20
+
+
 def _viterbi_batch(unary: np.ndarray, eta: np.ndarray,
                    gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Viterbi over a (B, T, N) stack of unary tables for the joint states
@@ -160,40 +166,64 @@ def _viterbi_batch(unary: np.ndarray, eta: np.ndarray,
     (K*A)^2 and realizes the same tie-break as a full argmax over n' (the
     outer stage picks the smallest k', the inner stage the smallest a'
     within it).
+
+    Both argmaxes reduce over the contiguous last axis: the tables are
+    ``over_a[b, k', a, a'] = score[b, k', a'] + gamma[a', a]`` and
+    ``over_k[b, a, k, k'] = sa[b, k', a] + eta[k', k]``, allocated once per
+    chunk and refilled in place each frame, and the winning entries are
+    read back by flat index. Rows are independent, so the stack runs in row
+    chunks whose ``over_k`` fits ``VITERBI_CHUNK_BYTES`` (at least one row);
+    every chunk gives the states and scores it would give in one pass.
     """
+    B = unary.shape[0]
+    KK, A = eta.shape[0], gamma.shape[0]
+    step = max(1, VITERBI_CHUNK_BYTES // (A * KK * KK * 8))
+    eta_t, gamma_t = eta.T.copy(), gamma.T.copy()
+    parts = [_viterbi_rows(unary[i:i + step], eta_t, gamma_t)
+             for i in range(0, B, step)]
+    states, scores = zip(*parts)
+    scores = np.concatenate(scores)
+    if np.any(scores == NEG_INF):
+        raise InfeasibleError("beam or constraints removed every path")
+    return np.concatenate(states), scores
+
+
+def _viterbi_rows(unary: np.ndarray, eta_t: np.ndarray,
+                  gamma_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk of ``_viterbi_batch``, given the transposed transition
+    tables ``eta_t[k, k'] = eta[k', k]`` and ``gamma_t[a, a'] = gamma[a', a]``."""
     B, T, N = unary.shape
-    KK = eta.shape[0]
-    A = gamma.shape[0]
+    KK, A = eta_t.shape[0], gamma_t.shape[0]
     unary = unary.reshape(B, T, KK, A)
     a_back = np.zeros((B, T, KK, A), dtype=np.int32)
-    k_back = np.zeros((B, T, KK, A), dtype=np.int32)
+    k_back = np.zeros((B, T, A, KK), dtype=np.int32)
+    over_a = np.empty((B, KK, A, A))
+    over_k = np.empty((B, A, KK, KK))
+    flat_a, flat_k = over_a.reshape(-1), over_k.reshape(-1)
+    base_a = np.arange(B * KK * A) * A
+    base_k = np.arange(B * A * KK) * KK
     score = unary[:, 0].copy()                # (B, K', A)
-    b_idx = np.arange(B)[:, None, None]
-    k_idx = np.arange(KK)[None, :, None]
-    a_idx = np.arange(A)[None, None, :]
     for t in range(1, T):
         # best predecessor actionlet a' for each (k', a)
-        over_a = score[:, :, :, None] + gamma[None, None, :, :]
-        a_bp = over_a.argmax(axis=2)          # (B, K', A); smallest a'
-        sa = over_a[b_idx, k_idx, a_bp, a_idx]
+        np.add(score[:, :, None, :], gamma_t, out=over_a)
+        a_bp = over_a.argmax(axis=3)          # (B, K', A); smallest a'
+        sa = flat_a[base_a + a_bp.ravel()].reshape(B, KK, A)
         # best predecessor poselet k' for each (k, a)
-        over_k = sa[:, :, None, :] + eta[None, :, :, None]
-        k_bp = over_k.argmax(axis=1)          # (B, K, A); smallest k'
-        best = over_k[b_idx, k_bp, k_idx, a_idx]
-        score = unary[:, t] + best
+        np.add(sa.transpose(0, 2, 1)[:, :, None, :], eta_t, out=over_k)
+        k_bp = over_k.argmax(axis=3)          # (B, A, K); smallest k'
+        best = flat_k[base_k + k_bp.ravel()].reshape(B, A, KK)
+        np.add(unary[:, t], best.transpose(0, 2, 1), out=score)
         a_back[:, t] = a_bp
         k_back[:, t] = k_bp
     flat = score.reshape(B, N)
     best_last = flat.argmax(axis=1)           # ties: smallest state
     best_score = flat[np.arange(B), best_last]
-    if np.any(best_score == NEG_INF):
-        raise InfeasibleError("beam or constraints removed every path")
     states = np.empty((B, T), dtype=int)
     states[:, -1] = best_last
     rows = np.arange(B)
     for t in range(T - 1, 0, -1):
         k, a = states[:, t] // A, states[:, t] % A
-        k_prev = k_back[rows, t, k, a]
+        k_prev = k_back[rows, t, a, k]
         a_prev = a_back[rows, t, k_prev, a]
         states[:, t - 1] = k_prev * A + a_prev
     return states, best_score

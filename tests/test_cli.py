@@ -94,6 +94,22 @@ class TestFeatures:
                      "--out", str(tmp_path / "f")])
         assert code == 1
 
+    @pytest.mark.parametrize("mode", ["velocity", "geo+depth", "GEO"])
+    def test_unknown_ini_mode_is_validation_error(self, tmp_path, capsys,
+                                                  mode):
+        skel = tmp_path / "skel"
+        skel.mkdir()
+        _write_skeleton(skel / "v0.jsonl", "v0")
+        config = tmp_path / "run.ini"
+        config.write_text(f"[features]\nmode = {mode}\n")
+        out = tmp_path / "features"
+        code = main(["features", "--config", str(config),
+                     "--skeletons", str(skel), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'mode'" in err and "[features]" in err and str(config) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["geo", "geo+velocity"])
     def test_other_schema_is_validation_error(self, tmp_path, capsys, mode):
         skel = tmp_path / "skel"

@@ -1,11 +1,44 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import chi2
 
-from hieract.dictionaries import (assign_labels, build_actionlets,
-                                  chi2_matrix, gc_init, interval_histogram,
-                                  kmeans, scree_count)
+from hieract.dictionaries import (NEAREST_CHUNK_ROWS, _pp_seed, assign_labels,
+                                  build_actionlets, chi2_matrix, gc_init,
+                                  interval_histogram, kmeans, scree_count)
+
+
+def _direct_d2(points, centroids):
+    """Squared distances from one (N, K, D) difference tensor."""
+    return np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+
+
+def _kmeans_reference(points, k, seed):
+    """Lloyd's loop on ``_direct_d2``, seeded like ``kmeans``; also counts
+    the clusters re-seeded after emptying."""
+    n = points.shape[0]
+    centroids = _pp_seed(points, k, np.random.default_rng(seed))
+    prev_labels, reseeds = None, 0
+    for _ in range(100):
+        d2 = _direct_d2(points, centroids)
+        labels = np.argmin(d2, axis=1)
+        nearest = d2[np.arange(n), labels]
+        for c in range(k):
+            members = labels == c
+            if not np.any(members):
+                reseeds += 1
+                far = int(np.argmax(nearest))
+                centroids[c] = points[far]
+                labels[far] = c
+                nearest[far] = 0.0
+            else:
+                centroids[c] = points[members].mean(axis=0)
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            break
+        prev_labels = labels
+    return centroids, labels, reseeds
 
 
 class TestKmeans:
@@ -56,6 +89,47 @@ class TestKmeans:
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 3)), 5)
+
+
+class TestChunkedDistances:
+    N = 600
+
+    @pytest.mark.parametrize("case", ["spread", "repeated"])
+    def test_equal_to_direct_computation(self, case):
+        assert self.N % NEAREST_CHUNK_ROWS != 0
+        rng = np.random.default_rng(31)
+        if case == "spread":
+            points, k = rng.normal(size=(self.N, 38)), 20
+        else:
+            # five distinct points for eight clusters: seeding runs out of
+            # new points and three clusters empty on the first Lloyd step
+            distinct = np.round(3 * rng.normal(size=(5, 4)))
+            points, k = distinct[rng.integers(5, size=self.N)], 8
+        centroids, labels = kmeans(points, k, seed=3)
+        ref_centroids, ref_labels, reseeds = _kmeans_reference(points, k, 3)
+        assert centroids.tobytes() == ref_centroids.tobytes()
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert (reseeds > 0) == (case == "repeated")
+        queries = rng.normal(size=(self.N, points.shape[1]))
+        d2 = _direct_d2(queries, centroids)
+        ref_labels = np.argmin(d2, axis=1)
+        labels, dists = assign_labels(queries, centroids)
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert dists.tobytes() == np.sqrt(
+            d2[np.arange(self.N), ref_labels]).tobytes()
+
+    def test_assign_labels_memory_stays_bounded(self):
+        rng = np.random.default_rng(32)
+        points = rng.normal(size=(9000, 38))
+        centroids = rng.normal(size=(100, 38))
+        tracemalloc.start()
+        try:
+            assign_labels(points, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (N, K, D) float64 tensor would be 9000 * 100 * 38 * 8 = 274 MB
+        assert peak < 32 * 2 ** 20
 
 
 class TestGcInit:

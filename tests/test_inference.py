@@ -1,14 +1,16 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_dictionary, random_params
 
+import hieract.inference as inference
 from hieract.energy import ModelDims, ModelParams, energy_total
 from hieract.inference import (FrameConstraints, InfeasibleError, LossSpec,
-                               Query, _region_unary, brute_force,
-                               complete_latent, infer,
+                               Query, _region_unary, _viterbi_batch,
+                               brute_force, complete_latent, infer,
                                loss_augmented_infer_many, loss_value, maximize)
 
 
@@ -394,3 +396,72 @@ class TestRuntimeScaling:
         base = best_time(2000)
         doubled = best_time(4000)
         assert doubled <= 2.5 * base
+
+
+def _joint_viterbi(unary, eta, gamma):
+    """Viterbi over joint states n = k*A + a with the full (N, N) table
+    trans[n', n] = eta[k', k] + gamma[a', a] and an argmax over n' (ties:
+    smallest n'). Its sums are grouped differently from the factored pass,
+    so it is bit-comparable only where every sum is exact."""
+    T, N = unary.shape
+    A = gamma.shape[0]
+    trans = np.kron(eta, np.ones((A, A))) + np.tile(gamma, eta.shape)
+    back = np.zeros((T, N), dtype=int)
+    score = unary[0]
+    for t in range(1, T):
+        over = score[:, None] + trans
+        back[t] = over.argmax(axis=0)
+        score = unary[t] + over[back[t], np.arange(N)]
+    states = [int(score.argmax())]
+    for t in range(T - 1, 0, -1):
+        states.append(int(back[t, states[-1]]))
+    return np.array(states[::-1]), score.max()
+
+
+class TestViterbiAtPaperShapes:
+    KK, A = 101, 20
+
+    def _tied_stack(self, rng, B, T):
+        """Small integer scores, so sums are exact and ties are many, with
+        about a tenth of the states masked to -inf."""
+        N = self.KK * self.A
+        unary = rng.integers(-2, 3, size=(B, T, N)).astype(float)
+        unary[rng.random(unary.shape) < 0.1] = -np.inf
+        eta = rng.integers(-1, 2, size=(self.KK, self.KK)).astype(float)
+        gamma = rng.integers(-1, 2, size=(self.A, self.A)).astype(float)
+        return unary, eta, gamma
+
+    def test_ties_match_joint_state_reference(self):
+        unary, eta, gamma = self._tied_stack(np.random.default_rng(40), 3, 6)
+        states, scores = _viterbi_batch(unary, eta, gamma)
+        for b in range(3):
+            ref_states, ref_score = _joint_viterbi(unary[b], eta, gamma)
+            np.testing.assert_array_equal(states[b], ref_states)
+            assert scores[b] == ref_score
+
+    def test_row_chunks_equal_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        # the paper shape, then a desk shape (K' = 9, A = 14)
+        for stack in [self._tied_stack(rng, 3, 6),
+                      (rng.normal(size=(5, 7, 9 * 14)),
+                       rng.normal(size=(9, 9)), rng.normal(size=(14, 14)))]:
+            monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", 1 << 40)
+            whole = _viterbi_batch(*stack)
+            monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", 1)
+            split = _viterbi_batch(*stack)
+            np.testing.assert_array_equal(split[0], whole[0])
+            assert split[1].tobytes() == whole[1].tobytes()
+
+    def test_memory_stays_bounded(self):
+        rng = np.random.default_rng(42)
+        unary = rng.normal(size=(10, 20, self.KK * self.A))
+        eta = rng.normal(size=(self.KK, self.KK))
+        gamma = rng.normal(size=(self.A, self.A))
+        tracemalloc.start()
+        try:
+            _viterbi_batch(unary, eta, gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (B, A, K', K') float64 table for all ten rows is 16 MB
+        assert peak < 8 * 2 ** 20
