@@ -25,7 +25,7 @@ from .energy import ModelDims, load_model, save_model
 from .evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
                          intervals_from_frames, plant_synthetic, pooled_pr)
 from .inference import infer
-from .learning import TrainingVideo, initialize, train
+from .learning import SUPERVISION_LEVELS, TrainingVideo, initialize, train
 from .skeleton import (ActionInterval, JointSchema, ParseError, SchemaError,
                        SkeletonSequence, get_schema, load_annotations,
                        load_labels, parse_skeleton, save_annotations,
@@ -257,7 +257,7 @@ def cmd_train(args) -> int:
     config = _config(args)
     videos, num_actions, num_classes = _load_training_set(
         args.features, args.annotations, args.labels)
-    t0 = time.time()
+    t0 = time.perf_counter()
     init = initialize(videos, config.num_poselets, num_actions, config)
     dims = ModelDims(R=videos[0].x.shape[1], K=config.num_poselets,
                      D=videos[0].x.shape[2],
@@ -286,7 +286,7 @@ def cmd_train(args) -> int:
         lines = []
         for i, objective in enumerate(result.objective_trace):
             entry = {"iteration": i, "objective": objective,
-                     "wall_time": round(time.time() - t0, 3)}
+                     "wall_time": round(result.objective_times[i] - t0, 3)}
             if 0 < i <= len(result.cp_infos):
                 info = result.cp_infos[i - 1]
                 entry["violation"] = info.violation
@@ -295,7 +295,7 @@ def cmd_train(args) -> int:
                 entry["cached_steps"] = info.cached_steps
             lines.append(_json_dumps(entry))
         _atomic_write(Path(args.log), "".join(lines))
-    print(f"trained in {time.time() - t0:.1f}s; objective "
+    print(f"trained in {time.perf_counter() - t0:.1f}s; objective "
           f"{result.objective_trace[0]:.4g} -> "
           f"{result.objective_trace[-1]:.4g} ({result.stopped_reason}); "
           f"model written to {args.out}")
@@ -314,17 +314,24 @@ def _predict(args, config):
                     for vid in sorted(features)}
 
 
+def _frames_table(videos) -> str:
+    """The per-frame CSV, ``video_id,t,region,z,v,u`` rows in (t, region)
+    order, from (video_id, z, v, u) tuples of (T, R) label arrays."""
+    lines = ["video_id,t,region,z,v,u"]
+    for video_id, z, v, u in videos:
+        T, R = z.shape
+        for t in range(T):
+            for r in range(R):
+                lines.append(f"{video_id},{t},{r},{z[t, r]},{v[t, r]},"
+                             f"{u[t, r]}")
+    return "\n".join(lines) + "\n"
+
+
 def _frames_csv(params, results) -> str:
     u_of_v = params.u_of_v()
-    lines = ["video_id,t,region,z,v,u"]
-    for video_id, res in results.items():
-        lab = res.labeling
-        for t in range(lab.num_frames):
-            for r in range(lab.num_regions):
-                v = lab.v[t, r]
-                lines.append(f"{video_id},{t},{r},{lab.z[t, r]},{v},"
-                             f"{u_of_v[v]}")
-    return "\n".join(lines) + "\n"
+    return _frames_table((video_id, res.labeling.z, res.labeling.v,
+                          u_of_v[res.labeling.v])
+                         for video_id, res in results.items())
 
 
 def cmd_infer(args) -> int:
@@ -441,22 +448,16 @@ def cmd_synth(args) -> int:
         base = out / split
         annotations = {}
         labels = {}
-        frame_lines = ["video_id,t,region,z,v,u"]
         for video in videos:
             save_features(base / "features", video.video_id, video.x,
                           config_hash)
             annotations[video.video_id] = video.intervals
             labels[video.video_id] = video.y
-            T, R = video.u.shape
-            for t in range(T):
-                for r in range(R):
-                    frame_lines.append(
-                        f"{video.video_id},{t},{r},{video.z[t, r]},"
-                        f"{video.v[t, r]},{video.u[t, r]}")
         _atomic_write(base / "annotations.csv",
                       save_annotations(annotations))
         _atomic_write(base / "labels.csv", save_labels(labels))
-        _atomic_write(base / "frames.csv", "\n".join(frame_lines) + "\n")
+        _atomic_write(base / "frames.csv", _frames_table(
+            (video.video_id, video.z, video.v, video.u) for video in videos))
     meta = {"u_of_v": dataset.u_of_v.tolist(),
             "num_classes": spec.num_classes,
             "num_actions": spec.num_actions,
@@ -534,14 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--labels", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--num-poselets", dest="num_poselets", type=int)
-        p.add_argument("--supervision", choices=["full", "temporal", "video"])
+        p.add_argument("--supervision", choices=SUPERVISION_LEVELS)
 
     p = command("train", cmd_train, help="fit the model")
     p.add_argument("--features", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--supervision", choices=["full", "temporal", "video"])
+    p.add_argument("--supervision", choices=SUPERVISION_LEVELS)
     p.add_argument("--num-poselets", dest="num_poselets", type=int)
     p.add_argument("--beam", type=_beam)
     p.add_argument("--C", type=float)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_type_hints
 
 from .descriptors import MODES
-from .learning import TrainConfig
+from .learning import SUPERVISION_LEVELS, TrainConfig
 
 
 @dataclass
@@ -44,21 +44,23 @@ class RunConfig(TrainConfig):
 
 _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
              **dict.fromkeys(("0", "false", "no", "off"), False)}
+# keys whose value is one of a fixed set, as their command-line flags take
+_CHOICES = {"mode": MODES, "supervision": SUPERVISION_LEVELS}
 
 
 def _coerce(key: str, raw: str, where: str):
     """Parse an INI value as the type its RunConfig field is annotated
     with; ``none`` or an empty value sets an optional field to None.
 
-    Booleans take 1/true/yes/on or 0/false/no/off in any case; ``mode``
-    takes one of ``descriptors.MODES``, like ``--mode``. A value that does
+    Booleans take 1/true/yes/on or 0/false/no/off in any case; a key of
+    ``_CHOICES`` takes one of its values, like its flag. A value that does
     not parse raises ValueError naming the key and ``where`` it is.
     """
     kind = get_type_hints(RunConfig)[key]
     value = raw.strip()
-    if key == "mode" and value not in MODES:
+    if key in _CHOICES and value not in _CHOICES[key]:
         raise ValueError(f"config key {key!r} in {where}: {value!r} is not "
-                         f"one of {', '.join(MODES)}")
+                         f"one of {', '.join(_CHOICES[key])}")
     options = get_args(kind)
     if type(None) in options:
         if value.lower() in ("none", ""):

@@ -167,7 +167,11 @@ def chi2_matrix(H: np.ndarray) -> np.ndarray:
     return D + D.T
 
 
-def scree_count(eigenvalues: np.ndarray, c: float = 2e-3) -> int:
+# The scree rule's per-cluster penalty
+SCREE_C = 2e-3
+
+
+def scree_count(eigenvalues: np.ndarray, c: float = SCREE_C) -> int:
     """Pick a cluster count from a descending eigenvalue spectrum.
 
     Minimizes lam[i+1]^2 / sum(lam[1..i]) + c*i over i in 1..n-1 (1-based),
@@ -215,7 +219,7 @@ AFFINITY_BANDWIDTH = 8.0
 
 
 def build_actionlets(histograms: np.ndarray, actions: np.ndarray,
-                     num_actions: int, c: float = 2e-3, seed: int = 0
+                     num_actions: int, seed: int = 0
                      ) -> tuple[ActionletDictionary, np.ndarray]:
     """Discover the actionlet dictionary from per-interval histograms.
 
@@ -252,7 +256,7 @@ def build_actionlets(histograms: np.ndarray, actions: np.ndarray,
             affinity = np.exp(-dist / sigma) if sigma > 0 \
                 else np.ones_like(dist)
             lam = np.sort(np.linalg.eigvalsh(affinity))[::-1]
-            g = min(scree_count(lam, c=c), rows.size)
+            g = min(scree_count(lam), rows.size)
         if g == 1:
             local = np.zeros(rows.size, dtype=int)
             cents = H.mean(axis=0, keepdims=True)

@@ -84,14 +84,6 @@ def _pr(tp: int, n_pred: int, n_truth: int) -> tuple[float, float]:
     return precision, recall
 
 
-def detection_pr(preds: list[ActionInterval], truths: list[ActionInterval],
-                 criterion: DetectionCriterion = DetectionCriterion()
-                 ) -> tuple[float, float]:
-    """Temporal detection precision/recall for one video's intervals."""
-    tp = _match_counts(preds, truths, criterion, match_region=False)
-    return _pr(tp, len(preds), len(truths))
-
-
 def pooled_pr(preds_by_video: dict[str, list[ActionInterval]],
               truths_by_video: dict[str, list[ActionInterval]],
               criterion: DetectionCriterion = DetectionCriterion(),
@@ -209,18 +201,10 @@ class SyntheticVideo:
 
 @dataclass
 class SyntheticDataset:
-    spec: SyntheticSpec
     videos: list[SyntheticVideo]
     prototypes: np.ndarray      # (K, dim)
     u_of_v: np.ndarray          # (A,)
-    pose_cycles: list[list[int]]            # [a] -> poselet cycle
     class_patterns: list[list[list[int]]]   # [y][r] -> action cycle
-
-    def labels(self) -> dict[str, int]:
-        return {v.video_id: v.y for v in self.videos}
-
-    def intervals(self) -> dict[str, list[ActionInterval]]:
-        return {v.video_id: list(v.intervals) for v in self.videos}
 
 
 def _actionlet_counts(num_actions: int, num_actionlets: int) -> np.ndarray:
@@ -339,6 +323,5 @@ def plant_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
             videos.append(SyntheticVideo(
                 video_id=f"synth_{y}_{n:03d}", x=x, y=y, z=z, v=v, u=u,
                 intervals=intervals, noise_mask=noise_mask))
-    return SyntheticDataset(spec=spec, videos=videos, prototypes=prototypes,
-                            u_of_v=u_of_v, pose_cycles=cycles,
-                            class_patterns=patterns)
+    return SyntheticDataset(videos=videos, prototypes=prototypes,
+                            u_of_v=u_of_v, class_patterns=patterns)

@@ -8,14 +8,12 @@ maximization is a Viterbi pass over joint (poselet, actionlet) states; the
 free complex action is picked by exhaustive enumeration. Its one-call
 wrappers are ``infer`` (labeling a test video), ``loss_augmented_infer_many``
 (the most-violating labelings for the cutting plane) and ``complete_latent``
-(latent completion at the true complex action). ``brute_force`` enumerates
-every labeling and is the independent oracle for all of them.
+(latent completion at the true complex action).
 
 State (k, a) maps to index k*A + a, and every argmax breaks ties toward
 the lowest index, so results are deterministic: among equal-scoring label
 sequences the one minimizing (state_T, state_{T-1}, ..., state_1)
-lexicographically is returned, and the brute-force enumerator reproduces the
-same choice.
+lexicographically is returned.
 
 An optional beam keeps only the B best states per frame ranked by the
 non-sequential part of the score before running the sequential pass.
@@ -35,20 +33,21 @@ class InfeasibleError(RuntimeError):
     """Constraints left some frame with no allowed state."""
 
 
+# The region whose actionlets carry the per-frame margin-rescaling loss
+LOSS_REGION = 0
+
+
 @dataclass
 class FrameConstraints:
-    """Allowed label sets per frame and region; ``None`` means unrestricted.
-
-    ``allowed_v`` is (T, R, A) bool, ``allowed_z`` is (T, R, K+1) bool.
-    """
+    """Allowed actionlets per frame and region, (T, R, A) bool; ``None``
+    means unrestricted."""
     allowed_v: np.ndarray | None = None
-    allowed_z: np.ndarray | None = None
 
 
 @dataclass
 class LossSpec:
     """Ground truth for margin rescaling: the true complex action and, for
-    the designated loss region, the allowed actionlet set per frame.
+    ``LOSS_REGION``, the allowed actionlet set per frame.
 
     A frame counts as violating when the labeling's actionlet in the loss
     region falls outside ``allowed_v`` for that frame. ``allowed_v`` of None
@@ -56,7 +55,6 @@ class LossSpec:
     """
     y: int
     allowed_v: np.ndarray | None = None   # (T, A) bool
-    region: int = 0
 
 
 @dataclass
@@ -77,7 +75,7 @@ def loss_value(labeling: Labeling, spec: LossSpec, lambda_y: float,
     delta = lambda_y * float(labeling.y != spec.y)
     if spec.allowed_v is not None and lambda_v != 0.0:
         T = labeling.num_frames
-        chosen = labeling.v[:, spec.region]
+        chosen = labeling.v[:, LOSS_REGION]
         hit = spec.allowed_v[np.arange(T), chosen]
         delta += lambda_v * float(np.sum(~hit)) / T
     return delta
@@ -99,19 +97,14 @@ def _region_unary_base(x: np.ndarray, params: ModelParams, r: int,
     if loss_addends is not None:
         unary = unary + loss_addends[:, None, :]
     unary = unary.reshape(T, KK * d.A)
-    if constraints is not None:
-        mask = np.ones((T, KK, d.A), dtype=bool)
-        if constraints.allowed_z is not None:
-            mask &= constraints.allowed_z[:, r, :KK, None]
-        if constraints.allowed_v is not None:
-            mask &= constraints.allowed_v[:, r, None, :]
-        mask = mask.reshape(T, KK * d.A)
-        if not mask.any(axis=1).all():
-            bad = int(np.flatnonzero(~mask.any(axis=1))[0])
+    if constraints is not None and constraints.allowed_v is not None:
+        allowed = constraints.allowed_v[:, r, :]
+        empty = ~allowed.any(axis=1)
+        if empty.any():
             raise InfeasibleError(
-                f"no allowed (poselet, actionlet) state at frame {bad}, "
+                f"no allowed actionlet at frame {int(np.argmax(empty))}, "
                 f"region {r}")
-        unary = np.where(mask, unary, NEG_INF)
+        unary = np.where(np.tile(allowed, KK), unary, NEG_INF)
     return unary
 
 
@@ -119,14 +112,6 @@ def _alpha_term(params: ModelParams, r: int, y: int) -> np.ndarray:
     """Per-state complex-action scores, tiled over poselets: (N,)."""
     per_actionlet = params.alpha[r][y, params.u_of_v()]
     return np.tile(per_actionlet, params.num_poselet_states)
-
-
-def _region_unary(x: np.ndarray, y: int, params: ModelParams, r: int,
-                  constraints: FrameConstraints | None,
-                  loss_addends: np.ndarray | None) -> np.ndarray:
-    """(T, N) scores of the non-sequential terms; -inf for disallowed states."""
-    base = _region_unary_base(x, params, r, constraints, loss_addends)
-    return base + _alpha_term(params, r, y)[None, :]
 
 
 def _transition_tables(params: ModelParams,
@@ -292,7 +277,7 @@ def maximize(queries: list[Query], params: ModelParams,
             add = [None] * d.R
             if q.loss is not None and q.loss.allowed_v is not None \
                     and lambda_v != 0.0:
-                add[q.loss.region] = \
+                add[LOSS_REGION] = \
                     (lambda_v / T) * (~q.loss.allowed_v).astype(float)
             addends.append(add)
         totals = np.concatenate(totals)
@@ -348,77 +333,3 @@ def complete_latent(x: np.ndarray, params: ModelParams, y: int,
     """Best labeling at a fixed complex action, under constraints."""
     return maximize([Query(x, y=y, constraints=constraints)], params,
                     beam=beam)[0].labeling
-
-
-def _enumerate_best(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray
-                    ) -> tuple[np.ndarray, float]:
-    """Exhaustive maximization over all state sequences.
-
-    Scores every sequence by an iterated tensor build whose flattened C
-    order puts the last frame's state in the most significant position, so
-    np.argmax realizes the same tie-break as the DP backtrack. Summands are
-    grouped as ((score + gamma) + eta) + unary, matching the DP bit for bit
-    so exact ties stay exact.
-    """
-    T, N = unary.shape
-    KK, A = eta.shape[0], gamma.shape[0]
-    trans_gamma = np.tile(gamma, (KK, KK))     # [n', n] -> gamma[a', a]
-    trans_eta = np.kron(eta, np.ones((A, A)))  # [n', n] -> eta[k', k]
-    scores = unary[0]
-    for t in range(1, T):
-        # axes of `scores`: (n_{t-1}, ..., n_0); prepend n_t
-        expand = (slice(None), slice(None)) + (None,) * (t - 1)
-        scores = unary[t][(slice(None),) + (None,) * t] \
-            + (trans_eta.T[expand] + (trans_gamma.T[expand]
-                                      + scores[None, ...]))
-    flat = scores.reshape(-1)
-    best_idx = int(np.argmax(flat))
-    best_score = float(flat[best_idx])
-    states = np.empty(T, dtype=int)
-    for t in range(T):  # flat C order: the last frame varies slowest
-        states[t] = (best_idx // N ** t) % N
-    return states, best_score
-
-
-def brute_force(x: np.ndarray, params: ModelParams,
-                constraints: FrameConstraints | None = None,
-                loss_spec: LossSpec | None = None,
-                lambda_y: float = 0.0, lambda_v: float = 0.0,
-                guard: float = 1e7) -> InferenceResult:
-    """Exact global maximum by enumeration; testing oracle for the DP.
-
-    Refuses instances where Y * ((K+1)*A)^T exceeds ``guard``.
-    """
-    x = np.asarray(x, dtype=float)
-    d = params.dims
-    T = x.shape[0]
-    N = params.num_poselet_states * d.A
-    if d.Y * float(N) ** T > guard:
-        raise ValueError(
-            f"instance too large for enumeration: {d.Y} * {N}^{T} > {guard:g}")
-    addends = None
-    if loss_spec is not None and loss_spec.allowed_v is not None \
-            and lambda_v != 0.0:
-        addends = (lambda_v / T) * (~loss_spec.allowed_v).astype(float)
-    best = None
-    for y in range(d.Y):
-        const = lambda_y * float(loss_spec is not None and y != loss_spec.y)
-        total = const
-        zs, vs = [], []
-        for r in range(d.R):
-            region_addends = addends if (loss_spec is not None
-                                         and r == loss_spec.region) else None
-            unary = _region_unary(x, y, params, r, constraints, region_addends)
-            eta, gamma = _transition_tables(params, r)
-            states, score = _enumerate_best(unary, eta, gamma)
-            total += score
-            zs.append(states // d.A)
-            vs.append(states % d.A)
-        if best is None or total > best[0]:
-            best = (total, y, np.stack(zs, axis=1), np.stack(vs, axis=1))
-    total, y, z, v = best
-    labeling = Labeling(z=z, v=v, y=y)
-    return InferenceResult(labeling=labeling,
-                           energy=energy_total(x, labeling, params),
-                           score=total,
-                           margins=np.zeros((T, d.R)))

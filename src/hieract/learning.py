@@ -20,6 +20,7 @@ loss-augmented inference an exact per-region DP.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,9 @@ from .dictionaries import (ActionletDictionary, assign_labels,
                            build_actionlets, gc_init, interval_histogram,
                            kmeans)
 from .energy import Labeling, ModelDims, ModelParams, energy_total, feature_map
-from .inference import (FrameConstraints, LossSpec, complete_latent,
-                        loss_augmented_infer_many, loss_value)
+from .inference import (LOSS_REGION, FrameConstraints, LossSpec,
+                        complete_latent, loss_augmented_infer_many,
+                        loss_value)
 from .skeleton import ActionInterval
 
 log = logging.getLogger(__name__)
@@ -39,6 +41,10 @@ SUPERVISION_LEVELS = ("full", "temporal", "video")
 CCCP_TOL = 1e-4
 # P1 alternations per self-paced round, at most
 P1_MAX_ALTERNATIONS = 20
+# Self-paced rounds of P1 after the first, and the factor that shrinks
+# lambda from one round to the next
+P1_ROUNDS = 5
+P1_DECAY = 0.5
 
 
 @dataclass
@@ -104,23 +110,8 @@ class AssignmentProblem:
 @dataclass
 class P1Result:
     assignments: list[np.ndarray]     # per video, (R, Q) bool
-    means: np.ndarray                 # (R, S, K)
     objective_trace: list[list[float]]   # per self-pace round
     infeasible: list[str] = field(default_factory=list)
-
-    def check_feasible(self, problems: list[AssignmentProblem]) -> list[str]:
-        """Exhaustively verify both constraint families on every video."""
-        bad = []
-        for prob, b in zip(problems, self.assignments):
-            for q in range(prob.actions.shape[0]):
-                if not b[:, q].any():
-                    bad.append(f"{prob.video_id}: interval {q} unassigned")
-            for q1, q2 in prob.overlaps:
-                for r in range(b.shape[0]):
-                    if b[r, q1] and b[r, q2]:
-                        bad.append(f"{prob.video_id}: intervals {q1},{q2} "
-                                   f"collide in region {r}")
-        return bad
 
 
 def assign_regions(costs: np.ndarray, overlaps: list[tuple[int, int]],
@@ -265,12 +256,13 @@ def _p1_objective(assignments, costs, inv_lambda) -> float:
                for b, c in zip(assignments, costs))
 
 
-def solve_p1(problems: list[AssignmentProblem], num_actions: int,
-             decay: float = 0.5, rounds: int = 5) -> P1Result:
+def solve_p1(problems: list[AssignmentProblem],
+             num_actions: int) -> P1Result:
     """Self-paced alternation between assignment means and region labels.
 
     The first round uses 1/lambda = 0 (minimal assignments); the next
-    rounds start from lambda = 8 / (mean cost) and shrink it by ``decay``,
+    ``P1_ROUNDS`` rounds start from lambda = 8 / (mean cost) and shrink it
+    by ``P1_DECAY``,
     making extra region assignments progressively cheaper. Each half step
     is kept only if it does not increase the round's objective, so the
     per-round objective trace is non-increasing by construction. Every
@@ -285,7 +277,8 @@ def solve_p1(problems: list[AssignmentProblem], num_actions: int,
     costs = [_p1_costs(p, means) for p in problems]
 
     lambda0 = 8.0 / max(np.mean([c.mean() for c in costs]), 1e-9)
-    inv_lambdas = [0.0] + [1.0 / (lambda0 * decay ** i) for i in range(rounds)]
+    inv_lambdas = [0.0] + [1.0 / (lambda0 * P1_DECAY ** i)
+                           for i in range(P1_ROUNDS)]
 
     program = _StackedP1([(R, p.actions.shape[0]) for p in problems],
                          [p.overlaps for p in problems])
@@ -326,8 +319,8 @@ def solve_p1(problems: list[AssignmentProblem], num_actions: int,
             if not changed:
                 break
         trace_all.append(trace)
-    return P1Result(assignments=assignments, means=means,
-                    objective_trace=trace_all, infeasible=infeasible)
+    return P1Result(assignments=assignments, objective_trace=trace_all,
+                    infeasible=infeasible)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +529,12 @@ def _fill_gaps(column: np.ndarray) -> np.ndarray:
 
 def build_loss_spec(video: TrainingVideo,
                     constraints: FrameConstraints | None) -> LossSpec:
-    """Truth for margin rescaling; the per-frame term lives in region 0."""
+    """Truth for margin rescaling; the per-frame term lives in
+    ``LOSS_REGION``."""
     if constraints is None:
         return LossSpec(y=video.y)
-    return LossSpec(y=video.y, allowed_v=constraints.allowed_v[:, 0, :])
+    return LossSpec(y=video.y,
+                    allowed_v=constraints.allowed_v[:, LOSS_REGION, :])
 
 
 def impute_latents(videos: list[TrainingVideo], params: ModelParams,
@@ -575,6 +570,16 @@ def _face_optimum(G: np.ndarray, d: np.ndarray, free: np.ndarray,
     return target
 
 
+# Active-set steps of one dual QP solve, at most, and its optimality
+# tolerance relative to the largest margin
+QP_MAX_STEPS = 200
+QP_TOL = 1e-10
+# The working set is pruned of zero-weight constraints once it holds more
+# than WORKING_SET_CAP; the WORKING_SET_KEEP_RECENT newest always stay
+WORKING_SET_CAP = 50
+WORKING_SET_KEEP_RECENT = 10
+
+
 class _WorkingSet:
     """Aggregated margin constraints <W, g_j> >= d_j - xi, stacked as the
     rows of ``G``, plus the dual active-set solver. Slack mass
@@ -604,7 +609,7 @@ class _WorkingSet:
         return float(self.deltas @ self.alpha
                      - 0.5 * self.alpha @ self.gram @ self.alpha)
 
-    def solve(self, max_steps: int = 200, tol: float = 1e-10) -> float:
+    def solve(self) -> float:
         """Primal active-set solve of max d.a - a'Ga/2, a >= 0, sum a <= C.
 
         Solved to optimality, so the dual objective is non-decreasing across
@@ -616,13 +621,13 @@ class _WorkingSet:
         d = self.deltas
         G = self.gram
         a = self.alpha.copy()
-        scale = max(1.0, float(np.abs(d).max()))
+        limit = QP_TOL * max(1.0, float(np.abs(d).max()))
         free = a > 0
         if not free.any():
             free[int(np.argmax(d))] = True
-        for _ in range(max_steps):
+        for _ in range(QP_MAX_STEPS):
             target = _face_optimum(G, d, free, self.C)
-            if np.all(target[free] >= -tol * scale):
+            if np.all(target[free] >= -limit):
                 a = np.clip(target, 0.0, None)
                 # KKT check on the held-out coordinates
                 grad = d - G @ a
@@ -634,7 +639,7 @@ class _WorkingSet:
                     break
                 slackness = np.where(held, grad - mu, -np.inf)
                 pick = int(np.argmax(slackness))
-                if slackness[pick] <= tol * scale:
+                if slackness[pick] <= limit:
                     break
                 free[pick] = True
                 continue
@@ -653,18 +658,19 @@ class _WorkingSet:
         self._prune()
         return self.dual_objective()
 
-    def _prune(self, keep_recent: int = 10, cap: int = 50) -> None:
-        """Drop inactive constraints once the set grows past ``cap``.
+    def _prune(self) -> None:
+        """Drop inactive constraints once the set grows past
+        ``WORKING_SET_CAP``.
 
         At a dual optimum a zero-weight constraint is satisfied within the
         current slack, so removing it leaves the solution unchanged; it can
         always re-enter later as a new most-violated constraint.
         """
         n = len(self.deltas)
-        if n <= cap:
+        if n <= WORKING_SET_CAP:
             return
         idx = np.flatnonzero((self.alpha > 0)
-                             | (np.arange(n) >= n - keep_recent))
+                             | (np.arange(n) >= n - WORKING_SET_KEEP_RECENT))
         self.G = self.G[idx]
         self.deltas = self.deltas[idx]
         self.alpha = self.alpha[idx]
@@ -865,8 +871,8 @@ def cutting_plane(videos: list[TrainingVideo], truth_psis: list[np.ndarray],
 class TrainResult:
     params: ModelParams
     objective_trace: list[float]
+    objective_times: list[float]      # perf_counter when each was computed
     cp_infos: list[CuttingPlaneInfo]
-    completions: list[Labeling]
     stopped_reason: str = ""
 
 
@@ -903,6 +909,7 @@ def train(videos: list[TrainingVideo], dims: ModelDims, config: TrainConfig,
     W = np.zeros(dims.total)
     trace = [primal_objective(videos, W, template, completions,
                               cache.exact(W), config)]
+    times = [time.perf_counter()]
     cp_infos: list[CuttingPlaneInfo] = []
     best_W, best_obj = W.copy(), trace[0]
     reason = "max_cccp_iters"
@@ -921,6 +928,7 @@ def train(videos: list[TrainingVideo], dims: ModelDims, config: TrainConfig,
             break
         W = W_new
         trace.append(obj_new)
+        times.append(time.perf_counter())
         if obj_new < best_obj:
             best_W, best_obj = W.copy(), obj_new
         if trace[-2] - trace[-1] < CCCP_TOL * max(1.0, abs(trace[-2])):
@@ -933,5 +941,5 @@ def train(videos: list[TrainingVideo], dims: ModelDims, config: TrainConfig,
                       for v, comp in zip(videos, completions)]
     params = template.with_flat(best_W)
     return TrainResult(params=params, objective_trace=trace,
-                       cp_infos=cp_infos, completions=completions,
+                       objective_times=times, cp_infos=cp_infos,
                        stopped_reason=reason)

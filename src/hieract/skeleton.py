@@ -352,15 +352,6 @@ def parse_skeleton(stream) -> SkeletonSequence:
     )
 
 
-def serialize_skeleton(seq: SkeletonSequence) -> str:
-    """Inverse of parse_skeleton; parse(serialize(s)) == s."""
-    out = [json.dumps({"schema": seq.schema, "video_id": seq.video_id,
-                       "fps": seq.fps})]
-    for t in range(seq.num_frames):
-        out.append(json.dumps({"t": t, "joints": seq.joints[t].tolist()}))
-    return "\n".join(out) + "\n"
-
-
 def split_regions(seq: SkeletonSequence,
                   schema: JointSchema | None = None) -> list[RegionJoints]:
     """Split a sequence into its R region subsets.

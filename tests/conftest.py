@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from hieract.dictionaries import ActionletDictionary
-from hieract.energy import ModelDims, ModelParams
+from hieract.energy import Labeling, ModelDims, ModelParams, energy_total
+from hieract.evaluation import DetectionCriterion, pooled_pr
+from hieract.inference import (LOSS_REGION, InferenceResult, _alpha_term,
+                               _region_unary_base, _transition_tables)
 
 
 def make_dictionary(num_actionlets: int, num_actions: int,
@@ -122,3 +125,102 @@ def brute_force_assignment(eff, overlaps):
             return None
         total += float(cost[ok].min())
     return total
+
+
+def check_feasible(result, problems) -> list[str]:
+    """Exhaustively verify both constraint families of P1 on every video
+    of a ``solve_p1`` result: each interval has a region, and overlapping
+    intervals share none. Returns the violations found."""
+    bad = []
+    for prob, b in zip(problems, result.assignments):
+        for q in range(prob.actions.shape[0]):
+            if not b[:, q].any():
+                bad.append(f"{prob.video_id}: interval {q} unassigned")
+        for q1, q2 in prob.overlaps:
+            for r in range(b.shape[0]):
+                if b[r, q1] and b[r, q2]:
+                    bad.append(f"{prob.video_id}: intervals {q1},{q2} "
+                               f"collide in region {r}")
+    return bad
+
+
+def detection_pr(preds, truths, criterion=DetectionCriterion()):
+    """Temporal detection precision/recall for one video's intervals."""
+    return pooled_pr({"v": preds}, {"v": truths}, criterion)
+
+
+def region_unary(x, y, params, r, constraints, loss_addends):
+    """(T, N) scores of the non-sequential terms; -inf for disallowed
+    states."""
+    base = _region_unary_base(x, params, r, constraints, loss_addends)
+    return base + _alpha_term(params, r, y)[None, :]
+
+
+def enumerate_best(unary, eta, gamma):
+    """Exhaustive maximization over all state sequences.
+
+    Scores every sequence by an iterated tensor build whose flattened C
+    order puts the last frame's state in the most significant position, so
+    np.argmax realizes the same tie-break as the DP backtrack. Summands are
+    grouped as ((score + gamma) + eta) + unary, matching the DP bit for bit
+    so exact ties stay exact.
+    """
+    T, N = unary.shape
+    KK, A = eta.shape[0], gamma.shape[0]
+    trans_gamma = np.tile(gamma, (KK, KK))     # [n', n] -> gamma[a', a]
+    trans_eta = np.kron(eta, np.ones((A, A)))  # [n', n] -> eta[k', k]
+    scores = unary[0]
+    for t in range(1, T):
+        # axes of `scores`: (n_{t-1}, ..., n_0); prepend n_t
+        expand = (slice(None), slice(None)) + (None,) * (t - 1)
+        scores = unary[t][(slice(None),) + (None,) * t] \
+            + (trans_eta.T[expand] + (trans_gamma.T[expand]
+                                      + scores[None, ...]))
+    flat = scores.reshape(-1)
+    best_idx = int(np.argmax(flat))
+    best_score = float(flat[best_idx])
+    states = np.empty(T, dtype=int)
+    for t in range(T):  # flat C order: the last frame varies slowest
+        states[t] = (best_idx // N ** t) % N
+    return states, best_score
+
+
+def brute_force(x, params, constraints=None, loss_spec=None,
+                lambda_y=0.0, lambda_v=0.0, guard=1e7) -> InferenceResult:
+    """Exact global maximum by enumeration; the testing oracle for the DP
+    of ``hieract.inference.maximize``, with the same tie-break.
+
+    Refuses instances where Y * ((K+1)*A)^T exceeds ``guard``.
+    """
+    x = np.asarray(x, dtype=float)
+    d = params.dims
+    T = x.shape[0]
+    N = params.num_poselet_states * d.A
+    if d.Y * float(N) ** T > guard:
+        raise ValueError(
+            f"instance too large for enumeration: {d.Y} * {N}^{T} > {guard:g}")
+    addends = None
+    if loss_spec is not None and loss_spec.allowed_v is not None \
+            and lambda_v != 0.0:
+        addends = (lambda_v / T) * (~loss_spec.allowed_v).astype(float)
+    best = None
+    for y in range(d.Y):
+        const = lambda_y * float(loss_spec is not None and y != loss_spec.y)
+        total = const
+        zs, vs = [], []
+        for r in range(d.R):
+            region_addends = addends if r == LOSS_REGION else None
+            unary = region_unary(x, y, params, r, constraints, region_addends)
+            eta, gamma = _transition_tables(params, r)
+            states, score = enumerate_best(unary, eta, gamma)
+            total += score
+            zs.append(states // d.A)
+            vs.append(states % d.A)
+        if best is None or total > best[0]:
+            best = (total, y, np.stack(zs, axis=1), np.stack(vs, axis=1))
+    total, y, z, v = best
+    labeling = Labeling(z=z, v=v, y=y)
+    return InferenceResult(labeling=labeling,
+                           energy=energy_total(x, labeling, params),
+                           score=total,
+                           margins=np.zeros((T, d.R)))

@@ -10,14 +10,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_params
+from conftest import brute_force, check_feasible, detection_pr, random_params
 
 from hieract.dictionaries import scree_count
 from hieract.energy import (Labeling, ModelDims, ModelParams, energy_total,
                             feature_map)
 from hieract.evaluation import (DetectionCriterion, SyntheticSpec,
-                                detection_pr, plant_synthetic)
-from hieract.inference import brute_force, infer
+                                plant_synthetic)
+from hieract.inference import infer
 from hieract.learning import (TrainConfig, TrainingVideo, assign_regions,
                               build_loss_spec, cutting_plane, initialize,
                               solve_p1, train)
@@ -220,7 +220,7 @@ class TestCriterion6:
                     actions=np.array([iv.action_id for iv in intervals]),
                     histograms=hists, overlaps=overlaps))
             result = solve_p1(problems, num_actions=3)
-            assert result.check_feasible(problems) == []
+            assert check_feasible(result, problems) == []
             for trace in result.objective_trace:
                 for earlier, later in zip(trace, trace[1:]):
                     assert later <= earlier + 1e-9

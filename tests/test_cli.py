@@ -243,6 +243,21 @@ class TestPipeline:
         assert frames2.read_bytes() == frames_csv.read_bytes()
         assert labels2.read_bytes() == labels_csv.read_bytes()
 
+    def test_log_wall_time_is_when_each_objective_was_computed(
+            self, synth_dataset, tmp_path):
+        base = synth_dataset / "train"
+        log_path = tmp_path / "train_log.jsonl"
+        assert main(["train", "--features", str(base / "features"),
+                     "--annotations", str(base / "annotations.csv"),
+                     "--labels", str(base / "labels.csv"),
+                     "--out", str(tmp_path / "model.json"),
+                     "--num-poselets", "3", "--max-cccp-iters", "2",
+                     "--log", str(log_path)]) == 0
+        times = [json.loads(line)["wall_time"]
+                 for line in log_path.read_text().splitlines()]
+        assert len(times) == 3
+        assert all(a < b for a, b in zip(times, times[1:])), times
+
     def test_init_commands(self, synth_dataset, tmp_path):
         base = synth_dataset / "train"
         dict_path = tmp_path / "dictionary.json"

@@ -89,6 +89,22 @@ def test_cli_exits_1_on_unparsable_value(tmp_path, capsys):
     assert "'beam'" in err and path in err
 
 
+def test_unknown_supervision_exits_1_naming_key_section_and_file(
+        tmp_path, capsys):
+    path = _write(tmp_path, "[train]\nsupervision = bogus\n")
+    out = tmp_path / "dictionary.json"
+    code = main(["init-dictionary", "--config", path,
+                 "--features", str(tmp_path / "features"),
+                 "--annotations", str(tmp_path / "annotations.csv"),
+                 "--labels", str(tmp_path / "labels.csv"),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'supervision'" in err and "[train]" in err and path in err
+    assert "'bogus'" in err
+    assert not out.exists()
+
+
 def test_training_defaults_have_one_source():
     assert issubclass(RunConfig, TrainConfig)
     run, trainer = RunConfig(), TrainConfig()

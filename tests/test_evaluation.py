@@ -3,11 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import detection_pr
+
 from hieract.dictionaries import assign_labels, kmeans
 from hieract.evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
-                                detection_pr, interval_iou,
-                                intervals_from_frames, plant_synthetic,
-                                pooled_pr)
+                                interval_iou, intervals_from_frames,
+                                plant_synthetic, pooled_pr)
 from hieract.skeleton import ActionInterval
 
 

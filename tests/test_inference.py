@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_dictionary, random_params
+from conftest import brute_force, make_dictionary, random_params, region_unary
 
 import hieract.inference as inference
 from hieract.energy import ModelDims, ModelParams, energy_total
-from hieract.inference import (FrameConstraints, InfeasibleError, LossSpec,
-                               Query, _region_unary, _viterbi_batch,
-                               brute_force, complete_latent, infer,
+from hieract.inference import (LOSS_REGION, FrameConstraints, InfeasibleError,
+                               LossSpec, Query, _viterbi_batch,
+                               complete_latent, infer,
                                loss_augmented_infer_many, loss_value, maximize)
 
 
@@ -155,7 +155,7 @@ class TestLossAugmented:
         x = np.zeros((T, 2, 3))
         allowed = np.zeros((T, 2), dtype=bool)
         allowed[:, 0] = True          # actionlet 1 always violates
-        spec = LossSpec(y=1, allowed_v=allowed, region=0)
+        spec = LossSpec(y=1, allowed_v=allowed)
         res, = loss_augmented_infer_many([x], params, [spec], lambda_y=100.0,
                                          lambda_v=25.0)
         assert res.y != 1
@@ -168,8 +168,7 @@ class TestLossAugmented:
             x, params = _random_instance(rng)
             T = x.shape[0]
             spec = LossSpec(y=int(rng.integers(params.dims.Y)),
-                            allowed_v=rng.random((T, params.dims.A)) > 0.4,
-                            region=0)
+                            allowed_v=rng.random((T, params.dims.A)) > 0.4)
             res = loss_augmented_infer_many([x], params, [spec], 100.0,
                                             25.0)[0]
             delta = loss_value(res.labeling, spec, 100.0, 25.0)
@@ -181,8 +180,7 @@ class TestLossAugmented:
             x, params = _random_instance(rng)
             T = x.shape[0]
             spec = LossSpec(y=int(rng.integers(params.dims.Y)),
-                            allowed_v=rng.random((T, params.dims.A)) > 0.3,
-                            region=0)
+                            allowed_v=rng.random((T, params.dims.A)) > 0.3)
             aug = loss_augmented_infer_many([x], params, [spec], 10.0,
                                             5.0)[0]
             oracle = brute_force(x, params, loss_spec=spec, lambda_y=10.0,
@@ -288,31 +286,27 @@ class TestBatchedCore:
 
     def _mixed_batch(self, rng, params):
         """Ragged lengths; each video once with free y and once per fixed
-        y, under its own mix of constraints and loss region."""
+        y, under its own mix of constraints and loss."""
         d = params.dims
         queries = []
-        # (T, constrained, loss region or None, per-frame loss term)
-        for T, constrained, region, per_frame in [
-                (3, True, 0, True), (5, False, 1, True), (3, True, None, False),
-                (4, False, None, False), (5, True, 1, False)]:
+        # (T, constrained, loss, per-frame loss term)
+        for T, constrained, with_loss, per_frame in [
+                (3, True, True, True), (5, False, True, True),
+                (3, True, False, False), (4, False, False, False),
+                (5, True, True, False)]:
             x = rng.normal(size=(T, d.R, d.D))
             constraints = None
             if constrained:
                 allowed_v = rng.random((T, d.R, d.A)) > 0.3
                 allowed_v[:, :, 0] = True
-                allowed_z = np.ones((T, d.R, d.K + 1), dtype=bool)
-                # frame 0 of region 0 admits one (poselet, actionlet) state
+                # frame 0 of region 0 admits one actionlet
                 allowed_v[0, 0] = False
                 allowed_v[0, 0, 1] = True
-                allowed_z[0, 0] = False
-                allowed_z[0, 0, 0] = True
-                constraints = FrameConstraints(allowed_v=allowed_v,
-                                               allowed_z=allowed_z)
+                constraints = FrameConstraints(allowed_v=allowed_v)
             loss = None
-            if region is not None:
+            if with_loss:
                 allowed = rng.random((T, d.A)) > 0.4 if per_frame else None
-                loss = LossSpec(y=int(rng.integers(d.Y)), allowed_v=allowed,
-                                region=region)
+                loss = LossSpec(y=int(rng.integers(d.Y)), allowed_v=allowed)
             queries.append(Query(x, None, constraints, loss))
             queries += [Query(x, y, constraints, loss) for y in range(d.Y)]
         return queries
@@ -346,27 +340,31 @@ class TestBatchedCore:
 
     def test_margins_match_per_frame_reference(self):
         rng = np.random.default_rng(19)
-        dims = ModelDims(R=2, K=2, D=3, A=2, S=2, Y=3)
-        params = random_params(dims, rng)
-        queries = self._mixed_batch(rng, params)
         single_state_frames = 0
-        for q, res in zip(queries,
-                          maximize(queries, params, self.LAMBDA_Y,
-                                   self.LAMBDA_V)):
-            T = q.x.shape[0]
-            for r in range(dims.R):
-                addends = None
-                if q.loss is not None and q.loss.allowed_v is not None \
-                        and q.loss.region == r:
-                    addends = (self.LAMBDA_V / T) \
-                        * (~q.loss.allowed_v).astype(float)
-                unary = _region_unary(q.x, res.y, params, r, q.constraints,
-                                      addends)
-                np.testing.assert_array_equal(res.margins[:, r],
-                                              _margins_reference(unary))
-                lone = np.isfinite(unary).sum(axis=1) == 1
-                assert np.all(res.margins[lone, r] == 0.0)
-                single_state_frames += int(lone.sum())
+        # with one poselet state, a frame that admits one actionlet has a
+        # single finite score
+        for dims, flags in ((ModelDims(R=2, K=2, D=3, A=2, S=2, Y=3), {}),
+                            (ModelDims(R=2, K=1, D=3, A=2, S=2, Y=3),
+                             {"use_gc": False})):
+            params = random_params(dims, rng, **flags)
+            queries = self._mixed_batch(rng, params)
+            for q, res in zip(queries,
+                              maximize(queries, params, self.LAMBDA_Y,
+                                       self.LAMBDA_V)):
+                T = q.x.shape[0]
+                for r in range(dims.R):
+                    addends = None
+                    if q.loss is not None and q.loss.allowed_v is not None \
+                            and r == LOSS_REGION:
+                        addends = (self.LAMBDA_V / T) \
+                            * (~q.loss.allowed_v).astype(float)
+                    unary = region_unary(q.x, res.y, params, r,
+                                         q.constraints, addends)
+                    np.testing.assert_array_equal(res.margins[:, r],
+                                                  _margins_reference(unary))
+                    lone = np.isfinite(unary).sum(axis=1) == 1
+                    assert np.all(res.margins[lone, r] == 0.0)
+                    single_state_frames += int(lone.sum())
         assert single_state_frames > 0
 
     def test_margins_of_single_state_tables_are_zero(self):

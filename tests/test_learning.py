@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_assignment, chi2, make_dictionary
+from conftest import (brute_force_assignment, check_feasible, chi2,
+                      make_dictionary)
 
 from hieract import learning
 from hieract.energy import Labeling, ModelDims, ModelParams, energy_total, feature_map
@@ -161,7 +162,7 @@ class TestSolveP1:
     def test_feasible_and_descending(self):
         problems = self._problems()
         result = solve_p1(problems, num_actions=2)
-        assert result.check_feasible(problems) == []
+        assert check_feasible(result, problems) == []
         for trace in result.objective_trace:
             for a, b in zip(trace, trace[1:]):
                 assert b <= a + 1e-9

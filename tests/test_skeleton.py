@@ -7,12 +7,11 @@ from hieract.skeleton import (KINECT20, ActionInterval, JointSchema,
                               ParseError, RegionSpec, SchemaError,
                               SkeletonSequence, load_annotations, load_labels,
                               parse_skeleton, save_annotations, save_labels,
-                              serialize_skeleton, split_regions,
-                              validate_annotations)
+                              split_regions, validate_annotations)
 
 
-def _stream(frames, schema="kinect20", video_id="v"):
-    lines = [json.dumps({"schema": schema, "video_id": video_id, "fps": 30})]
+def _stream(frames, schema="kinect20", video_id="v", fps=30):
+    lines = [json.dumps({"schema": schema, "video_id": video_id, "fps": fps})]
     lines += [json.dumps(f) for f in frames]
     return "\n".join(lines) + "\n"
 
@@ -67,6 +66,11 @@ class TestParse:
             parse_skeleton(_stream([{"t": 0, "joints": joints}]))
 
     def test_roundtrip_identity(self, toy_skeleton_text):
+        def serialize_skeleton(seq):
+            return _stream([{"t": t, "joints": seq.joints[t].tolist()}
+                            for t in range(seq.num_frames)],
+                           seq.schema, seq.video_id, seq.fps)
+
         seq = parse_skeleton(toy_skeleton_text)
         again = parse_skeleton(serialize_skeleton(seq))
         assert again.video_id == seq.video_id
