@@ -307,9 +307,15 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _predict(args, config):
-    params, _pca, _hash = load_model(
-        _require(args.model, "model file").read_text())
+    model_path = _require(args.model, "model file")
+    params, _pca, _hash = load_model(model_path.read_text())
     features = load_features(args.features)
+    shape = next(iter(features.values())).shape[1:]
+    expected = (params.dims.R, params.dims.D)
+    if shape != expected:
+        raise UsageError(f"features under {args.features} have (regions, "
+                         f"dim) {shape}, but model {model_path} takes "
+                         f"{expected}")
     return params, {vid: infer(features[vid], params, beam=config.beam)
                     for vid in sorted(features)}
 

@@ -63,32 +63,68 @@ def _pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return centroids
 
 
-# Points per block of the nearest-centroid search: a (256, K, D) block of
-# differences stays a few megabytes where the whole (N, K, D) tensor of a
-# paper-scale region (N ~ 10^4 frames, K = 100) would take hundreds.
+# Points per block of the nearest-centroid search. A block's squared
+# distances are one (256, K) matrix product, and the near ties that fall
+# back to direct differences take at most a (256, K, D) block, a few
+# megabytes where a whole paper-scale region (N ~ 10^4 frames, K = 100)
+# would take hundreds.
 NEAREST_CHUNK_ROWS = 256
+
+
+def _exact_labels(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest-centroid labels (ties: lowest index) from the direct sum over
+    D of each squared difference: the labels ``_nearest`` reproduces."""
+    return np.square(points[:, None, :] - centroids).sum(axis=2).argmin(axis=1)
 
 
 def _nearest(points: np.ndarray,
              centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels (ties: lowest index) and squared distances,
-    computed block by block of ``NEAREST_CHUNK_ROWS`` points. Each squared
-    distance is the same sum over D that one (N, K, D) broadcast would take,
-    so the result does not depend on the block size."""
-    n = points.shape[0]
+    """Nearest-centroid labels and squared distances of float64 points,
+    equal bit for bit to ``_exact_labels`` and the direct squared distances.
+
+    Each block of ``NEAREST_CHUNK_ROWS`` points gets its distances from one
+    matrix product, as ||x||^2 - 2 x.c + ||c||^2. That value and the direct
+    sum each lie within gamma_{D+2} (||x|| + ||c||)^2 of the true squared
+    distance (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sec. 3.1; gamma_m = m u / (1 - m u), u the unit roundoff), so the
+    two differ by at most 2 gamma_{D+3} (||x|| + ||c||)^2: the extra unit
+    covers the rounding of the bound and of the comparison, and 16 (D + 3)
+    smallest normal numbers are added for results that underflow. A row's
+    label is settled when no other centroid's lower bound reaches the
+    winner's upper bound; the other rows (near ties, or values that are not
+    finite) are searched again by ``_exact_labels``. The distance returned
+    is the direct sum for the label found."""
+    n, dim = points.shape
+    m = (dim + 3) * np.finfo(float).eps / 2
+    slack = 2 * m / (1 - m)
+    floor = 16 * (dim + 3) * np.finfo(float).tiny
+    c_sq = np.einsum("kd,kd->k", centroids, centroids)
+    c_norm = np.sqrt(c_sq)
     labels = np.empty(n, dtype=np.intp)
     nearest = np.empty(n)
-    buf = np.empty((min(n, NEAREST_CHUNK_ROWS),) + centroids.shape,
-                   dtype=np.result_type(points, centroids))
     for s in range(0, n, NEAREST_CHUNK_ROWS):
         block = points[s:s + NEAREST_CHUNK_ROWS]
-        diff = buf[:block.shape[0]]
-        np.subtract(block[:, None, :], centroids, out=diff)
-        np.square(diff, out=diff)
-        d2 = diff.sum(axis=2)
+        x_sq = np.einsum("nd,nd->n", block, block)
+        d2 = block @ centroids.T
+        d2 *= -2.0
+        d2 += x_sq[:, None]
+        d2 += c_sq
+        bound = np.sqrt(x_sq)[:, None] + c_norm
+        np.square(bound, out=bound)
+        bound *= slack
+        bound += floor
+        rows = np.arange(block.shape[0])
         best = d2.argmin(axis=1)
+        upper = d2[rows, best] + bound[rows, best]
+        d2 -= bound                     # lower bounds from here on
+        d2[rows, best] = np.inf
+        # a NaN never settles a row
+        ties = np.flatnonzero(~(d2.min(axis=1) > upper))
+        if ties.size:
+            best[ties] = _exact_labels(block[ties], centroids)
         labels[s:s + best.size] = best
-        nearest[s:s + best.size] = d2[np.arange(best.size), best]
+        nearest[s:s + best.size] = np.square(
+            block - centroids[best]).sum(axis=1)
     return labels, nearest
 
 
@@ -128,7 +164,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0,
 def assign_labels(points: np.ndarray,
                   centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels and distances for new points."""
-    labels, nearest = _nearest(points, centroids)
+    labels, nearest = _nearest(np.asarray(points, dtype=float),
+                               np.asarray(centroids, dtype=float))
     return labels, np.sqrt(nearest)
 
 

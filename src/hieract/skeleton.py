@@ -42,7 +42,6 @@ class RegionSpec:
     non-coplanar ones used for the plane angles.
     """
     name: str
-    kind: str  # "arm" | "leg"
     joints: tuple[str, ...]
     segments: tuple[tuple[str, str], ...]
     plane: tuple[str, str, str]
@@ -107,7 +106,6 @@ def _side_arm(side: str) -> RegionSpec:
     s, e, w = f"{side}_shoulder", f"{side}_elbow", f"{side}_wrist"
     return RegionSpec(
         name=f"{side}_arm",
-        kind="arm",
         joints=(s, e, w, f"{side}_hand"),
         segments=((w, e), (e, s), (s, "neck"), (w, s), (w, "head"),
                   ("neck", "torso")),
@@ -119,7 +117,6 @@ def _side_leg(side: str) -> RegionSpec:
     h, k, a = f"{side}_hip", f"{side}_knee", f"{side}_ankle"
     return RegionSpec(
         name=f"{side}_leg",
-        kind="leg",
         joints=(h, k, a, f"{side}_foot"),
         segments=((a, k), (k, h), (h, "hip_center"), (a, h), (a, "torso"),
                   ("hip_center", "torso")),
@@ -153,7 +150,7 @@ PUPPET15 = JointSchema(
     ),
     regions=(
         RegionSpec(
-            name="left_arm", kind="arm",
+            name="left_arm",
             joints=("left_shoulder", "left_elbow", "left_wrist"),
             segments=(("left_wrist", "left_elbow"),
                       ("left_elbow", "left_shoulder"),
@@ -164,7 +161,7 @@ PUPPET15 = JointSchema(
             plane=("left_shoulder", "left_elbow", "left_wrist"),
         ),
         RegionSpec(
-            name="right_arm", kind="arm",
+            name="right_arm",
             joints=("right_shoulder", "right_elbow", "right_wrist"),
             segments=(("right_wrist", "right_elbow"),
                       ("right_elbow", "right_shoulder"),
@@ -175,7 +172,7 @@ PUPPET15 = JointSchema(
             plane=("right_shoulder", "right_elbow", "right_wrist"),
         ),
         RegionSpec(
-            name="left_leg", kind="leg",
+            name="left_leg",
             joints=("left_hip", "left_knee", "left_ankle"),
             segments=(("left_ankle", "left_knee"),
                       ("left_knee", "left_hip"),
@@ -186,7 +183,7 @@ PUPPET15 = JointSchema(
             plane=("left_hip", "left_knee", "left_ankle"),
         ),
         RegionSpec(
-            name="right_leg", kind="leg",
+            name="right_leg",
             joints=("right_hip", "right_knee", "right_ankle"),
             segments=(("right_ankle", "right_knee"),
                       ("right_knee", "right_hip"),

@@ -388,6 +388,26 @@ class TestErrors:
                      str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["infer", "annotate"])
+    @pytest.mark.parametrize("regions,dim", [(2, 4), (3, 5)])
+    def test_features_of_another_size_than_the_model_are_validation_error(
+            self, synth_dataset, tmp_path, capsys, command, regions, dim):
+        dims = ModelDims(R=regions, K=3, D=dim, A=2, S=2, Y=2)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(save_model(ModelParams.zeros(
+            dims, dictionary=make_dictionary(2, 2, 3))))
+        features = synth_dataset / "test" / "features"
+        out = tmp_path / "pred"
+        outputs = (["--out", str(out)] if command == "infer" else
+                   ["--out", str(out), "--labels-out", str(tmp_path / "l")])
+        code = main([command, "--model", str(model_path),
+                     "--features", str(features)] + outputs)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"features under {features} have (regions, dim) (2, 5)" in err
+        assert f"model {model_path} takes ({regions}, {dim})" in err
+        assert not out.exists()
+
     def test_model_without_gc_beta_counts_is_validation_error(
             self, synth_dataset, tmp_path, capsys):
         dims = ModelDims(R=2, K=3, D=5, A=2, S=2, Y=2)

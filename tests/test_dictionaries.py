@@ -5,6 +5,7 @@ import pytest
 
 from conftest import chi2
 
+from hieract import dictionaries
 from hieract.dictionaries import (NEAREST_CHUNK_ROWS, _pp_seed, assign_labels,
                                   build_actionlets, chi2_matrix, gc_init,
                                   interval_histogram, kmeans, scree_count)
@@ -130,6 +131,79 @@ class TestChunkedDistances:
             tracemalloc.stop()
         # one (N, K, D) float64 tensor would be 9000 * 100 * 38 * 8 = 274 MB
         assert peak < 32 * 2 ** 20
+
+
+def _count_fallback_rows(monkeypatch) -> list[int]:
+    """Patch ``_exact_labels`` to record how many rows each call searches."""
+    rows = []
+    exact = dictionaries._exact_labels
+
+    def counting(points, centroids):
+        rows.append(points.shape[0])
+        return exact(points, centroids)
+
+    monkeypatch.setattr(dictionaries, "_exact_labels", counting)
+    return rows
+
+
+class TestNearTies:
+    """Rows the expanded distances cannot settle fall back to the direct
+    differences and still match ``_direct_d2`` bit for bit."""
+
+    def _assert_direct(self, points, centroids, monkeypatch):
+        """Labels, after checking them and the distances against
+        ``_direct_d2``, and the number of rows that fell back."""
+        rows = _count_fallback_rows(monkeypatch)
+        labels, dists = assign_labels(points, centroids)
+        d2 = _direct_d2(points, centroids)
+        ref_labels = np.argmin(d2, axis=1)
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert dists.tobytes() == np.sqrt(
+            d2[np.arange(points.shape[0]), ref_labels]).tobytes()
+        return labels, sum(rows)
+
+    def test_duplicated_centroids(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        distinct = rng.normal(size=(10, 38))
+        centroids = np.vstack([distinct, distinct[::-1]])
+        points = rng.normal(size=(600, 38))
+        labels, fallback = self._assert_direct(points, centroids, monkeypatch)
+        assert fallback == 600
+        assert labels.max() < 10
+
+    def test_points_equidistant_from_two_centroids(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        centroids = 10 * rng.normal(size=(6, 38))
+        centroids[3] = 0.0
+        centroids[3, 0] = 1.0
+        centroids[1] = -centroids[3]
+        points = np.round(rng.normal(size=(600, 38)), 2) * 0.1
+        points[:, 0] = 0.0
+        labels, fallback = self._assert_direct(points, centroids, monkeypatch)
+        assert fallback == 600
+        assert np.all(labels == 1)
+
+    def test_far_offset_with_unit_spread(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        points = 1e6 + rng.normal(size=(600, 38))
+        centroids = 1e6 + rng.normal(size=(20, 38))
+        _, fallback = self._assert_direct(points, centroids, monkeypatch)
+        assert fallback >= 1
+
+    def test_paper_shaped_data_rarely_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        points = rng.normal(size=(3000, 38))
+        fallback = _count_fallback_rows(monkeypatch)
+        searched = []
+        nearest = dictionaries._nearest
+
+        def counting(points, centroids):
+            searched.append(points.shape[0])
+            return nearest(points, centroids)
+
+        monkeypatch.setattr(dictionaries, "_nearest", counting)
+        kmeans(points, 100, seed=0)
+        assert sum(fallback) < 0.01 * sum(searched)
 
 
 class TestGcInit:

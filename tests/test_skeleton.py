@@ -105,7 +105,7 @@ class TestSplitRegions:
             name="all_in_one",
             joint_names=KINECT20.joint_names,
             regions=(RegionSpec(
-                name="body", kind="arm",
+                name="body",
                 joints=KINECT20.joint_names,
                 segments=KINECT20.regions[0].segments,
                 plane=KINECT20.regions[0].plane),),
