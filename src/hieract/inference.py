@@ -15,6 +15,15 @@ the lowest index, so results are deterministic: among equal-scoring label
 sequences the one minimizing (state_T, state_{T-1}, ..., state_1)
 lexicographically is returned.
 
+The Viterbi forward pass keeps only maximum scores, a score history of the
+bytes two backpointer tables would take, and the backtrack recomputes the
+two argmaxes at the cells on the path. Its poselet step, most of a frame's
+work at paper sizes, scores only the ``POSELET_CANDIDATES`` best
+predecessor poselets of each (row, actionlet) and certifies each cell with
+a rounding-safe bound: a cell the bound does not settle (a near tie, a
+``-inf`` mask) takes the full maximum, so every state and score equals the
+dense pass's bit for bit.
+
 An optional beam keeps only the B best states per frame ranked by the
 non-sequential part of the score before running the sequential pass.
 """
@@ -58,15 +67,22 @@ class LossSpec:
 
 
 @dataclass
-class InferenceResult:
+class Maximum:
+    """A best labeling and its maximized objective (energy plus the loss
+    addends of the query)."""
     labeling: Labeling
-    energy: float             # energy_total of the labeling
-    score: float              # maximized objective (energy + loss addends)
-    margins: np.ndarray       # (T, R) unary gap between best and runner-up
+    score: float
 
     @property
     def y(self) -> int:
         return self.labeling.y
+
+
+@dataclass
+class InferenceResult(Maximum):
+    """A test-time labeling with its energy and per-frame unary margins."""
+    energy: float             # energy_total of the labeling
+    margins: np.ndarray       # (T, R) unary gap between best and runner-up
 
 
 def loss_value(labeling: Labeling, spec: LossSpec, lambda_y: float,
@@ -134,10 +150,14 @@ def _apply_beam(unary: np.ndarray, beam: int) -> np.ndarray:
     return out
 
 
-# Byte budget of one row chunk's poselet-transition table (B_c, A, K', K'),
-# the largest per-frame temporary of the Viterbi pass: about an L2 cache, so
-# the frame loop works in cache instead of streaming tens of megabytes.
+# Byte budget of one row chunk of the Viterbi pass: its score history plus
+# its per-frame temporaries, about an L2 cache. A chunk holds at least one
+# row, so at K' = 101, A = 20 and 150 frames every row is its own chunk.
 VITERBI_CHUNK_BYTES = 2 << 20
+
+# Predecessor poselets scored per (row, actionlet) in the pruned poselet
+# step; tables with at most one poselet state more take the dense step.
+POSELET_CANDIDATES = 16
 
 
 def _viterbi_batch(unary: np.ndarray, eta: np.ndarray,
@@ -145,26 +165,29 @@ def _viterbi_batch(unary: np.ndarray, eta: np.ndarray,
     """Viterbi over a (B, T, N) stack of unary tables for the joint states
     (k, a), n = k*A + a. Returns (states (B, T), scores (B,)).
 
-    The transition maximization factors through the two labels: first the
-    best predecessor actionlet for every (k', a), then the best predecessor
-    poselet for every (k, a). This costs K*A*(K+A) per frame instead of
-    (K*A)^2 and realizes the same tie-break as a full argmax over n' (the
-    outer stage picks the smallest k', the inner stage the smallest a'
-    within it).
+    The transition maximization factors through the two labels, the
+    actionlet step ``sa[a, k'] = max_a' score[a', k'] + gamma[a', a]`` and
+    then the poselet step ``best[a, k] = max_k' sa[a, k'] + eta[k', k]``,
+    so a frame costs K*A*(K+A) instead of (K*A)^2. The forward pass keeps
+    only these maxima, as a (B, T, A, K') score history; the backtrack
+    recomputes the two argmaxes at the one cell per frame on the path from
+    the history, with the tie-break of a full argmax over n' (the smallest
+    k', then the smallest a' within it). Every sum is grouped as
+    ``(score + gamma) + eta``, then ``+ unary``, on both passes, so states
+    and scores do not depend on which cells are recomputed.
 
-    Both argmaxes reduce over the contiguous last axis: the tables are
-    ``over_a[b, k', a, a'] = score[b, k', a'] + gamma[a', a]`` and
-    ``over_k[b, a, k, k'] = sa[b, k', a] + eta[k', k]``, allocated once per
-    chunk and refilled in place each frame, and the winning entries are
-    read back by flat index. Rows are independent, so the stack runs in row
-    chunks whose ``over_k`` fits ``VITERBI_CHUNK_BYTES`` (at least one row);
-    every chunk gives the states and scores it would give in one pass.
+    Rows are independent, so the stack runs in row chunks of about
+    ``VITERBI_CHUNK_BYTES`` (at least one row); every chunk gives the
+    states and scores it would give in one pass.
     """
-    B = unary.shape[0]
+    B, T = unary.shape[:2]
     KK, A = eta.shape[0], gamma.shape[0]
-    step = max(1, VITERBI_CHUNK_BYTES // (A * KK * KK * 8))
-    eta_t, gamma_t = eta.T.copy(), gamma.T.copy()
-    parts = [_viterbi_rows(unary[i:i + step], eta_t, gamma_t)
+    # per row: the history, the actionlet step's (A, A, K') table, the
+    # poselet step's (K', A, K) dense or (A, m, K) pruned table, and three
+    # (A, K') tables
+    row_cells = A * KK * (T + A + min(KK, POSELET_CANDIDATES + 1) + 3)
+    step = max(1, VITERBI_CHUNK_BYTES // (8 * row_cells))
+    parts = [_viterbi_rows(unary[i:i + step], eta, gamma)
              for i in range(0, B, step)]
     states, scores = zip(*parts)
     scores = np.concatenate(scores)
@@ -173,45 +196,97 @@ def _viterbi_batch(unary: np.ndarray, eta: np.ndarray,
     return np.concatenate(states), scores
 
 
-def _viterbi_rows(unary: np.ndarray, eta_t: np.ndarray,
-                  gamma_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk of ``_viterbi_batch``, given the transposed transition
-    tables ``eta_t[k, k'] = eta[k', k]`` and ``gamma_t[a, a'] = gamma[a', a]``."""
+def _viterbi_rows(unary: np.ndarray, eta: np.ndarray,
+                  gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk of ``_viterbi_batch``. Every table is indexed actionlet
+    first, [b, a, k], so each reduction runs over a leading axis of
+    contiguous K'-long rows."""
     B, T, N = unary.shape
-    KK, A = eta_t.shape[0], gamma_t.shape[0]
-    unary = unary.reshape(B, T, KK, A)
-    a_back = np.zeros((B, T, KK, A), dtype=np.int32)
-    k_back = np.zeros((B, T, A, KK), dtype=np.int32)
-    over_a = np.empty((B, KK, A, A))
-    over_k = np.empty((B, A, KK, KK))
-    flat_a, flat_k = over_a.reshape(-1), over_k.reshape(-1)
-    base_a = np.arange(B * KK * A) * A
-    base_k = np.arange(B * A * KK) * KK
-    score = unary[:, 0].copy()                # (B, K', A)
+    KK, A = eta.shape[0], gamma.shape[0]
+    unary = unary.reshape(B, T, KK, A).transpose(0, 1, 3, 2)
+    history = np.empty((B, T, A, KK))
+    history[:, 0] = unary[:, 0]
+    over_a = np.empty((B, A, A, KK))          # [b, a', a, k']
+    sa = np.empty((B, A, KK))                 # [b, a, k']
+    best = np.empty((B, A, KK))               # [b, a, k]
+    # gamma[a', a] repeated along k', so the add runs over contiguous rows
+    gamma_rows = np.repeat(gamma[:, :, None], KK, axis=2)
+    poselet_step = (_pruned_poselet_step if KK > POSELET_CANDIDATES + 1
+                    else _dense_poselet_step)(eta, B, A)
     for t in range(1, T):
-        # best predecessor actionlet a' for each (k', a)
-        np.add(score[:, :, None, :], gamma_t, out=over_a)
-        a_bp = over_a.argmax(axis=3)          # (B, K', A); smallest a'
-        sa = flat_a[base_a + a_bp.ravel()].reshape(B, KK, A)
-        # best predecessor poselet k' for each (k, a)
-        np.add(sa.transpose(0, 2, 1)[:, :, None, :], eta_t, out=over_k)
-        k_bp = over_k.argmax(axis=3)          # (B, A, K); smallest k'
-        best = flat_k[base_k + k_bp.ravel()].reshape(B, A, KK)
-        np.add(unary[:, t], best.transpose(0, 2, 1), out=score)
-        a_back[:, t] = a_bp
-        k_back[:, t] = k_bp
-    flat = score.reshape(B, N)
-    best_last = flat.argmax(axis=1)           # ties: smallest state
-    best_score = flat[np.arange(B), best_last]
+        np.add(history[:, t - 1, :, None, :], gamma_rows, out=over_a)
+        np.maximum.reduce(over_a, axis=1, out=sa)
+        poselet_step(sa, best)
+        np.add(unary[:, t], best, out=history[:, t])
+    rows = np.arange(B)
+    last = history[:, -1].transpose(0, 2, 1).reshape(B, N)
+    best_last = last.argmax(axis=1)           # ties: smallest state
+    best_score = last[rows, best_last]
     states = np.empty((B, T), dtype=int)
     states[:, -1] = best_last
-    rows = np.arange(B)
+    k, a = np.divmod(best_last, A)
+    eta_t, gamma_t = eta.T, gamma.T           # [k, k'], [a, a']
     for t in range(T - 1, 0, -1):
-        k, a = states[:, t] // A, states[:, t] % A
-        k_prev = k_back[rows, t, a, k]
-        a_prev = a_back[rows, t, k_prev, a]
-        states[:, t - 1] = k_prev * A + a_prev
+        prev = history[:, t - 1] + gamma_t[a][:, :, None]   # [b, a', k']
+        k = (prev.max(axis=1) + eta_t[k]).argmax(axis=1)     # smallest k'
+        a = prev[rows, :, k].argmax(axis=1)                  # smallest a'
+        states[:, t - 1] = k * A + a
     return states, best_score
+
+
+def _dense_poselet_step(eta: np.ndarray, B: int, A: int):
+    """The poselet step over every k', reduced over k' as the leading axis
+    of a (B, K', A, K) table."""
+    KK = eta.shape[0]
+    over_k = np.empty((B, KK, A, KK))         # [b, k', a, k]
+    eta_row = eta[:, None, :]
+
+    def step(sa: np.ndarray, best: np.ndarray) -> None:
+        np.add(sa.transpose(0, 2, 1)[:, :, :, None], eta_row, out=over_k)
+        np.maximum.reduce(over_k, axis=1, out=best)
+    return step
+
+
+def _pruned_poselet_step(eta: np.ndarray, B: int, A: int):
+    """The poselet step from the ``POSELET_CANDIDATES`` (m) largest
+    ``sa[b, a, :]``, exact by a rounding-safe bound.
+
+    Every excluded k' has ``sa <= thr``, the (m+1)-th largest, and
+    ``eta[k', k] <= eta_max[k]``, so its exact sum is at most
+    ``thr + eta_max[k]``; rounding to nearest is monotone, so its rounded
+    sum is at most ``bound = fl(thr + eta_max[k])``. A cell whose best
+    candidate is strictly greater than ``bound`` is settled: no excluded
+    k' reaches or ties it. The other cells (near ties, ``-inf`` masks,
+    NaN) take the full maximum over k' in ``_unsettled_max``.
+    """
+    KK = eta.shape[0]
+    cut = KK - POSELET_CANDIDATES - 1
+    eta_max = eta.max(axis=0)
+    eta_t = eta.T.copy()                      # [k, k']
+    cand = np.empty((B, A, POSELET_CANDIDATES, KK))   # [b, a, j, k]
+    bound = np.empty((B, A, KK))
+    # flat offset of each (b, a) row of the caller's contiguous sa buffer
+    row_start = np.arange(0, B * A * KK, KK).reshape(B, A, 1)
+
+    def step(sa: np.ndarray, best: np.ndarray) -> None:
+        # top[..., 0] is the (m+1)-th largest, the rest the m candidates
+        top = np.argpartition(sa, cut, axis=2)[:, :, cut:]
+        top_sa = sa.take(top + row_start)
+        eta.take(top[:, :, 1:], axis=0, out=cand)
+        np.add(cand, top_sa[:, :, 1:, None], out=cand)
+        np.maximum.reduce(cand, axis=2, out=best)
+        np.add(top_sa[:, :, :1], eta_max, out=bound)
+        unsettled = ~(best > bound)
+        if unsettled.any():
+            b, a, k = np.nonzero(unsettled)
+            best[b, a, k] = _unsettled_max(sa[b, a], eta_t[k])
+    return step
+
+
+def _unsettled_max(sa_rows: np.ndarray, eta_cols: np.ndarray) -> np.ndarray:
+    """Full poselet maximum of the cells a bound did not settle: row i is
+    ``max_k' sa_rows[i, k'] + eta_cols[i, k']``."""
+    return (sa_rows + eta_cols).max(axis=1)
 
 
 def _unary_margins(unary: np.ndarray) -> np.ndarray:
@@ -238,15 +313,14 @@ class Query:
 
 def maximize(queries: list[Query], params: ModelParams,
              lambda_y: float = 0.0, lambda_v: float = 0.0,
-             beam: int | None = None) -> list[InferenceResult]:
-    """Best labeling per query, with the per-frame unary margins of the
-    chosen complex action; ties go to the smallest y.
+             beam: int | None = None) -> list[Maximum]:
+    """Best labeling and its score per query; ties go to the smallest y.
 
     With a loss the objective is energy plus the margin-rescaling loss of
     ``loss_value``. The loss decomposes into a constant per candidate y plus
     per-frame addends in the designated loss region, so each region still
-    solves an independent DP and ``result.score`` equals ``result.energy``
-    plus the loss of the returned labeling. Queries of equal length share
+    solves an independent DP and ``result.score`` equals the labeling's
+    ``energy_total`` plus its loss. Queries of equal length share
     one Viterbi pass per region over all their candidate rows; the rows are
     independent, so every result equals that of its query run alone, bit
     for bit. ``beam`` of None (or >= the state count) runs the exact pass;
@@ -260,7 +334,7 @@ def maximize(queries: list[Query], params: ModelParams,
     xs = [np.asarray(q.x, dtype=float) for q in queries]
     alphas = [np.stack([_alpha_term(params, r, y) for y in range(d.Y)])
               for r in range(d.R)]
-    results: list[InferenceResult | None] = [None] * len(queries)
+    results: list[Maximum | None] = [None] * len(queries)
     by_len: dict[int, list[int]] = {}
     for i, x in enumerate(xs):
         by_len.setdefault(x.shape[0], []).append(i)
@@ -282,13 +356,13 @@ def maximize(queries: list[Query], params: ModelParams,
             addends.append(add)
         totals = np.concatenate(totals)
         starts = np.cumsum([0] + [c.stop - c.start for c in cands])
-        states, bases = [], []
+        states = []
         for r in range(d.R):
-            bases.append([_region_unary_base(xs[i], params, r,
-                                             queries[i].constraints, add[r])
-                          for i, add in zip(idxs, addends)])
+            bases = [_region_unary_base(xs[i], params, r,
+                                        queries[i].constraints, add[r])
+                     for i, add in zip(idxs, addends)]
             stack = np.concatenate([base[None, :, :] + alphas[r][c, None, :]
-                                    for base, c in zip(bases[r], cands)])
+                                    for base, c in zip(bases, cands)])
             if beam is not None:
                 stack = _apply_beam(stack, beam)
             eta, gamma = _transition_tables(params, r)
@@ -299,28 +373,34 @@ def maximize(queries: list[Query], params: ModelParams,
             best = int(np.argmax(totals[starts[j]:starts[j + 1]]))
             row, y = starts[j] + best, cands[j].start + best
             joint = np.stack([states[r][row] for r in range(d.R)], axis=1)
-            labeling = Labeling(z=joint // d.A, v=joint % d.A, y=y)
-            margins = np.stack([_unary_margins(bases[r][j] + alphas[r][y])
-                                for r in range(d.R)], axis=1)
-            results[i] = InferenceResult(
-                labeling=labeling, energy=energy_total(xs[i], labeling, params),
-                score=float(totals[row]), margins=margins)
+            results[i] = Maximum(
+                labeling=Labeling(z=joint // d.A, v=joint % d.A, y=y),
+                score=float(totals[row]))
     return results
 
 
 def infer(x: np.ndarray, params: ModelParams,
           constraints: FrameConstraints | None = None,
           beam: int | None = None) -> InferenceResult:
-    """Maximize the energy over (y, v, z); ties go to the smallest y."""
-    return maximize([Query(x, constraints=constraints)], params,
-                    beam=beam)[0]
+    """Maximize the energy over (y, v, z); ties go to the smallest y. The
+    result carries the labeling's energy and, per region, the unary margins
+    at the chosen complex action."""
+    x = np.asarray(x, dtype=float)
+    best, = maximize([Query(x, constraints=constraints)], params, beam=beam)
+    margins = np.stack(
+        [_unary_margins(_region_unary_base(x, params, r, constraints, None)
+                        + _alpha_term(params, r, best.y))
+         for r in range(params.dims.R)], axis=1)
+    return InferenceResult(labeling=best.labeling, score=best.score,
+                           energy=energy_total(x, best.labeling, params),
+                           margins=margins)
 
 
 def loss_augmented_infer_many(xs: list[np.ndarray], params: ModelParams,
                               specs: list[LossSpec], lambda_y: float,
                               lambda_v: float,
                               beam: int | None = None
-                              ) -> list[InferenceResult]:
+                              ) -> list[Maximum]:
     """Most-violating labeling per video: energy plus margin-rescaling loss
     against the given truth, maximized in batched Viterbi passes."""
     return maximize([Query(x, loss=spec) for x, spec in zip(xs, specs)],

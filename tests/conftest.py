@@ -185,6 +185,49 @@ def enumerate_best(unary, eta, gamma):
     return states, best_score
 
 
+def reference_viterbi(unary, eta, gamma):
+    """The dense backpointer Viterbi over a (B, T, N) stack: the reference
+    the pruned pass of ``hieract.inference._viterbi_batch`` must equal bit
+    for bit. Returns (states (B, T), scores (B,)).
+
+    Each frame maximizes over every predecessor, the actionlet a' for each
+    (k', a) and then the poselet k' for each (k, a), keeps both argmax
+    tables (ties: smallest index) and backtracks through them. Sums are
+    grouped as ``(score + gamma) + eta``, then ``+ unary``.
+    """
+    B, T, N = unary.shape
+    KK, A = eta.shape[0], gamma.shape[0]
+    eta_t, gamma_t = eta.T, gamma.T
+    unary = unary.reshape(B, T, KK, A)
+    a_back = np.zeros((B, T, KK, A), dtype=np.int32)
+    k_back = np.zeros((B, T, A, KK), dtype=np.int32)
+    score = unary[:, 0].copy()                # (B, K', A)
+    for t in range(1, T):
+        # over_a[b, k', a, a'] = score[b, k', a'] + gamma[a', a]
+        over_a = score[:, :, None, :] + gamma_t
+        a_bp = over_a.argmax(axis=3)
+        sa = np.take_along_axis(over_a, a_bp[..., None], axis=3)[..., 0]
+        # over_k[b, a, k, k'] = sa[b, k', a] + eta[k', k]
+        over_k = sa.transpose(0, 2, 1)[:, :, None, :] + eta_t
+        k_bp = over_k.argmax(axis=3)
+        best = np.take_along_axis(over_k, k_bp[..., None], axis=3)[..., 0]
+        score = unary[:, t] + best.transpose(0, 2, 1)
+        a_back[:, t] = a_bp
+        k_back[:, t] = k_bp
+    flat = score.reshape(B, N)
+    best_last = flat.argmax(axis=1)           # ties: smallest state
+    best_score = flat[np.arange(B), best_last]
+    states = np.empty((B, T), dtype=int)
+    states[:, -1] = best_last
+    rows = np.arange(B)
+    for t in range(T - 1, 0, -1):
+        k, a = states[:, t] // A, states[:, t] % A
+        k_prev = k_back[rows, t, a, k]
+        a_prev = a_back[rows, t, k_prev, a]
+        states[:, t - 1] = k_prev * A + a_prev
+    return states, best_score
+
+
 def brute_force(x, params, constraints=None, loss_spec=None,
                 lambda_y=0.0, lambda_v=0.0, guard=1e7) -> InferenceResult:
     """Exact global maximum by enumeration; the testing oracle for the DP

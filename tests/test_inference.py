@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import brute_force, make_dictionary, random_params, region_unary
+from conftest import (brute_force, make_dictionary, random_params,
+                      reference_viterbi, region_unary)
 
 import hieract.inference as inference
 from hieract.energy import ModelDims, ModelParams, energy_total
-from hieract.inference import (LOSS_REGION, FrameConstraints, InfeasibleError,
-                               LossSpec, Query, _viterbi_batch,
+from hieract.inference import (FrameConstraints, InfeasibleError, LossSpec,
+                               Query, _apply_beam, _viterbi_batch,
                                complete_latent, infer,
                                loss_augmented_infer_many, loss_value, maximize)
 
@@ -160,7 +161,7 @@ class TestLossAugmented:
                                          lambda_v=25.0)
         assert res.y != 1
         assert res.score == pytest.approx(125.0)
-        assert res.energy == 0.0
+        assert energy_total(x, res.labeling, params) == 0.0
 
     def test_score_is_energy_plus_loss(self):
         rng = np.random.default_rng(10)
@@ -172,7 +173,8 @@ class TestLossAugmented:
             res = loss_augmented_infer_many([x], params, [spec], 100.0,
                                             25.0)[0]
             delta = loss_value(res.labeling, spec, 100.0, 25.0)
-            assert res.score == pytest.approx(res.energy + delta, abs=1e-9)
+            assert res.score == pytest.approx(
+                energy_total(x, res.labeling, params) + delta, abs=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -212,6 +214,23 @@ class TestLossAugmented:
             if max(best[y] for y in wrong) > best[y_true] - lambda_y:
                 assert aug.y != y_true
         assert checked >= 25
+
+
+class TestTrainingWrappers:
+    def test_no_energy_or_margins_for_training_labelings(self, monkeypatch):
+        # only `infer` reports energy and margins; the cutting plane's
+        # oracle and latent completion read the labeling and score alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("energy or margins computed in training")
+        monkeypatch.setattr(inference, "energy_total", refuse)
+        monkeypatch.setattr(inference, "_unary_margins", refuse)
+        rng = np.random.default_rng(21)
+        x, params = _random_instance(rng)
+        T = x.shape[0]
+        spec = LossSpec(y=0, allowed_v=rng.random((T, params.dims.A)) > 0.3)
+        res, = loss_augmented_infer_many([x], params, [spec], 10.0, 5.0)
+        assert res.labeling.num_frames == T
+        assert complete_latent(x, params, 0).y == 0
 
 
 class TestCompleteLatent:
@@ -277,8 +296,7 @@ def _bit_identical(a, b):
     return (a.y == b.y
             and np.array_equal(a.labeling.z, b.labeling.z)
             and np.array_equal(a.labeling.v, b.labeling.v)
-            and a.score == b.score and a.energy == b.energy
-            and np.array_equal(a.margins, b.margins))
+            and a.score == b.score)
 
 
 class TestBatchedCore:
@@ -324,8 +342,9 @@ class TestBatchedCore:
                 assert _bit_identical(res, alone)
                 delta = 0.0 if q.loss is None else loss_value(
                     res.labeling, q.loss, *lam)
-                assert res.score == pytest.approx(res.energy + delta,
-                                                  abs=1e-9)
+                assert res.score == pytest.approx(
+                    energy_total(q.x, res.labeling, params) + delta,
+                    abs=1e-9)
             for i in range(0, len(queries), dims.Y + 1):
                 free, fixed = batch[i], batch[i + 1:i + 1 + dims.Y]
                 assert [f.y for f in fixed] == list(range(dims.Y))
@@ -347,19 +366,13 @@ class TestBatchedCore:
                             (ModelDims(R=2, K=1, D=3, A=2, S=2, Y=3),
                              {"use_gc": False})):
             params = random_params(dims, rng, **flags)
-            queries = self._mixed_batch(rng, params)
-            for q, res in zip(queries,
-                              maximize(queries, params, self.LAMBDA_Y,
-                                       self.LAMBDA_V)):
-                T = q.x.shape[0]
+            # the batch's videos, each once
+            queries = self._mixed_batch(rng, params)[::dims.Y + 1]
+            for q in queries:
+                res = infer(q.x, params, q.constraints)
                 for r in range(dims.R):
-                    addends = None
-                    if q.loss is not None and q.loss.allowed_v is not None \
-                            and r == LOSS_REGION:
-                        addends = (self.LAMBDA_V / T) \
-                            * (~q.loss.allowed_v).astype(float)
                     unary = region_unary(q.x, res.y, params, r,
-                                         q.constraints, addends)
+                                         q.constraints, None)
                     np.testing.assert_array_equal(res.margins[:, r],
                                                   _margins_reference(unary))
                     lone = np.isfinite(unary).sum(axis=1) == 1
@@ -450,16 +463,73 @@ class TestViterbiAtPaperShapes:
             np.testing.assert_array_equal(split[0], whole[0])
             assert split[1].tobytes() == whole[1].tobytes()
 
+    def _gaussian_stack(self, rng, B, T, KK=KK, A=A):
+        """Unary spread four times the transitions', as in a paper-scale
+        model, so most poselet cells are settled by the bound."""
+        return (rng.normal(scale=4.0, size=(B, T, KK * A)),
+                rng.normal(size=(KK, KK)), rng.normal(size=(A, A)))
+
+    def _assert_matches_reference(self, unary, eta, gamma):
+        states, scores = _viterbi_batch(unary, eta, gamma)
+        ref_states, ref_scores = reference_viterbi(unary, eta, gamma)
+        np.testing.assert_array_equal(states, ref_states)
+        assert scores.tobytes() == ref_scores.tobytes()
+
+    def _count_unsettled(self, monkeypatch):
+        """Cells sent to the full maximum, one entry per frame that has
+        any."""
+        counted = []
+        full = inference._unsettled_max
+
+        def counting(sa_rows, eta_cols):
+            counted.append(len(sa_rows))
+            return full(sa_rows, eta_cols)
+        monkeypatch.setattr(inference, "_unsettled_max", counting)
+        return counted
+
+    def test_matches_backpointer_reference(self):
+        rng = np.random.default_rng(43)
+        m = inference.POSELET_CANDIDATES
+        gaussian = self._gaussian_stack(rng, 3, 12)
+        for stack in [
+                gaussian,
+                self._tied_stack(rng, 3, 6),
+                (_apply_beam(gaussian[0], 400),) + gaussian[1:],
+                # the smallest pruned table, and the largest dense one
+                self._gaussian_stack(rng, 3, 12, KK=m + 2),
+                self._gaussian_stack(rng, 3, 12, KK=m + 1),
+                # a desk shape
+                self._gaussian_stack(rng, 4, 9, KK=9, A=14)]:
+            self._assert_matches_reference(*stack)
+
+    def test_bound_settles_most_poselet_cells(self, monkeypatch):
+        counted = self._count_unsettled(monkeypatch)
+        B, T = 2, 30
+        stack = self._gaussian_stack(np.random.default_rng(44), B, T)
+        self._assert_matches_reference(*stack)
+        cells = B * (T - 1) * self.A * self.KK
+        assert sum(counted) <= 0.1 * cells
+
+    def test_ties_reach_the_full_maximum(self, monkeypatch):
+        counted = self._count_unsettled(monkeypatch)
+        self._assert_matches_reference(
+            *self._tied_stack(np.random.default_rng(45), 2, 6))
+        assert sum(counted) > 0
+
     def test_memory_stays_bounded(self):
         rng = np.random.default_rng(42)
-        unary = rng.normal(size=(10, 20, self.KK * self.A))
         eta = rng.normal(size=(self.KK, self.KK))
         gamma = rng.normal(size=(self.A, self.A))
-        tracemalloc.start()
-        try:
-            _viterbi_batch(unary, eta, gamma)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one (B, A, K', K') float64 table for all ten rows is 16 MB
-        assert peak < 8 * 2 ** 20
+        # ten short rows, and one paper-length row
+        for B, T in [(10, 20), (1, 150)]:
+            unary = rng.normal(size=(B, T, self.KK * self.A))
+            tracemalloc.start()
+            try:
+                _viterbi_batch(unary, eta, gamma)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a row holds T*A*K' float64 of score history (2.4 MB at 150
+            # frames) and about 0.7 MB of per-frame tables; the ten rows
+            # in one chunk would take 10 MB
+            assert peak < 8 * 2 ** 20
