@@ -27,9 +27,9 @@ from .evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
 from .inference import infer
 from .learning import SUPERVISION_LEVELS, TrainingVideo, initialize, train
 from .skeleton import (ActionInterval, JointSchema, ParseError, SchemaError,
-                       SkeletonSequence, get_schema, load_annotations,
-                       load_labels, parse_skeleton, save_annotations,
-                       save_labels, validate_annotations)
+                       SkeletonSequence, csv_rows, get_schema,
+                       load_annotations, load_labels, parse_skeleton,
+                       save_annotations, save_labels, validate_annotations)
 
 
 class UsageError(ValueError):
@@ -50,6 +50,16 @@ def _require(path: str | Path, kind: str) -> Path:
     if not p.exists():
         raise UsageError(f"{kind} not found: {p}")
     return p
+
+
+def _read_csv(path, kind: str, load):
+    """``load`` of the CSV file at ``path``, naming the file in any parse
+    error."""
+    with open(_require(path, kind)) as fh:
+        try:
+            return load(fh)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def _json_dumps(obj) -> str:
@@ -82,7 +92,15 @@ def load_features(features_dir: str | Path) -> dict[str, np.ndarray]:
     for header_path in sorted(directory.glob("*.json")):
         if header_path.name == "pca.json":
             continue
-        header = json.loads(header_path.read_text())
+        try:
+            header = json.loads(header_path.read_text())
+        except ValueError as exc:
+            raise UsageError(f"{header_path}: invalid JSON ({exc})") from None
+        missing = [key for key in ("video_id", "frames", "regions", "dim")
+                   if not isinstance(header, dict) or key not in header]
+        if missing:
+            raise UsageError(f"{header_path}: feature header lacks "
+                             + ", ".join(missing))
         video_id = header["video_id"]
         array_path = directory / f"{video_id}.npy"
         x = np.load(array_path)
@@ -104,10 +122,9 @@ def load_features(features_dir: str | Path) -> dict[str, np.ndarray]:
 def _load_training_set(features_dir, annotations_path, labels_path
                        ) -> tuple[list[TrainingVideo], int, int]:
     features = load_features(features_dir)
-    with open(_require(annotations_path, "annotation file")) as fh:
-        intervals = load_annotations(fh)
-    with open(_require(labels_path, "labels file")) as fh:
-        labels = load_labels(fh)
+    intervals = _read_csv(annotations_path, "annotation file",
+                          load_annotations)
+    labels = _read_csv(labels_path, "labels file", load_labels)
     videos = []
     for video_id in sorted(features):
         if video_id not in labels:
@@ -174,7 +191,7 @@ def cmd_features(args) -> int:
             except SchemaError as exc:
                 raise SchemaError(f"{sidecar_path}: {exc}") from None
 
-    pca_models = None
+    raw_per_video, pca_models = {}, None
     if motion_mode:
         # PCA is fit over the whole dataset, so raw motion comes first.
         raw_per_video = {
@@ -188,10 +205,9 @@ def cmd_features(args) -> int:
                                       for s in sequences])
             pca_models.append(desc.fit_pca(stacked, out_dim=config.pca_dim))
     for seq in sequences:
-        x = desc.build_descriptors(seq, mode=config.mode,
-                                   pca_models=pca_models,
-                                   window=config.window,
-                                   sidecar=sidecars.get(seq.video_id))
+        x = desc.build_descriptors(seq, schema,
+                                   raw_per_video.get(seq.video_id),
+                                   pca_models)
         save_features(out_dir, seq.video_id, x, config_hash)
     if pca_models is not None:
         _atomic_write(out_dir / "pca.json", _json_dumps(
@@ -308,7 +324,10 @@ def cmd_train(args) -> int:
 
 def _predict(args, config):
     model_path = _require(args.model, "model file")
-    params, _pca, _hash = load_model(model_path.read_text())
+    try:
+        params, _pca, _hash = load_model(model_path.read_text())
+    except ValueError as exc:
+        raise UsageError(f"{model_path}: {exc}") from None
     features = load_features(args.features)
     shape = next(iter(features.values())).shape[1:]
     expected = (params.dims.R, params.dims.D)
@@ -379,13 +398,11 @@ def cmd_annotate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _frames_to_intervals(path, min_run) -> dict[str, list[ActionInterval]]:
-    import csv as _csv
-
     rows: dict[str, dict] = {}
-    with open(_require(path, "prediction frames file")) as fh:
-        for row in _csv.DictReader(fh):
-            entry = rows.setdefault(row["video_id"], {})
-            entry[(int(row["t"]), int(row["region"]))] = int(row["u"])
+    for _, row in _read_csv(path, "prediction frames file", lambda fh: list(
+            csv_rows(fh, ("video_id", "t", "region", "u"), "frames"))):
+        rows.setdefault(row["video_id"], {})[row["t"], row["region"]] = \
+            row["u"]
     out = {}
     for video_id, cells in rows.items():
         T = 1 + max(t for t, _ in cells)
@@ -399,18 +416,17 @@ def _frames_to_intervals(path, min_run) -> dict[str, list[ActionInterval]]:
 
 def cmd_eval(args) -> int:
     config = _config(args)
-    with open(_require(args.pred_labels, "predicted labels file")) as fh:
-        pred_labels = load_labels(fh)
-    with open(_require(args.truth_labels, "truth labels file")) as fh:
-        truth_labels = load_labels(fh)
+    pred_labels = _read_csv(args.pred_labels, "predicted labels file",
+                            load_labels)
+    truth_labels = _read_csv(args.truth_labels, "truth labels file",
+                             load_labels)
     metrics = {"accuracy": accuracy(pred_labels, truth_labels),
                "num_videos": len(truth_labels),
                "config_hash": config.hash()}
     if args.pred_frames and args.truth_annotations:
         preds = _frames_to_intervals(args.pred_frames, config.min_run)
-        with open(_require(args.truth_annotations,
-                           "truth annotations file")) as fh:
-            truths = load_annotations(fh)
+        truths = _read_csv(args.truth_annotations, "truth annotations file",
+                           load_annotations)
         criterion = DetectionCriterion(min_overlap=config.min_overlap)
         precision, recall = pooled_pr(preds, truths, criterion,
                                       match_region=False)

@@ -89,13 +89,18 @@ def load_config(path: str | None = None) -> RunConfig:
     if path is not None:
         parser = configparser.ConfigParser()
         parser.optionxform = str      # keys are case-sensitive field names
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+            items = [(section, parser.items(section))
+                     for section in parser.sections()]
+        except configparser.Error as exc:
+            raise ValueError(f"config file {path}: {exc}") from None
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")
-        for section in parser.sections():
-            for key, raw in parser.items(section):
+        for section, pairs in items:
+            for key, raw in pairs:
                 if key not in known:
                     raise ValueError(
-                        f"unknown config key {key!r} in [{section}]")
+                        f"unknown config key {key!r} in [{section}] of {path}")
                 values[key] = _coerce(key, raw, f"[{section}] of {path}")
     return RunConfig(**values)

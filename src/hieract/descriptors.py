@@ -2,10 +2,12 @@
 
 The frame descriptor for region r is the concatenation of an 18-D geometric
 part (15 segment-pair angles and 3 plane-segment angles) and a motion part
-reduced to a fixed dimension with PCA. Motion comes either from joint
-velocities (central differences over a clamped window) or from a precomputed
-per-joint feature sidecar (JSON-lines ``{"t": int, "joint": int,
-"feat": [...]}``).
+reduced to a fixed dimension with PCA. Angles read the region's joints
+straight from the joint array. Raw motion comes either from joint
+velocities (central differences over a clamped window) or from a
+precomputed per-joint feature sidecar (JSON-lines ``{"t": int, "joint":
+int, "feat": [...]}``); the caller computes it once per video, fits PCA to
+it and hands both to ``build_descriptors``.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .skeleton import (JointSchema, RegionJoints, SchemaError,
-                       SkeletonSequence, get_schema, split_regions)
+from .skeleton import (JointSchema, RegionSpec, SchemaError,
+                       SkeletonSequence, get_schema)
 
 GEO_DIM = 18
 # descriptor modes: geometry alone, or with velocity or sidecar motion
@@ -58,31 +60,36 @@ class PcaModel:
                                                  dtype=float))
 
 
-def geo_descriptors(region_joints: RegionJoints) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric descriptors for every frame of one region.
+def geo_descriptors(seq: SkeletonSequence, schema: JointSchema,
+                    region: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric descriptors for every frame of one region of ``seq``.
 
     Returns (angles, degenerate): angles (T, 18) in radians, degenerate
     (T,) bool. The 15 pairwise angles lie in [0, pi] (lexicographic over the
-    region's segment list), the 3 plane angles in [0, pi/2]. Zero-length segments and collapsed planes contribute angle 0 and set the
-    frame's degenerate flag instead of raising, so long noisy captures
-    survive.
+    region's segment list), the 3 plane angles in [0, pi/2]. Zero-length
+    segments and collapsed planes contribute angle 0 and set the frame's
+    degenerate flag instead of raising, so long noisy captures survive.
     """
-    region = region_joints.region
-    coords = region_joints.coords
-    if coords.shape[-1] != 3:
+    if seq.num_joints != schema.num_joints:
+        raise SchemaError(
+            f"sequence has {seq.num_joints} joints, schema "
+            f"{schema.name!r} defines {schema.num_joints}")
+    if seq.joints.shape[-1] != 3:
         raise SchemaError(
             "geometric descriptor needs 3-D joints; lift 2-D input first")
-    T = coords.shape[0]
 
-    segs = np.empty((T, 6, 3))
+    def joint(name: str) -> np.ndarray:
+        return seq.joints[:, schema.joint_index(name)]
+
+    segs = np.empty((seq.num_frames, 6, 3))
     for s, (start, end) in enumerate(region.segments):
-        segs[:, s] = region_joints.joint(end) - region_joints.joint(start)
+        segs[:, s] = joint(end) - joint(start)
     norms = np.linalg.norm(segs, axis=2)
     ok = norms > _ZERO_NORM
     units = np.zeros_like(segs)
     np.divide(segs, norms[:, :, None], out=units, where=ok[:, :, None])
 
-    angles = np.zeros((T, GEO_DIM))
+    angles = np.zeros((seq.num_frames, GEO_DIM))
     degenerate = ~np.all(ok, axis=1)
     for col, (i, j) in enumerate(_PAIR_INDEX):
         dots = np.einsum("td,td->t", units[:, i], units[:, j])
@@ -90,9 +97,7 @@ def geo_descriptors(region_joints: RegionJoints) -> tuple[np.ndarray, np.ndarray
         angles[:, col] = np.where(
             pair_ok, np.arccos(np.clip(dots, -1.0, 1.0)), 0.0)
 
-    p0 = region_joints.joint(region.plane[0])
-    p1 = region_joints.joint(region.plane[1])
-    p2 = region_joints.joint(region.plane[2])
+    p0, p1, p2 = (joint(name) for name in region.plane)
     normal = np.cross(p1 - p0, p2 - p0)
     n_norm = np.linalg.norm(normal, axis=1)
     n_ok = n_norm > _ZERO_NORM
@@ -252,28 +257,24 @@ def raw_motion_vectors(seq: SkeletonSequence, schema: JointSchema,
 
 def build_descriptors(seq: SkeletonSequence,
                       schema: JointSchema | None = None,
-                      mode: str = "geo+velocity",
-                      pca_models: list[PcaModel] | None = None,
-                      window: int = 7,
-                      sidecar: np.ndarray | None = None) -> np.ndarray:
+                      motion: list[np.ndarray] | None = None,
+                      pca_models: list[PcaModel] | None = None) -> np.ndarray:
     """Compose the full (T, R, D) descriptor array for one sequence.
 
-    ``mode`` is "geo" (D=18), "geo+velocity" or "geo+precomputed" (D=18 +
-    PCA output dim). The motion modes require one fitted PcaModel per
-    region. Deterministic for fixed inputs.
+    Without ``motion`` it is the geometry alone (D=18). With ``motion``, the
+    per-region raw motion matrices of ``raw_motion_vectors``, each region's
+    geometry is followed by its motion projected by its fitted PcaModel
+    (D=18 + PCA output dim). Deterministic for fixed inputs.
     """
     if schema is None:
         schema = get_schema(seq.schema)
-    regions = split_regions(seq, schema)
-    geo = [geo_descriptors(rj)[0] for rj in regions]
-    if mode == "geo":
+    geo = [geo_descriptors(seq, schema, region)[0]
+           for region in schema.regions]
+    if motion is None:
         return np.stack(geo, axis=1)
-    motion_mode = mode.split("+", 1)[1]
-    if pca_models is None or len(pca_models) != schema.num_regions:
-        raise ValueError("motion modes require one fitted PCA model per region")
-    raw = raw_motion_vectors(seq, schema, motion_mode, window=window,
-                             sidecar=sidecar)
-    per_region = [np.concatenate([geo[r], pca_models[r].transform(raw[r])],
-                                 axis=1)
-                  for r in range(schema.num_regions)]
-    return np.stack(per_region, axis=1)
+    if pca_models is None or \
+            not len(motion) == len(pca_models) == schema.num_regions:
+        raise ValueError("motion needs one raw matrix and one fitted PCA "
+                         "model per region")
+    return np.stack([np.concatenate([g, pca.transform(m)], axis=1)
+                     for g, m, pca in zip(geo, motion, pca_models)], axis=1)

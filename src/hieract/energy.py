@@ -272,13 +272,18 @@ def save_model(params: ModelParams, pca_models: list[PcaModel] | None = None,
 
 
 def load_model(text: str) -> tuple[ModelParams, list[PcaModel] | None, str]:
+    """Parse a model file; text that is not JSON, not a model of this
+    version, or lacks a field raises ValueError."""
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a model file")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
     if doc.get("beta_includes_gc") is not True:
         raise ValueError("unsupported model: beta_includes_gc must be true")
+    missing = [key for key in ("dims", "weights", "use_gc") if key not in doc]
+    if missing:
+        raise ValueError(f"model lacks {', '.join(missing)}")
     dims = ModelDims(**doc["dims"])
     dictionary = (ActionletDictionary.from_dict(doc["dictionary"])
                   if doc.get("dictionary") is not None else None)

@@ -934,6 +934,8 @@ def train(videos: list[TrainingVideo], dims: ModelDims, config: TrainConfig,
         if trace[-2] - trace[-1] < CCCP_TOL * max(1.0, abs(trace[-2])):
             reason = "converged"
             break
+        if outer == config.max_cccp_iters - 1:
+            break                   # no next step reads a new completion
         params = template.with_flat(W)
         completions = impute_latents(videos, params, init.constraints,
                                      beam=config.beam)

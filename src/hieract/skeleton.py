@@ -4,7 +4,8 @@ A skeleton file is JSON-lines: a header object on the first line
 (``{"schema": ..., "video_id": ..., "fps": ...}``) followed by one object
 per frame (``{"t": <int>, "joints": [[x, y, z], ...]}``). Frames may appear
 out of order; parsing sorts them ascending by ``t``, which must then run
-0..T-1 with no frame missing or repeated. Annotation files are
+0..T-1 with no frame missing or repeated. A body region is a set of joint
+names, read straight from the (T, J, dims) joint array. Annotation files are
 CSV with header ``video_id,action_id,t_start,t_end,region`` (region -1 =
 unknown); label files are CSV ``video_id,complex_action``. Frame indices
 are 0-based and intervals are inclusive on both ends. Action and label ids
@@ -15,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +29,6 @@ class SchemaError(ValueError):
     """Input disagrees with the joint schema (count, names, dimensions)."""
 
 
-# Canonical names of the shared reference joints every region subset carries.
-REFERENCE_JOINTS = ("head", "neck", "torso", "hip_center")
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """One fixed body region: the joints it owns and its descriptor geometry.
@@ -39,7 +36,8 @@ class RegionSpec:
     ``segments`` are ordered (start, end) joint-name pairs; the direction is
     end minus start. ``plane`` names the three joints spanning the region
     plane. Segments with an endpoint outside the plane triple are the
-    non-coplanar ones used for the plane angles.
+    non-coplanar ones used for the plane angles. Segments may end at shared
+    joints that no region owns (head, neck, torso, hips).
     """
     name: str
     joints: tuple[str, ...]
@@ -54,16 +52,11 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class JointSchema:
-    """Named joints of a skeleton plus its split into R fixed regions.
-
-    ``reference_map`` maps the canonical reference names (head, neck, torso,
-    hip_center) to this schema's joint names, so that schemas lacking an
-    explicit torso or hip-center joint can alias another joint.
-    """
+    """Named joints of a skeleton plus its split into R fixed regions; each
+    joint a region owns or names in a segment or its plane is checked."""
     name: str
     joint_names: tuple[str, ...]
     regions: tuple[RegionSpec, ...]
-    reference_map: dict[str, str] = field(default_factory=dict)
     dims: int = 3
 
     def __post_init__(self):
@@ -73,16 +66,12 @@ class JointSchema:
         for region in self.regions:
             if not region.joints:
                 raise SchemaError(f"region {region.name!r} owns no joints")
-            for j in region.joints:
+            named = (*region.joints, *region.plane,
+                     *(j for segment in region.segments for j in segment))
+            for j in named:
                 if j not in known:
                     raise SchemaError(
                         f"region {region.name!r} references unknown joint {j!r}")
-        for canonical in REFERENCE_JOINTS:
-            mapped = self.reference_map.get(canonical, canonical)
-            if mapped not in known:
-                raise SchemaError(
-                    f"reference joint {canonical!r} -> {mapped!r} missing "
-                    f"from schema {self.name!r}")
 
     @property
     def num_joints(self) -> int:
@@ -97,9 +86,6 @@ class JointSchema:
             return self.joint_names.index(name)
         except ValueError:
             raise SchemaError(f"unknown joint {name!r} in schema {self.name!r}")
-
-    def reference_joint(self, canonical: str) -> str:
-        return self.reference_map.get(canonical, canonical)
 
 
 def _side_arm(side: str) -> RegionSpec:
@@ -138,7 +124,7 @@ KINECT20 = JointSchema(
 )
 
 # 2D puppet skeleton (sub-JHMDB style): no distinct torso/hip-center joint,
-# both alias "belly"; no hands or feet.
+# so segments end at "belly" instead; no hands or feet.
 PUPPET15 = JointSchema(
     name="puppet15",
     joint_names=(
@@ -194,7 +180,6 @@ PUPPET15 = JointSchema(
             plane=("right_hip", "right_knee", "right_ankle"),
         ),
     ),
-    reference_map={"torso": "belly", "hip_center": "belly"},
     dims=2,
 )
 
@@ -263,29 +248,6 @@ class ActionInterval:
         return self.t_start <= other.t_end and other.t_start <= self.t_end
 
 
-@dataclass
-class RegionJoints:
-    """Joint coordinates of one region for a whole sequence.
-
-    ``names`` lists owned joints first, then the shared reference joints;
-    ``coords`` has shape (T, len(names), dims).
-    """
-    region: RegionSpec
-    names: tuple[str, ...]
-    coords: np.ndarray
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise SchemaError(
-                f"joint {name!r} not in region {self.region.name!r} subset")
-
-    def joint(self, name: str) -> np.ndarray:
-        """(T, dims) trajectory of one joint, by region-local name."""
-        return self.coords[:, self.index(name)]
-
-
 def parse_skeleton(stream) -> SkeletonSequence:
     """Parse a JSON-lines skeleton stream into a SkeletonSequence.
 
@@ -349,31 +311,6 @@ def parse_skeleton(stream) -> SkeletonSequence:
     )
 
 
-def split_regions(seq: SkeletonSequence,
-                  schema: JointSchema | None = None) -> list[RegionJoints]:
-    """Split a sequence into its R region subsets.
-
-    Each subset carries the region's owned joints plus the four shared
-    reference joints (head, neck, torso, hip-center); reference joints are
-    shared, never owned.
-    """
-    if schema is None:
-        schema = get_schema(seq.schema)
-    if seq.num_joints != schema.num_joints:
-        raise SchemaError(
-            f"sequence has {seq.num_joints} joints, schema "
-            f"{schema.name!r} defines {schema.num_joints}")
-    refs = tuple(dict.fromkeys(                       # dedupe aliased refs
-        schema.reference_joint(c) for c in REFERENCE_JOINTS))
-    subsets = []
-    for region in schema.regions:
-        names = region.joints + tuple(r for r in refs if r not in region.joints)
-        idx = [schema.joint_index(n) for n in names]
-        subsets.append(RegionJoints(region=region, names=names,
-                                    coords=seq.joints[:, idx]))
-    return subsets
-
-
 def validate_annotations(intervals: list[ActionInterval],
                          num_frames: int) -> list[str]:
     """Report structural violations in one video's intervals.
@@ -403,23 +340,58 @@ def validate_annotations(intervals: list[ActionInterval],
     return violations
 
 
-def load_annotations(stream) -> dict[str, list[ActionInterval]]:
-    """Read an annotation CSV into per-video interval lists."""
+def csv_rows(stream, columns: tuple[str, ...], kind: str):
+    """Yield (line number, row) for each row of a CSV that has ``columns``.
+
+    A row maps each of ``columns`` to its value: ``video_id`` as text, the
+    others as integers. A missing column, a missing value or one that is
+    not an integer raises ParseError naming the line.
+    """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    reader = csv.DictReader(stream)
-    expected = {"video_id", "action_id", "t_start", "t_end", "region"}
-    if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-        raise ParseError(
-            f"annotation CSV must have columns {sorted(expected)}")
+    reader = csv.reader(stream)
+    header = next(reader, [])
+    if not set(columns) <= set(header):
+        raise ParseError(f"line 1: {kind} CSV must have columns "
+                         + ",".join(columns))
+    fields = [(key, header.index(key), key != "video_id") for key in columns]
+    for cells in reader:
+        if not cells:
+            continue                                    # a blank line
+        try:
+            row = {key: int(cells[i]) if numeric else cells[i]
+                   for key, i, numeric in fields}
+        except (IndexError, ValueError):
+            raise ParseError(_bad_cell(cells, fields, reader.line_num)) \
+                from None
+        yield reader.line_num, row
+
+
+def _bad_cell(cells: list[str], fields, line: int) -> str:
+    """Why ``csv_rows`` could not read a row: its first missing value or
+    value that is not an integer."""
+    for key, i, numeric in fields:
+        if i >= len(cells):
+            return f"line {line}: no {key} value"
+        try:
+            if numeric:
+                int(cells[i])
+        except ValueError:
+            break
+    return f"line {line}: {key} {cells[i]!r} is not an integer"
+
+
+def load_annotations(stream) -> dict[str, list[ActionInterval]]:
+    """Read an annotation CSV into per-video interval lists."""
     result: dict[str, list[ActionInterval]] = {}
-    for row in reader:
-        result.setdefault(row["video_id"], []).append(ActionInterval(
-            action_id=int(row["action_id"]),
-            t_start=int(row["t_start"]),
-            t_end=int(row["t_end"]),
-            region=int(row["region"]),
-        ))
+    for line, row in csv_rows(stream, ("video_id", "action_id", "t_start",
+                                       "t_end", "region"), "annotation"):
+        try:
+            interval = ActionInterval(row["action_id"], row["t_start"],
+                                      row["t_end"], row["region"])
+        except ParseError as exc:
+            raise ParseError(f"line {line}: {exc}") from None
+        result.setdefault(row["video_id"], []).append(interval)
     return result
 
 
@@ -434,13 +406,8 @@ def save_annotations(intervals_by_video: dict[str, list[ActionInterval]]) -> str
 
 def load_labels(stream) -> dict[str, int]:
     """Read a labels CSV (video_id,complex_action)."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None or \
-            not {"video_id", "complex_action"}.issubset(reader.fieldnames):
-        raise ParseError("labels CSV must have columns video_id,complex_action")
-    return {row["video_id"]: int(row["complex_action"]) for row in reader}
+    return {row["video_id"]: row["complex_action"] for _, row in
+            csv_rows(stream, ("video_id", "complex_action"), "labels")}
 
 
 def save_labels(labels: dict[str, int]) -> str:

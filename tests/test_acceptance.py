@@ -328,8 +328,7 @@ class TestCriterion11:
             from hieract.descriptors import (build_descriptors, fit_pca,
                                              geo_descriptors,
                                              raw_motion_vectors)
-            from hieract.skeleton import (SkeletonSequence, get_schema,
-                                          split_regions)
+            from hieract.skeleton import KINECT20, SkeletonSequence
 
             rng = np.random.default_rng(1011)
             for _ in range(100):
@@ -337,7 +336,7 @@ class TestCriterion11:
                 seq = SkeletonSequence(video_id="v", schema="kinect20",
                                        joints=joints)
                 r = int(rng.integers(4))
-                base, _ = geo_descriptors(split_regions(seq)[r])
+                base, _ = geo_descriptors(seq, KINECT20, KINECT20.regions[r])
                 Q, _unused = np.linalg.qr(rng.normal(size=(3, 3)))
                 if np.linalg.det(Q) < 0:
                     Q[:, 0] = -Q[:, 0]
@@ -345,7 +344,8 @@ class TestCriterion11:
                     + rng.normal(size=3)
                 seq2 = SkeletonSequence(video_id="v", schema="kinect20",
                                         joints=moved)
-                transformed, _ = geo_descriptors(split_regions(seq2)[r])
+                transformed, _ = geo_descriptors(seq2, KINECT20,
+                                                 KINECT20.regions[r])
                 np.testing.assert_allclose(transformed, base, atol=1e-9)
 
             # dimensionality switches per config
@@ -353,11 +353,9 @@ class TestCriterion11:
             drift += rng.normal(scale=0.5, size=(1, 20, 3))
             seq = SkeletonSequence(video_id="v", schema="kinect20",
                                    joints=drift)
-            geo_only = build_descriptors(seq, mode="geo")
+            geo_only = build_descriptors(seq)
             assert geo_only.shape[2] == 18
-            raw = raw_motion_vectors(seq, get_schema("kinect20"),
-                                     "velocity", window=7)
+            raw = raw_motion_vectors(seq, KINECT20, "velocity", window=7)
             pca = [fit_pca(raw[r], out_dim=20) for r in range(4)]
-            full = build_descriptors(seq, mode="geo+velocity",
-                                     pca_models=pca, window=7)
+            full = build_descriptors(seq, motion=raw, pca_models=pca)
             assert full.shape[2] == 38

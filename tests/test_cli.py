@@ -7,6 +7,7 @@ import pytest
 
 from conftest import TOY_JOINT_BASE, make_dictionary
 
+from hieract import descriptors as desc
 from hieract.cli import UsageError, load_features, main, save_features
 from hieract.energy import ModelDims, ModelParams, save_model
 from hieract.skeleton import KINECT20
@@ -159,6 +160,25 @@ class TestFeatures:
         err = capsys.readouterr().err
         assert str(sidecars / "v0.jsonl") in err
         assert "line 2: t 30 outside 0..29" in err
+
+    def test_motion_is_computed_once_per_video(self, tmp_path, monkeypatch):
+        calls = []
+        raw_motion_vectors = desc.raw_motion_vectors
+
+        def counted(seq, *args, **kwargs):
+            calls.append(seq.video_id)
+            return raw_motion_vectors(seq, *args, **kwargs)
+
+        monkeypatch.setattr(desc, "raw_motion_vectors", counted)
+        skel = tmp_path / "skel"
+        skel.mkdir()
+        for i in range(3):
+            _write_skeleton(skel / f"v{i}.jsonl", f"v{i}", T=20)
+        code = main(["features", "--skeletons", str(skel),
+                     "--out", str(tmp_path / "features"),
+                     "--mode", "geo+velocity"])
+        assert code == 0
+        assert calls == ["v0", "v1", "v2"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         skel = tmp_path / "skel"
@@ -423,4 +443,112 @@ class TestErrors:
                      "--out", str(out)])
         assert code == 1
         assert "beta_includes_gc" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, fault", [
+        ("synth_0_000,x,0,3,-1", "line 2: action_id 'x' is not an integer"),
+        ("synth_0_000,0,10,0,-1", "line 2: bad interval bounds [10, 0]"),
+        ("synth_0_000,0,0", "line 2: no t_end value"),
+        (None, "line 1: annotation CSV must have columns")],
+        ids=["action-id", "reversed", "short-row", "no-region-column"])
+    def test_bad_annotations_name_the_file_and_line(
+            self, synth_dataset, tmp_path, capsys, row, fault):
+        base = synth_dataset / "train"
+        rows = (base / "annotations.csv").read_text().splitlines()
+        if row is None:
+            rows = [line.rsplit(",", 1)[0] for line in rows]
+        else:
+            rows[1] = row
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text("\n".join(rows) + "\n")
+        code = main(["init-dictionary", "--features", str(base / "features"),
+                     "--annotations", str(annotations),
+                     "--labels", str(base / "labels.csv"),
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert f"{annotations}: {fault}" in capsys.readouterr().err
+
+    def test_bad_label_names_the_file_and_line(self, synth_dataset, tmp_path,
+                                               capsys):
+        base = synth_dataset / "train"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("video_id,complex_action\nsynth_0_000,0\n"
+                          "synth_0_001,one\n")
+        code = main(["init-dictionary", "--features", str(base / "features"),
+                     "--annotations", str(base / "annotations.csv"),
+                     "--labels", str(labels),
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert f"{labels}: line 3: complex_action 'one' is not an integer" \
+            in capsys.readouterr().err
+
+    def test_pred_frames_without_u_column_is_validation_error(
+            self, synth_dataset, tmp_path, capsys):
+        test = synth_dataset / "test"
+        frames = tmp_path / "frames.csv"
+        frames.write_text("video_id,t,region,z,v\nsynth_0_004,0,0,1,1\n")
+        code = main(["eval", "--pred-labels", str(test / "labels.csv"),
+                     "--truth-labels", str(test / "labels.csv"),
+                     "--pred-frames", str(frames),
+                     "--truth-annotations", str(test / "annotations.csv"),
+                     "--out", str(tmp_path / "metrics.json")])
+        assert code == 1
+        assert f"{frames}: line 1: frames CSV must have columns " \
+            "video_id,t,region,u" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, fault", [
+        ('{"video_id": "synth_0_000", "regions": 2, "dim": 5}',
+         "feature header lacks frames"),
+        ("{broken", "invalid JSON")], ids=["no-frames", "not-json"])
+    def test_bad_feature_header_names_the_file(self, synth_dataset, tmp_path,
+                                               capsys, text, fault):
+        base = synth_dataset / "train"
+        features = tmp_path / "features"
+        features.mkdir()
+        for path in (base / "features").iterdir():
+            (features / path.name).write_bytes(path.read_bytes())
+        header = features / "synth_0_000.json"
+        header.write_text(text)
+        code = main(["init-dictionary", "--features", str(features),
+                     "--annotations", str(base / "annotations.csv"),
+                     "--labels", str(base / "labels.csv"),
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert f"{header}: {fault}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["no-weights", "not-json"])
+    def test_bad_model_file_names_the_file(self, synth_dataset, tmp_path,
+                                           capsys, fault):
+        dims = ModelDims(R=2, K=3, D=5, A=2, S=2, Y=2)
+        doc = json.loads(save_model(ModelParams.zeros(
+            dims, dictionary=make_dictionary(2, 2, 3))))
+        del doc["weights"]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc) if fault == "no-weights"
+                              else "model")
+        out = tmp_path / "pred"
+        code = main(["infer", "--model", str(model_path),
+                     "--features", str(synth_dataset / "test" / "features"),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{model_path}: " in err
+        assert ("model lacks weights" if fault == "no-weights"
+                else "Expecting value: line 1") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[features]\nmode\n", "mode = geo\n"],
+                             ids=["no-value", "no-section"])
+    def test_ini_that_does_not_parse_is_validation_error(self, tmp_path,
+                                                          capsys, text):
+        skel = tmp_path / "skel"
+        skel.mkdir()
+        _write_skeleton(skel / "v0.jsonl", "v0")
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        out = tmp_path / "features"
+        code = main(["features", "--config", str(config),
+                     "--skeletons", str(skel), "--out", str(out)])
+        assert code == 1
+        assert str(config) in capsys.readouterr().err
         assert not out.exists()

@@ -4,8 +4,8 @@ import pytest
 from hieract.descriptors import (GEO_DIM, build_descriptors, fit_pca,
                                  geo_descriptors, lift_2d,
                                  load_motion_sidecar, velocity_descriptors)
-from hieract.skeleton import (KINECT20, SchemaError, SkeletonSequence,
-                              get_schema, split_regions)
+from hieract.skeleton import (KINECT20, PUPPET15, SchemaError,
+                              SkeletonSequence, get_schema)
 
 
 def _frame_with(positions: dict) -> np.ndarray:
@@ -19,9 +19,10 @@ def _frame_with(positions: dict) -> np.ndarray:
 
 
 def _left_arm(joints: np.ndarray):
+    """geo_descriptors' arguments for the left arm of a one-frame pose."""
     seq = SkeletonSequence(video_id="v", schema="kinect20",
                            joints=joints[None, :, :])
-    return split_regions(seq)[0]
+    return seq, KINECT20, KINECT20.regions[0]
 
 
 def _random_pose(rng):
@@ -34,7 +35,7 @@ class TestGeoDescriptor:
         joints = _frame_with({"left_wrist": (0, 0, 0),
                               "left_elbow": (1, 0, 0),
                               "left_shoulder": (2, 0, 0)})
-        angles = geo_descriptors(_left_arm(joints))[0][0]
+        angles = geo_descriptors(*_left_arm(joints))[0][0]
         # pair (0, 3) = (wrist-elbow, wrist-shoulder) sits at column 2
         assert angles[2] == pytest.approx(0.0, abs=1e-12)
 
@@ -42,7 +43,7 @@ class TestGeoDescriptor:
         joints = _frame_with({"left_wrist": (0, 0, 0),
                               "left_elbow": (1, 0, 0),
                               "left_shoulder": (1, 1, 0)})
-        angles = geo_descriptors(_left_arm(joints))[0][0]
+        angles = geo_descriptors(*_left_arm(joints))[0][0]
         # pair (0, 1) = (wrist-elbow, elbow-shoulder) is the first column
         assert angles[0] == pytest.approx(np.pi / 2, abs=1e-12)
 
@@ -50,14 +51,14 @@ class TestGeoDescriptor:
         joints = _frame_with({"left_wrist": (0, 0, 0),
                               "left_elbow": (1, 0, 0),
                               "left_shoulder": (1, 1, 0)})
-        angles = geo_descriptors(_left_arm(joints))[0][0]
+        angles = geo_descriptors(*_left_arm(joints))[0][0]
         # wrist->shoulder = (1,1,0) against wrist->elbow = (1,0,0)
         assert angles[2] == pytest.approx(np.pi / 4, rel=1e-12)
 
     def test_ranges(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
-            angles, _ = geo_descriptors(_left_arm(_random_pose(rng)))
+            angles, _ = geo_descriptors(*_left_arm(_random_pose(rng)))
             assert np.all(angles[:, :15] >= 0)
             assert np.all(angles[:, :15] <= np.pi + 1e-12)
             assert np.all(angles[:, 15:] >= 0)
@@ -67,27 +68,27 @@ class TestGeoDescriptor:
         rng = np.random.default_rng(1)
         for _ in range(20):
             joints = _random_pose(rng)
-            base, _ = geo_descriptors(_left_arm(joints))
+            base, _ = geo_descriptors(*_left_arm(joints))
             shifted = joints * rng.uniform(0.5, 3.0) + rng.normal(size=3)
-            moved, _ = geo_descriptors(_left_arm(shifted))
+            moved, _ = geo_descriptors(*_left_arm(shifted))
             np.testing.assert_allclose(moved, base, atol=1e-9)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             joints = _random_pose(rng)
-            base, _ = geo_descriptors(_left_arm(joints))
+            base, _ = geo_descriptors(*_left_arm(joints))
             # random rotation from QR of a Gaussian matrix
             Q, _r = np.linalg.qr(rng.normal(size=(3, 3)))
             if np.linalg.det(Q) < 0:
                 Q[:, 0] = -Q[:, 0]
-            rotated, _ = geo_descriptors(_left_arm(joints @ Q.T))
+            rotated, _ = geo_descriptors(*_left_arm(joints @ Q.T))
             np.testing.assert_allclose(rotated, base, atol=1e-9)
 
     def test_degenerate_segment_flagged_as_zero(self):
         joints = _frame_with({"left_wrist": (0.5, 0.5, 0.5),
                               "left_elbow": (0.5, 0.5, 0.5)})
-        angles, degenerate = geo_descriptors(_left_arm(joints))
+        angles, degenerate = geo_descriptors(*_left_arm(joints))
         assert degenerate[0]
         assert angles[0][0] == 0.0  # pair with the zero-length segment
 
@@ -95,7 +96,7 @@ class TestGeoDescriptor:
         seq = SkeletonSequence(video_id="v", schema="puppet15",
                                joints=np.zeros((1, 15, 2)))
         with pytest.raises(SchemaError, match="lift"):
-            geo_descriptors(split_regions(seq)[0])
+            geo_descriptors(seq, PUPPET15, PUPPET15.regions[0])
 
 
 class TestVelocityDescriptor:
@@ -231,7 +232,7 @@ class TestBuildDescriptors:
                                 joints=joints)
 
     def test_geo_only_dimension(self):
-        x = build_descriptors(self._sequence(), mode="geo")
+        x = build_descriptors(self._sequence())
         assert x.shape == (40, 4, GEO_DIM)
 
     def test_default_mode_dimension(self):
@@ -241,8 +242,7 @@ class TestBuildDescriptors:
         schema = get_schema("kinect20")
         raw = raw_motion_vectors(seq, schema, "velocity", window=7)
         pca = [fit_pca(raw[r], out_dim=20) for r in range(4)]
-        x = build_descriptors(seq, mode="geo+velocity", pca_models=pca,
-                              window=7)
+        x = build_descriptors(seq, motion=raw, pca_models=pca)
         assert x.shape == (40, 4, 38)
 
     def test_precomputed_mode_dimension(self):
@@ -255,17 +255,20 @@ class TestBuildDescriptors:
         raw = raw_motion_vectors(seq, schema, "precomputed", sidecar=sidecar)
         assert raw[0].shape == (40, 4 * 108)
         pca = [fit_pca(raw[r], out_dim=20) for r in range(4)]
-        x = build_descriptors(seq, mode="geo+precomputed", pca_models=pca,
-                              sidecar=sidecar)
+        x = build_descriptors(seq, motion=raw, pca_models=pca)
         assert x.shape == (40, 4, 38)
 
     def test_motion_modes_require_pca(self):
+        from hieract.descriptors import raw_motion_vectors
+
+        seq = self._sequence()
+        raw = raw_motion_vectors(seq, get_schema("kinect20"), "velocity")
         with pytest.raises(ValueError, match="PCA"):
-            build_descriptors(self._sequence(), mode="geo+velocity")
+            build_descriptors(seq, motion=raw)
 
     def test_deterministic(self):
-        a = build_descriptors(self._sequence(), mode="geo")
-        b = build_descriptors(self._sequence(), mode="geo")
+        a = build_descriptors(self._sequence())
+        b = build_descriptors(self._sequence())
         np.testing.assert_array_equal(a, b)
 
 

@@ -1,6 +1,6 @@
-"""Golden outputs: the desk pipeline and a small kinect20 set, run end to end
-through ``hieract.cli.main``, reproduce the committed SHA-256 digests of
-every file they write, byte for byte.
+"""Golden outputs: the desk pipeline, a small kinect20 set and a small 2-D
+puppet15 set, run end to end through ``hieract.cli.main``, reproduce the
+committed SHA-256 digests of every file they write, byte for byte.
 
 The pipeline runs in a child process with one BLAS thread, as the benchmark
 runs it. Training logs are hashed without their ``wall_time`` fields. The
@@ -116,6 +116,30 @@ def _kinect20(work: Path) -> None:
          "--out", work / "assignments.json")
 
 
+def _puppet15(work: Path) -> None:
+    """Four 30-frame 2-D puppet15 streams, whose segments end at the belly
+    joint where kinect20's end at the torso and hip center, lifted to 3-D
+    through descriptors with motion PCA."""
+    from hieract.skeleton import PUPPET15
+
+    rng = np.random.default_rng(15)
+    rest = rng.normal(scale=0.5, size=(PUPPET15.num_joints, 2))
+    skeletons = work / "skeletons"
+    skeletons.mkdir(parents=True)
+    T = 30
+    for i in range(4):
+        vid = f"p{i}"
+        joints = rest[None] + rng.normal(
+            scale=0.02, size=(T, PUPPET15.num_joints, 2)).cumsum(axis=0)
+        lines = [json.dumps({"schema": "puppet15", "video_id": vid,
+                             "fps": 30})]
+        lines += [json.dumps({"t": t, "joints": joints[t].tolist()})
+                  for t in range(T)]
+        (skeletons / f"{vid}.jsonl").write_text("\n".join(lines) + "\n")
+    _run("features", "--skeletons", skeletons, "--out", work / "features",
+         "--schema", "puppet15", "--mode", "geo+velocity")
+
+
 def _digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "train_log.jsonl":
@@ -128,10 +152,11 @@ def _digest(path: Path) -> str:
 
 
 def run_pipeline(work: Path) -> dict[str, str]:
-    """Run both pipelines under ``work``; digest of every file, by path."""
+    """Run the pipelines under ``work``; digest of every file, by path."""
     with contextlib.redirect_stdout(sys.stderr):
         _desk(work / "desk")
         _kinect20(work / "kinect20")
+        _puppet15(work / "puppet15")
     return {p.relative_to(work).as_posix(): _digest(p)
             for p in sorted(work.rglob("*")) if p.is_file()}
 

@@ -540,6 +540,23 @@ class TestTrain:
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-9
 
+    def test_no_completion_after_the_last_step(self, monkeypatch):
+        calls = []
+        impute = learning.impute_latents
+        monkeypatch.setattr(learning, "impute_latents",
+                            lambda *a, **k: calls.append(1) or impute(*a, **k))
+        spec, ds, videos = _training_set()
+        cfg = TrainConfig(C=10.0, seed=0, supervision="temporal", beam=None,
+                          max_cccp_iters=2)
+        init = initialize(videos, spec.num_poselets, spec.num_actions, cfg)
+        dims = ModelDims(R=2, K=spec.num_poselets, D=spec.dim,
+                         A=init.dictionary.num_actionlets,
+                         S=spec.num_actions, Y=spec.num_classes)
+        result = train(videos, dims, cfg, init)
+        assert result.stopped_reason == "max_cccp_iters"
+        # step 2 reads the completion made after step 1; none reads later
+        assert len(result.cp_infos) == 2 and len(calls) == 1
+
     def test_video_supervision_trains(self):
         spec, ds, videos = _training_set()
         cfg = TrainConfig(C=10.0, seed=0, supervision="video", beam=None,

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from hieract.descriptors import GEO_DIM, build_descriptors
 from hieract.skeleton import (KINECT20, ActionInterval, JointSchema,
                               ParseError, RegionSpec, SchemaError,
                               SkeletonSequence, load_annotations, load_labels,
                               parse_skeleton, save_annotations, save_labels,
-                              split_regions, validate_annotations)
+                              validate_annotations)
 
 
 def _stream(frames, schema="kinect20", video_id="v", fps=30):
@@ -80,25 +81,29 @@ class TestParse:
 
 
 class TestSplitRegions:
+    """A schema splits the skeleton into regions, each a set of joint names
+    that descriptors read straight from the sequence's joint array."""
+
     def test_default_schema_gives_four_subsets(self, toy_skeleton_text):
         seq = parse_skeleton(toy_skeleton_text)
-        subsets = split_regions(seq)
-        assert len(subsets) == 4
-        assert all(s.coords.shape[0] == 3 for s in subsets)
+        assert KINECT20.num_regions == 4
+        assert build_descriptors(seq).shape == (3, 4, GEO_DIM)
 
-    def test_left_arm_contains_expected_joints(self, toy_skeleton_text):
-        seq = parse_skeleton(toy_skeleton_text)
-        left_arm = split_regions(seq)[0]
-        for name in ("left_wrist", "left_elbow", "left_shoulder"):
-            assert name in left_arm.names
-        # shared references ride along but are not owned
-        for name in ("head", "neck", "torso", "hip_center"):
-            assert name in left_arm.names
+    def test_left_arm_contains_expected_joints(self):
+        left_arm = KINECT20.regions[0]
+        assert set(left_arm.joints) >= {"left_wrist", "left_elbow",
+                                        "left_shoulder"}
+        # shared joints are read by the segments but owned by no region
+        read = {j for segment in left_arm.segments for j in segment}
+        assert read >= {"head", "neck", "torso"}
+        assert not read & {"head", "neck", "torso"} & set(left_arm.joints)
 
-    def test_owned_joints_partition(self, toy_skeleton_text):
-        seq = parse_skeleton(toy_skeleton_text)
-        owned = [j for s in split_regions(seq) for j in s.region.joints]
+    def test_owned_joints_partition(self):
+        owned = [j for region in KINECT20.regions for j in region.joints]
         assert len(owned) == len(set(owned))
+        shared = {"head", "neck", "torso", "hip_center"}
+        assert set(owned) | shared == set(KINECT20.joint_names)
+        assert not set(owned) & shared
 
     def test_single_region_schema(self):
         schema = JointSchema(
@@ -110,17 +115,33 @@ class TestSplitRegions:
                 segments=KINECT20.regions[0].segments,
                 plane=KINECT20.regions[0].plane),),
         )
+        rng = np.random.default_rng(3)
         seq = SkeletonSequence(video_id="v", schema="all_in_one",
-                               joints=np.zeros((2, 20, 3)))
-        subsets = split_regions(seq, schema)
-        assert len(subsets) == 1
-        assert set(subsets[0].names) == set(KINECT20.joint_names)
+                               joints=rng.normal(size=(2, 20, 3)))
+        x = build_descriptors(seq, schema)
+        assert x.shape == (2, 1, GEO_DIM)
+        np.testing.assert_array_equal(
+            x[:, 0], build_descriptors(seq, KINECT20)[:, 0])
 
     def test_wrong_joint_count_rejected(self):
         seq = SkeletonSequence(video_id="v", schema="kinect20",
                                joints=np.zeros((1, 5, 3)))
-        with pytest.raises(SchemaError):
-            split_regions(seq)
+        with pytest.raises(SchemaError, match="5 joints.*defines 20"):
+            build_descriptors(seq)
+
+    @pytest.mark.parametrize("where", ["segment", "plane"])
+    def test_region_naming_an_undefined_joint_rejected(self, where):
+        arm = KINECT20.regions[0]
+        segments, plane = arm.segments, arm.plane
+        if where == "segment":
+            segments = segments[:-1] + (("neck", "torsoo"),)
+        else:
+            plane = plane[:2] + ("left_wristt",)
+        with pytest.raises(SchemaError, match="unknown joint"):
+            JointSchema(name="typo", joint_names=KINECT20.joint_names,
+                        regions=(RegionSpec(name="arm", joints=arm.joints,
+                                            segments=segments,
+                                            plane=plane),))
 
 
 class TestValidateAnnotations:
