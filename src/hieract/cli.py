@@ -24,7 +24,7 @@ from .config import RunConfig, _coerce, load_config
 from .energy import ModelDims, load_model, save_model
 from .evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
                          intervals_from_frames, plant_synthetic, pooled_pr)
-from .inference import infer
+from .inference import Query, infer, maximize
 from .learning import SUPERVISION_LEVELS, TrainingVideo, initialize, train
 from .skeleton import (ActionInterval, JointSchema, ParseError, SchemaError,
                        SkeletonSequence, csv_rows, get_schema,
@@ -122,8 +122,9 @@ def load_features(features_dir: str | Path) -> dict[str, np.ndarray]:
 def _load_training_set(features_dir, annotations_path, labels_path
                        ) -> tuple[list[TrainingVideo], int, int]:
     features = load_features(features_dir)
+    num_regions = next(iter(features.values())).shape[1]
     intervals = _read_csv(annotations_path, "annotation file",
-                          load_annotations)
+                          lambda fh: load_annotations(fh, num_regions))
     labels = _read_csv(labels_path, "labels file", load_labels)
     videos = []
     for video_id in sorted(features):
@@ -322,7 +323,8 @@ def cmd_train(args) -> int:
 # infer / annotate
 # ---------------------------------------------------------------------------
 
-def _predict(args, config):
+def _model_and_features(args):
+    """The model and the features to label, checked against each other."""
     model_path = _require(args.model, "model file")
     try:
         params, _pca, _hash = load_model(model_path.read_text())
@@ -335,8 +337,7 @@ def _predict(args, config):
         raise UsageError(f"features under {args.features} have (regions, "
                          f"dim) {shape}, but model {model_path} takes "
                          f"{expected}")
-    return params, {vid: infer(features[vid], params, beam=config.beam)
-                    for vid in sorted(features)}
+    return params, features
 
 
 def _frames_table(videos) -> str:
@@ -361,7 +362,9 @@ def _frames_csv(params, results) -> str:
 
 def cmd_infer(args) -> int:
     config = _config(args)
-    params, results = _predict(args, config)
+    params, features = _model_and_features(args)
+    results = {vid: infer(features[vid], params, beam=config.beam)
+               for vid in sorted(features)}
     out_dir = Path(args.out)
     u_of_v = params.u_of_v()
     json_lines = []
@@ -384,7 +387,12 @@ def cmd_infer(args) -> int:
 
 def cmd_annotate(args) -> int:
     config = _config(args)
-    params, results = _predict(args, config)
+    params, features = _model_and_features(args)
+    # one maximization over every video: no energy or margins to report
+    video_ids = sorted(features)
+    results = dict(zip(video_ids, maximize(
+        [Query(features[vid]) for vid in video_ids], params,
+        beam=config.beam)))
     _atomic_write(Path(args.out), _frames_csv(params, results))
     _atomic_write(Path(args.labels_out),
                   save_labels({vid: res.y for vid, res in results.items()}))
@@ -398,15 +406,30 @@ def cmd_annotate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _frames_to_intervals(path, min_run) -> dict[str, list[ActionInterval]]:
+    """Per-video intervals of a predicted-frames CSV, whose rows must give
+    each (t, region) cell of a video's T x R grid exactly once."""
     rows: dict[str, dict] = {}
-    for _, row in _read_csv(path, "prediction frames file", lambda fh: list(
+    for line, row in _read_csv(path, "prediction frames file", lambda fh: list(
             csv_rows(fh, ("video_id", "t", "region", "u"), "frames"))):
-        rows.setdefault(row["video_id"], {})[row["t"], row["region"]] = \
-            row["u"]
+        for key in ("t", "region"):
+            if row[key] < 0:
+                raise ParseError(f"{path}: line {line}: {key} {row[key]} "
+                                 "is negative")
+        video_id, cell = row["video_id"], (row["t"], row["region"])
+        cells = rows.setdefault(video_id, {})
+        if cell in cells:
+            raise ParseError(f"{path}: line {line}: video {video_id!r} "
+                             f"repeats frame t={cell[0]}, region {cell[1]}")
+        cells[cell] = row["u"]
     out = {}
     for video_id, cells in rows.items():
         T = 1 + max(t for t, _ in cells)
         R = 1 + max(r for _, r in cells)
+        if len(cells) < T * R:
+            t, r = next((t, r) for t in range(T) for r in range(R)
+                        if (t, r) not in cells)
+            raise UsageError(f"{path}: video {video_id!r} has no row for "
+                             f"frame t={t}, region {r}")
         u = np.zeros((T, R), dtype=int)
         for (t, r), value in cells.items():
             u[t, r] = value

@@ -4,11 +4,15 @@
 with its complex action fixed or free, optional frame constraints and an
 optional loss-augmenting truth. Per region and candidate complex action the
 maximization is a Viterbi pass over joint (poselet, actionlet) states; the
-(query, candidate y) rows of one length share a single batched pass, and a
-free complex action is picked by exhaustive enumeration. Its one-call
-wrappers are ``infer`` (labeling a test video), ``loss_augmented_infer_many``
-(the most-violating labelings for the cutting plane) and ``complete_latent``
-(latent completion at the true complex action).
+(query, region, candidate y) rows of every query of one length share a
+single batched pass, each row under its region's transition tables, and a
+free complex action is picked by exhaustive enumeration. The pass runs in
+row chunks whose unary rows are built just before they run, so memory does
+not grow with the number of queries. Its one-call wrappers are ``infer``
+(labeling a test video, with its energy and unary margins),
+``loss_augmented_infer_many`` (the most-violating labelings for the cutting
+plane) and ``complete_latent`` (latent completion at the true complex
+action).
 
 State (k, a) maps to index k*A + a, and every argmax breaks ties toward
 the lowest index, so results are deterministic: among equal-scoring label
@@ -30,6 +34,7 @@ non-sequential part of the score before running the sequential pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -160,10 +165,23 @@ VITERBI_CHUNK_BYTES = 2 << 20
 POSELET_CANDIDATES = 16
 
 
-def _viterbi_batch(unary: np.ndarray, eta: np.ndarray,
-                   gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_rows(T: int, KK: int, A: int) -> int:
+    """Rows of T frames per chunk of the Viterbi pass: about
+    ``VITERBI_CHUNK_BYTES`` of per-row tables, and at least one row."""
+    # per row: the history, the actionlet step's (A, A, K') table and its
+    # gamma rows, the poselet step's (K', A, K) dense or (A, m, K) pruned
+    # table, and three (A, K') tables
+    row_cells = A * KK * (T + 2 * A + min(KK, POSELET_CANDIDATES + 1) + 3)
+    return max(1, VITERBI_CHUNK_BYTES // (8 * row_cells))
+
+
+def _viterbi_batch(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
+                   region) -> tuple[np.ndarray, np.ndarray]:
     """Viterbi over a (B, T, N) stack of unary tables for the joint states
-    (k, a), n = k*A + a. Returns (states (B, T), scores (B,)).
+    (k, a), n = k*A + a, row b under the transition tables of its region:
+    ``eta`` (R, K', K') and ``gamma`` (R, A, A) stack every region's, and
+    ``region`` (B,) (or one int for every row) picks each row's. Returns
+    (states (B, T), scores (B,)).
 
     The transition maximization factors through the two labels, the
     actionlet step ``sa[a, k'] = max_a' score[a', k'] + gamma[a', a]`` and
@@ -176,18 +194,15 @@ def _viterbi_batch(unary: np.ndarray, eta: np.ndarray,
     ``(score + gamma) + eta``, then ``+ unary``, on both passes, so states
     and scores do not depend on which cells are recomputed.
 
-    Rows are independent, so the stack runs in row chunks of about
-    ``VITERBI_CHUNK_BYTES`` (at least one row); every chunk gives the
-    states and scores it would give in one pass.
+    Rows are independent, so the stack runs in chunks of ``_chunk_rows``
+    rows; every chunk gives the states and scores it would give in one
+    pass, whatever the regions of its rows.
     """
     B, T = unary.shape[:2]
-    KK, A = eta.shape[0], gamma.shape[0]
-    # per row: the history, the actionlet step's (A, A, K') table, the
-    # poselet step's (K', A, K) dense or (A, m, K) pruned table, and three
-    # (A, K') tables
-    row_cells = A * KK * (T + A + min(KK, POSELET_CANDIDATES + 1) + 3)
-    step = max(1, VITERBI_CHUNK_BYTES // (8 * row_cells))
-    parts = [_viterbi_rows(unary[i:i + step], eta, gamma)
+    region = np.broadcast_to(np.asarray(region, dtype=np.intp), (B,))
+    step = _chunk_rows(T, eta.shape[1], gamma.shape[1])
+    parts = [_viterbi_rows(unary[i:i + step], eta, gamma,
+                           region[i:i + step])
              for i in range(0, B, step)]
     states, scores = zip(*parts)
     scores = np.concatenate(scores)
@@ -196,23 +211,24 @@ def _viterbi_batch(unary: np.ndarray, eta: np.ndarray,
     return np.concatenate(states), scores
 
 
-def _viterbi_rows(unary: np.ndarray, eta: np.ndarray,
-                  gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _viterbi_rows(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
+                  region: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One chunk of ``_viterbi_batch``. Every table is indexed actionlet
     first, [b, a, k], so each reduction runs over a leading axis of
     contiguous K'-long rows."""
     B, T, N = unary.shape
-    KK, A = eta.shape[0], gamma.shape[0]
+    KK, A = eta.shape[1], gamma.shape[1]
     unary = unary.reshape(B, T, KK, A).transpose(0, 1, 3, 2)
     history = np.empty((B, T, A, KK))
     history[:, 0] = unary[:, 0]
     over_a = np.empty((B, A, A, KK))          # [b, a', a, k']
     sa = np.empty((B, A, KK))                 # [b, a, k']
     best = np.empty((B, A, KK))               # [b, a, k]
-    # gamma[a', a] repeated along k', so the add runs over contiguous rows
-    gamma_rows = np.repeat(gamma[:, :, None], KK, axis=2)
+    # each row's gamma[a', a] repeated along k', so the add runs over
+    # contiguous rows
+    gamma_rows = np.repeat(gamma[region][:, :, :, None], KK, axis=3)
     poselet_step = (_pruned_poselet_step if KK > POSELET_CANDIDATES + 1
-                    else _dense_poselet_step)(eta, B, A)
+                    else _dense_poselet_step)(eta, region, A)
     for t in range(1, T):
         np.add(history[:, t - 1, :, None, :], gamma_rows, out=over_a)
         np.maximum.reduce(over_a, axis=1, out=sa)
@@ -225,21 +241,23 @@ def _viterbi_rows(unary: np.ndarray, eta: np.ndarray,
     states = np.empty((B, T), dtype=int)
     states[:, -1] = best_last
     k, a = np.divmod(best_last, A)
-    eta_t, gamma_t = eta.T, gamma.T           # [k, k'], [a, a']
+    # [r, k, k'] and [r, a, a']
+    eta_t, gamma_t = eta.transpose(0, 2, 1), gamma.transpose(0, 2, 1)
     for t in range(T - 1, 0, -1):
-        prev = history[:, t - 1] + gamma_t[a][:, :, None]   # [b, a', k']
-        k = (prev.max(axis=1) + eta_t[k]).argmax(axis=1)     # smallest k'
-        a = prev[rows, :, k].argmax(axis=1)                  # smallest a'
+        # [b, a', k']
+        prev = history[:, t - 1] + gamma_t[region, a][:, :, None]
+        k = (prev.max(axis=1) + eta_t[region, k]).argmax(axis=1)  # least k'
+        a = prev[rows, :, k].argmax(axis=1)                       # least a'
         states[:, t - 1] = k * A + a
     return states, best_score
 
 
-def _dense_poselet_step(eta: np.ndarray, B: int, A: int):
+def _dense_poselet_step(eta: np.ndarray, region: np.ndarray, A: int):
     """The poselet step over every k', reduced over k' as the leading axis
     of a (B, K', A, K) table."""
-    KK = eta.shape[0]
-    over_k = np.empty((B, KK, A, KK))         # [b, k', a, k]
-    eta_row = eta[:, None, :]
+    KK = eta.shape[1]
+    over_k = np.empty((len(region), KK, A, KK))   # [b, k', a, k]
+    eta_row = eta[region][:, :, None, :]
 
     def step(sa: np.ndarray, best: np.ndarray) -> None:
         np.add(sa.transpose(0, 2, 1)[:, :, :, None], eta_row, out=over_k)
@@ -247,22 +265,25 @@ def _dense_poselet_step(eta: np.ndarray, B: int, A: int):
     return step
 
 
-def _pruned_poselet_step(eta: np.ndarray, B: int, A: int):
+def _pruned_poselet_step(eta: np.ndarray, region: np.ndarray, A: int):
     """The poselet step from the ``POSELET_CANDIDATES`` (m) largest
     ``sa[b, a, :]``, exact by a rounding-safe bound.
 
     Every excluded k' has ``sa <= thr``, the (m+1)-th largest, and
-    ``eta[k', k] <= eta_max[k]``, so its exact sum is at most
-    ``thr + eta_max[k]``; rounding to nearest is monotone, so its rounded
-    sum is at most ``bound = fl(thr + eta_max[k])``. A cell whose best
-    candidate is strictly greater than ``bound`` is settled: no excluded
-    k' reaches or ties it. The other cells (near ties, ``-inf`` masks,
-    NaN) take the full maximum over k' in ``_unsettled_max``.
+    ``eta[k', k] <= eta_max[k]`` (of the row's region), so its exact sum is
+    at most ``thr + eta_max[k]``; rounding to nearest is monotone, so its
+    rounded sum is at most ``bound = fl(thr + eta_max[k])``. A cell whose
+    best candidate is strictly greater than ``bound`` is settled: no
+    excluded k' reaches or ties it. The other cells (near ties, ``-inf``
+    masks, NaN) take the full maximum over k' in ``_unsettled_max``.
     """
-    KK = eta.shape[0]
+    B, R, KK = len(region), eta.shape[0], eta.shape[1]
     cut = KK - POSELET_CANDIDATES - 1
-    eta_max = eta.max(axis=0)
-    eta_t = eta.T.copy()                      # [k, k']
+    eta_max = eta.max(axis=1)[region][:, None, :]   # [b, 1, k]
+    eta_t = eta.transpose(0, 2, 1).copy()           # [r, k, k']
+    # row region*K' + k' of the flat table is eta[region, k']
+    eta_flat = eta.reshape(R * KK, KK)
+    eta_start = (region * KK)[:, None, None]
     cand = np.empty((B, A, POSELET_CANDIDATES, KK))   # [b, a, j, k]
     bound = np.empty((B, A, KK))
     # flat offset of each (b, a) row of the caller's contiguous sa buffer
@@ -272,14 +293,14 @@ def _pruned_poselet_step(eta: np.ndarray, B: int, A: int):
         # top[..., 0] is the (m+1)-th largest, the rest the m candidates
         top = np.argpartition(sa, cut, axis=2)[:, :, cut:]
         top_sa = sa.take(top + row_start)
-        eta.take(top[:, :, 1:], axis=0, out=cand)
+        eta_flat.take(top[:, :, 1:] + eta_start, axis=0, out=cand)
         np.add(cand, top_sa[:, :, 1:, None], out=cand)
         np.maximum.reduce(cand, axis=2, out=best)
         np.add(top_sa[:, :, :1], eta_max, out=bound)
         unsettled = ~(best > bound)
         if unsettled.any():
             b, a, k = np.nonzero(unsettled)
-            best[b, a, k] = _unsettled_max(sa[b, a], eta_t[k])
+            best[b, a, k] = _unsettled_max(sa[b, a], eta_t[region[b], k])
     return step
 
 
@@ -311,6 +332,58 @@ class Query:
     loss: LossSpec | None = None
 
 
+@dataclass
+class _QueryRows:
+    """The (region, candidate y) rows of one query in flight: the loss
+    constant per candidate, and the Viterbi states and scores of the rows
+    solved so far."""
+    index: int                # of the query in the caller's list
+    ys: np.ndarray            # candidate complex actions
+    totals: np.ndarray        # (len(ys),) loss constants
+    states: np.ndarray        # (R, len(ys), T)
+    scores: np.ndarray        # (R, len(ys))
+    left: int                 # rows not solved yet
+
+    def best(self, A: int) -> Maximum:
+        """The best candidate, its region scores summed in region order;
+        ties go to the smallest y."""
+        totals = self.totals
+        for region_scores in self.scores:
+            totals += region_scores
+        j = int(np.argmax(totals))
+        joint = self.states[:, j].T.copy()       # (T, R)
+        return Maximum(labeling=Labeling(z=joint // A, v=joint % A,
+                                         y=int(self.ys[j])),
+                       score=float(totals[j]))
+
+
+def _unary_rows(queries: list[Query], idxs: list[int], params: ModelParams,
+                lambda_y: float, lambda_v: float):
+    """Every (query, region, candidate y) row of the equal-length queries
+    ``idxs``, in that order, as (query rows, region, candidate j, base):
+    the row's unary table is ``base`` plus the alpha term of y. A (query,
+    region) base is built for its first row and dropped after its last."""
+    d = params.dims
+    for i in idxs:
+        q = queries[i]
+        x = np.asarray(q.x, dtype=float)
+        T = x.shape[0]
+        ys = np.arange(d.Y) if q.y is None else np.array([q.y])
+        totals = (np.zeros(ys.size) if q.loss is None
+                  else np.where(ys == q.loss.y, 0.0, lambda_y))
+        addends = None
+        if q.loss is not None and q.loss.allowed_v is not None \
+                and lambda_v != 0.0:
+            addends = (lambda_v / T) * (~q.loss.allowed_v).astype(float)
+        rows = _QueryRows(i, ys, totals, np.empty((d.R, ys.size, T), int),
+                          np.empty((d.R, ys.size)), d.R * ys.size)
+        for r in range(d.R):
+            base = _region_unary_base(x, params, r, q.constraints,
+                                      addends if r == LOSS_REGION else None)
+            for j in range(ys.size):
+                yield rows, r, j, base
+
+
 def maximize(queries: list[Query], params: ModelParams,
              lambda_y: float = 0.0, lambda_v: float = 0.0,
              beam: int | None = None) -> list[Maximum]:
@@ -320,62 +393,53 @@ def maximize(queries: list[Query], params: ModelParams,
     ``loss_value``. The loss decomposes into a constant per candidate y plus
     per-frame addends in the designated loss region, so each region still
     solves an independent DP and ``result.score`` equals the labeling's
-    ``energy_total`` plus its loss. Queries of equal length share
-    one Viterbi pass per region over all their candidate rows; the rows are
-    independent, so every result equals that of its query run alone, bit
-    for bit. ``beam`` of None (or >= the state count) runs the exact pass;
-    otherwise only the ``beam`` best states per frame by unary score
-    survive, which can only lower the attained score. A query whose
-    constraints or beam leave no path raises InfeasibleError for the batch.
+    ``energy_total`` plus its loss. The (query, region, candidate y) rows
+    of all queries of one length share one Viterbi pass, under each row's
+    region's transition tables; each chunk's unary rows are built just
+    before it runs, so apart from the results nothing held grows with the
+    number of queries. The rows are independent and each query's region
+    scores are summed in region order, so every result equals that of its
+    query run alone, bit for bit. ``beam`` of None (or >= the state count)
+    runs the exact pass; otherwise only the ``beam`` best states per frame
+    by unary score survive, which can only lower the attained score. A
+    query whose constraints or beam leave no path raises InfeasibleError
+    for the batch.
     """
     if beam is not None and beam < 1:
         raise ValueError("beam must be >= 1")
     d = params.dims
-    xs = [np.asarray(q.x, dtype=float) for q in queries]
+    KK = params.num_poselet_states
     alphas = [np.stack([_alpha_term(params, r, y) for y in range(d.Y)])
               for r in range(d.R)]
+    eta, gamma = (np.stack(tables) for tables in zip(
+        *(_transition_tables(params, r) for r in range(d.R))))
     results: list[Maximum | None] = [None] * len(queries)
     by_len: dict[int, list[int]] = {}
-    for i, x in enumerate(xs):
-        by_len.setdefault(x.shape[0], []).append(i)
+    for i, q in enumerate(queries):
+        by_len.setdefault(np.shape(q.x)[0], []).append(i)
     for T, idxs in sorted(by_len.items()):
-        cands, totals, addends = [], [], []
-        for i in idxs:
-            q = queries[i]
-            # candidate complex actions of the query's rows
-            cand = slice(0, d.Y) if q.y is None else slice(q.y, q.y + 1)
-            cands.append(cand)
-            row_y = np.arange(d.Y)[cand]
-            totals.append(np.zeros(row_y.size) if q.loss is None
-                          else np.where(row_y == q.loss.y, 0.0, lambda_y))
-            add = [None] * d.R
-            if q.loss is not None and q.loss.allowed_v is not None \
-                    and lambda_v != 0.0:
-                add[LOSS_REGION] = \
-                    (lambda_v / T) * (~q.loss.allowed_v).astype(float)
-            addends.append(add)
-        totals = np.concatenate(totals)
-        starts = np.cumsum([0] + [c.stop - c.start for c in cands])
-        states = []
-        for r in range(d.R):
-            bases = [_region_unary_base(xs[i], params, r,
-                                        queries[i].constraints, add[r])
-                     for i, add in zip(idxs, addends)]
-            stack = np.concatenate([base[None, :, :] + alphas[r][c, None, :]
-                                    for base, c in zip(bases, cands)])
+        num_rows = sum(d.R * (d.Y if queries[i].y is None else 1)
+                       for i in idxs)
+        unary = np.empty((min(num_rows, _chunk_rows(T, KK, d.A)), T,
+                          KK * d.A))
+        region = np.empty(len(unary), dtype=np.intp)
+        rows = _unary_rows(queries, idxs, params, lambda_y, lambda_v)
+        while owners := list(islice(rows, len(unary))):
+            for n, (query_rows, r, j, base) in enumerate(owners):
+                np.add(base, alphas[r][query_rows.ys[j]], out=unary[n])
+                region[n] = r
+            chunk = unary[:len(owners)]
             if beam is not None:
-                stack = _apply_beam(stack, beam)
-            eta, gamma = _transition_tables(params, r)
-            region_states, scores = _viterbi_batch(stack, eta, gamma)
-            totals += scores
-            states.append(region_states)
-        for j, i in enumerate(idxs):
-            best = int(np.argmax(totals[starts[j]:starts[j + 1]]))
-            row, y = starts[j] + best, cands[j].start + best
-            joint = np.stack([states[r][row] for r in range(d.R)], axis=1)
-            results[i] = Maximum(
-                labeling=Labeling(z=joint // d.A, v=joint % d.A, y=y),
-                score=float(totals[row]))
+                chunk = _apply_beam(chunk, beam)
+            states, scores = _viterbi_batch(chunk, eta, gamma,
+                                            region[:len(owners)])
+            for (query_rows, r, j, _), row_states, score in zip(
+                    owners, states, scores):
+                query_rows.states[r, j] = row_states
+                query_rows.scores[r, j] = score
+                query_rows.left -= 1
+                if not query_rows.left:
+                    results[query_rows.index] = query_rows.best(d.A)
     return results
 
 

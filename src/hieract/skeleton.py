@@ -381,11 +381,18 @@ def _bad_cell(cells: list[str], fields, line: int) -> str:
     return f"line {line}: {key} {cells[i]!r} is not an integer"
 
 
-def load_annotations(stream) -> dict[str, list[ActionInterval]]:
-    """Read an annotation CSV into per-video interval lists."""
+def load_annotations(stream, num_regions: int | None = None
+                     ) -> dict[str, list[ActionInterval]]:
+    """Read an annotation CSV into per-video interval lists. Given the
+    features' ``num_regions``, a region outside -1 (unknown) to
+    ``num_regions - 1`` raises ParseError naming the line."""
     result: dict[str, list[ActionInterval]] = {}
     for line, row in csv_rows(stream, ("video_id", "action_id", "t_start",
                                        "t_end", "region"), "annotation"):
+        if num_regions is not None and not -1 <= row["region"] < num_regions:
+            raise ParseError(f"line {line}: region {row['region']} is not "
+                             f"-1 (unknown) or one of the {num_regions} "
+                             "regions of the features")
         try:
             interval = ActionInterval(row["action_id"], row["t_start"],
                                       row["t_end"], row["region"])

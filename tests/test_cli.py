@@ -1,12 +1,14 @@
 import json
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import TOY_JOINT_BASE, make_dictionary
+from conftest import TOY_JOINT_BASE, make_dictionary, random_params
 
+from hieract import cli, inference
 from hieract import descriptors as desc
 from hieract.cli import UsageError, load_features, main, save_features
 from hieract.energy import ModelDims, ModelParams, save_model
@@ -355,6 +357,44 @@ class TestPipeline:
                      "--num-poselets", "8", "--max-cccp-iters", "1"]) == 0
 
 
+    def test_annotate_labels_every_video_in_one_maximization(
+            self, synth_dataset, tmp_path, monkeypatch):
+        dims = ModelDims(R=2, K=3, D=5, A=2, S=2, Y=2)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(save_model(random_params(
+            dims, np.random.default_rng(7))))
+        features = synth_dataset / "test" / "features"
+        num_videos = len(load_features(features))
+        calls = Counter()
+
+        def count(module, name):
+            func = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        for module, name in [(cli, "maximize"), (cli, "infer"),
+                             (inference, "energy_total"),
+                             (inference, "_unary_margins")]:
+            count(module, name)
+        frames_csv = tmp_path / "frames.csv"
+        labels_csv = tmp_path / "labels.csv"
+        assert main(["annotate", "--model", str(model_path),
+                     "--features", str(features), "--out", str(frames_csv),
+                     "--labels-out", str(labels_csv)]) == 0
+        assert calls == {"maximize": 1}
+        # infer labels each video alone, as annotate does in its batch
+        out = tmp_path / "pred"
+        assert main(["infer", "--model", str(model_path),
+                     "--features", str(features), "--out", str(out)]) == 0
+        assert calls["infer"] == calls["energy_total"] == num_videos > 1
+        assert (out / "predictions.csv").read_bytes() \
+            == frames_csv.read_bytes()
+        assert (out / "pred_labels.csv").read_bytes() \
+            == labels_csv.read_bytes()
+
+
 class TestErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -552,3 +592,72 @@ class TestErrors:
         assert code == 1
         assert str(config) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "init-dictionary"])
+    @pytest.mark.parametrize("region", [7, -2])
+    def test_annotated_region_outside_the_features_is_validation_error(
+            self, synth_dataset, tmp_path, capsys, command, region):
+        base = synth_dataset / "train"
+        rows = (base / "annotations.csv").read_text().splitlines()
+        fields = rows[2].split(",")
+        fields[4] = str(region)
+        rows[2] = ",".join(fields)
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out.json"
+        code = main([command, "--features", str(base / "features"),
+                     "--annotations", str(annotations),
+                     "--labels", str(base / "labels.csv"),
+                     "--out", str(out), "--num-poselets", "3",
+                     "--supervision", "full"])
+        assert code == 1
+        assert f"{annotations}: line 3: region {region} is not -1 " \
+            "(unknown) or one of the 2 regions of the features" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def _eval_frames(self, synth_dataset, tmp_path, edit):
+        """Run eval on the planted test frames, edited by ``edit`` (a
+        function of the CSV's lines), and return its exit code."""
+        test = synth_dataset / "test"
+        lines = (test / "frames.csv").read_text().splitlines()
+        frames = tmp_path / "frames.csv"
+        frames.write_text("\n".join(edit(lines)) + "\n")
+        return main(["eval", "--pred-labels", str(test / "labels.csv"),
+                     "--truth-labels", str(test / "labels.csv"),
+                     "--pred-frames", str(frames),
+                     "--truth-annotations", str(test / "annotations.csv"),
+                     "--out", str(tmp_path / "metrics.json")]), frames
+
+    @pytest.mark.parametrize("row, fault", [
+        ("synth_0_004,-1,0,0,0,1", "t -1 is negative"),
+        ("synth_0_004,0,-1,0,0,1", "region -1 is negative"),
+        ("synth_0_004,2,1,0,0,1",
+         "video 'synth_0_004' repeats frame t=2, region 1")],
+        ids=["negative-t", "negative-region", "repeated-cell"])
+    def test_bad_pred_frame_rows_name_the_file_and_line(
+            self, synth_dataset, tmp_path, capsys, row, fault):
+        line = []
+
+        def append(lines):
+            line.append(len(lines) + 1)
+            return lines + [row]
+        code, frames = self._eval_frames(synth_dataset, tmp_path, append)
+        assert code == 1
+        assert f"{frames}: line {line[0]}: {fault}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_pred_frames_missing_a_cell_names_the_video_and_cell(
+            self, synth_dataset, tmp_path, capsys):
+        def drop(lines):
+            return [x for x in lines if not x.startswith("synth_1_005,3,1,")]
+        code, frames = self._eval_frames(synth_dataset, tmp_path, drop)
+        assert code == 1
+        assert f"{frames}: video 'synth_1_005' has no row for frame t=3, " \
+            "region 1" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_planted_frames_evaluate(self, synth_dataset, tmp_path):
+        code, _ = self._eval_frames(synth_dataset, tmp_path, list)
+        assert code == 0

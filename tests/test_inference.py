@@ -444,7 +444,7 @@ class TestViterbiAtPaperShapes:
 
     def test_ties_match_joint_state_reference(self):
         unary, eta, gamma = self._tied_stack(np.random.default_rng(40), 3, 6)
-        states, scores = _viterbi_batch(unary, eta, gamma)
+        states, scores = _viterbi_batch(unary, eta[None], gamma[None], 0)
         for b in range(3):
             ref_states, ref_score = _joint_viterbi(unary[b], eta, gamma)
             np.testing.assert_array_equal(states[b], ref_states)
@@ -453,13 +453,15 @@ class TestViterbiAtPaperShapes:
     def test_row_chunks_equal_one_pass(self, monkeypatch):
         rng = np.random.default_rng(41)
         # the paper shape, then a desk shape (K' = 9, A = 14)
-        for stack in [self._tied_stack(rng, 3, 6),
-                      (rng.normal(size=(5, 7, 9 * 14)),
-                       rng.normal(size=(9, 9)), rng.normal(size=(14, 14)))]:
+        for unary, eta, gamma in [
+                self._tied_stack(rng, 3, 6),
+                (rng.normal(size=(5, 7, 9 * 14)),
+                 rng.normal(size=(9, 9)), rng.normal(size=(14, 14)))]:
+            stacked = (unary, eta[None], gamma[None], 0)
             monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", 1 << 40)
-            whole = _viterbi_batch(*stack)
+            whole = _viterbi_batch(*stacked)
             monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", 1)
-            split = _viterbi_batch(*stack)
+            split = _viterbi_batch(*stacked)
             np.testing.assert_array_equal(split[0], whole[0])
             assert split[1].tobytes() == whole[1].tobytes()
 
@@ -470,7 +472,7 @@ class TestViterbiAtPaperShapes:
                 rng.normal(size=(KK, KK)), rng.normal(size=(A, A)))
 
     def _assert_matches_reference(self, unary, eta, gamma):
-        states, scores = _viterbi_batch(unary, eta, gamma)
+        states, scores = _viterbi_batch(unary, eta[None], gamma[None], 0)
         ref_states, ref_scores = reference_viterbi(unary, eta, gamma)
         np.testing.assert_array_equal(states, ref_states)
         assert scores.tobytes() == ref_scores.tobytes()
@@ -525,7 +527,7 @@ class TestViterbiAtPaperShapes:
             unary = rng.normal(size=(B, T, self.KK * self.A))
             tracemalloc.start()
             try:
-                _viterbi_batch(unary, eta, gamma)
+                _viterbi_batch(unary, eta[None], gamma[None], 0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -533,3 +535,164 @@ class TestViterbiAtPaperShapes:
             # frames) and about 0.7 MB of per-frame tables; the ten rows
             # in one chunk would take 10 MB
             assert peak < 8 * 2 ** 20
+
+
+def _per_region_reference(unary, eta, gamma, region):
+    """``reference_viterbi`` run on each region's rows alone, under that
+    region's tables, scattered back into row order."""
+    states = np.empty(unary.shape[:2], dtype=int)
+    scores = np.empty(len(unary))
+    for r in range(len(eta)):
+        rows = region == r
+        states[rows], scores[rows] = reference_viterbi(unary[rows], eta[r],
+                                                       gamma[r])
+    return states, scores
+
+
+class TestRegionStackedRows:
+    """Rows of different regions in one pass, each under its own region's
+    transition tables, as ``maximize`` runs them."""
+
+    def _stack(self, rng, R, B, T, KK, A, tied=False):
+        """A (B, T, K'*A) unary stack, (R, K', K') and (R, A, A) tables and
+        the regions of the rows, every region present and interleaved."""
+        region = rng.permutation(np.arange(B) % R)
+        if tied:
+            # small integers: exact sums, many ties, a tenth masked
+            unary = rng.integers(-2, 3, size=(B, T, KK * A)).astype(float)
+            unary[rng.random(unary.shape) < 0.1] = -np.inf
+            eta = rng.integers(-1, 2, size=(R, KK, KK)).astype(float)
+            gamma = rng.integers(-1, 2, size=(R, A, A)).astype(float)
+        else:
+            unary = rng.normal(scale=4.0, size=(B, T, KK * A))
+            eta = rng.normal(size=(R, KK, KK))
+            gamma = rng.normal(size=(R, A, A))
+        return unary, eta, gamma, region
+
+    def _assert_matches(self, unary, eta, gamma, region):
+        states, scores = _viterbi_batch(unary, eta, gamma, region)
+        ref_states, ref_scores = _per_region_reference(unary, eta, gamma,
+                                                       region)
+        np.testing.assert_array_equal(states, ref_states)
+        assert scores.tobytes() == ref_scores.tobytes()
+
+    def test_desk_shape_dense_step(self):
+        rng = np.random.default_rng(50)
+        self._assert_matches(*self._stack(rng, R=2, B=12, T=9, KK=9, A=14))
+
+    def test_paper_shape_pruned_step(self, monkeypatch):
+        # every row in one chunk, so each chunk mixes the four regions
+        monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", 1 << 40)
+        rng = np.random.default_rng(51)
+        self._assert_matches(*self._stack(rng, R=4, B=8, T=10, KK=101,
+                                          A=20))
+
+    def test_ties_reach_the_full_maximum_on_mixed_regions(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", 1 << 40)
+        chunks, unsettled = [], []
+        rows, full = inference._viterbi_rows, inference._unsettled_max
+
+        def recording_rows(unary, eta, gamma, region):
+            chunks.append(np.unique(region))
+            return rows(unary, eta, gamma, region)
+
+        def counting(sa_rows, eta_cols):
+            unsettled.append(len(sa_rows))
+            return full(sa_rows, eta_cols)
+        monkeypatch.setattr(inference, "_viterbi_rows", recording_rows)
+        monkeypatch.setattr(inference, "_unsettled_max", counting)
+        stack = self._stack(np.random.default_rng(52), R=3, B=6, T=6,
+                            KK=101, A=20, tied=True)
+        self._assert_matches(*stack)
+        assert len(chunks) == 1 and chunks[0].tolist() == [0, 1, 2]
+        assert sum(unsettled) > 0
+
+
+class TestMaximizeAcrossRegions:
+    LAMBDA_Y, LAMBDA_V = 10.0, 5.0
+
+    def _queries(self, rng, dims):
+        """Mixed lengths, each video with free y and with a fixed y, under
+        a mix of constraints and loss."""
+        queries = []
+        for n, T in enumerate([4, 6, 4, 7, 6, 4]):
+            x = rng.normal(size=(T, dims.R, dims.D))
+            constraints = None
+            if n % 2:
+                allowed_v = rng.random((T, dims.R, dims.A)) > 0.3
+                allowed_v[:, :, 0] = True
+                constraints = FrameConstraints(allowed_v=allowed_v)
+            loss = None
+            if n % 3:
+                loss = LossSpec(y=int(rng.integers(dims.Y)),
+                                allowed_v=rng.random((T, dims.A)) > 0.4)
+            queries.append(Query(x, None, constraints, loss))
+            queries.append(Query(x, n % dims.Y, constraints, loss))
+        return queries
+
+    def _reference(self, q, params):
+        """Best (y, states, score) by ``reference_viterbi`` per region and
+        candidate y, summed in region order."""
+        d = params.dims
+        T = q.x.shape[0]
+        addends = None
+        if q.loss is not None:
+            addends = (self.LAMBDA_V / T) * (~q.loss.allowed_v).astype(float)
+        best = None
+        for y in (range(d.Y) if q.y is None else [q.y]):
+            total = 0.0 if q.loss is None else \
+                (0.0 if y == q.loss.y else self.LAMBDA_Y)
+            states = []
+            for r in range(d.R):
+                unary = region_unary(q.x, y, params, r, q.constraints,
+                                     addends if r == 0 else None)
+                eta, gamma = inference._transition_tables(params, r)
+                s, score = reference_viterbi(unary[None], eta, gamma)
+                total += score[0]
+                states.append(s[0])
+            if best is None or total > best[2]:
+                best = (y, np.stack(states, axis=1), total)
+        return best
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2 << 20, 1 << 40],
+                             ids=["row-chunks", "default", "one-chunk"])
+    def test_batch_equals_queries_alone_and_reference(self, monkeypatch,
+                                                      chunk_bytes):
+        monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(54)
+        # K' = 21 takes the pruned poselet step
+        dims = ModelDims(R=3, K=20, D=4, A=3, S=2, Y=3)
+        params = random_params(dims, rng)
+        queries = self._queries(rng, dims)
+        lam = (self.LAMBDA_Y, self.LAMBDA_V)
+        batch = maximize(queries, params, *lam)
+        for q, res in zip(queries, batch):
+            alone, = maximize([q], params, *lam)
+            assert _bit_identical(res, alone)
+            y, joint, score = self._reference(q, params)
+            assert res.y == y and res.score == score
+            np.testing.assert_array_equal(res.labeling.z, joint // dims.A)
+            np.testing.assert_array_equal(res.labeling.v, joint % dims.A)
+
+    def test_memory_does_not_grow_with_queries(self):
+        """Paper-shaped 150-frame queries (K' = 101, A = 20, R = 4, Y = 10):
+        one query with free y holds one region base, one chunk and one
+        row's Viterbi tables, not its 40 unary rows (24 MB); four queries
+        of one length peak where one does."""
+        rng = np.random.default_rng(55)
+        dims = ModelDims(R=4, K=100, D=38, A=20, S=10, Y=10)
+        params = random_params(dims, rng)
+        xs = [rng.normal(size=(150, dims.R, dims.D)) for _ in range(4)]
+
+        def peak(queries):
+            tracemalloc.start()
+            try:
+                maximize(queries, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak([Query(xs[0])]) < 24 * 2 ** 20
+        # a fixed y keeps the four-query pass short
+        one = peak([Query(xs[0], 0)])
+        assert peak([Query(x, 0) for x in xs]) <= 1.1 * one
