@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
 from .inference import Query, infer, maximize
 from .learning import SUPERVISION_LEVELS, TrainingVideo, initialize, train
 from .skeleton import (ActionInterval, JointSchema, ParseError, SchemaError,
-                       SkeletonSequence, csv_rows, get_schema,
+                       SkeletonSequence, csv_columns, get_schema,
                        load_annotations, load_labels, parse_skeleton,
                        save_annotations, save_labels, validate_annotations)
 
@@ -270,10 +271,27 @@ def cmd_init_assignments(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+def _read_pca(features_dir) -> list[desc.PcaModel] | None:
+    """The PCA models of ``<features>/pca.json``, None without the file."""
+    path = Path(features_dir) / "pca.json"
+    if not path.exists():
+        return None
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise UsageError(f"{path}: invalid JSON ({exc})") from None
+    try:
+        return [desc.PcaModel.from_dict(m) for m in doc["models"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: no list of PCA models under \"models\" "
+                         f"({type(exc).__name__}: {exc})") from None
+
+
 def cmd_train(args) -> int:
     config = _config(args)
     videos, num_actions, num_classes = _load_training_set(
         args.features, args.annotations, args.labels)
+    pca_models = _read_pca(args.features)
     t0 = time.perf_counter()
     init = initialize(videos, config.num_poselets, num_actions, config)
     dims = ModelDims(R=videos[0].x.shape[1], K=config.num_poselets,
@@ -290,11 +308,6 @@ def cmd_train(args) -> int:
             "(--max-cutting-plane-iters) and did not lower the objective "
             f"{result.objective_trace[0]:.6g}; no model written")
 
-    pca_path = Path(args.features) / "pca.json"
-    pca_models = None
-    if pca_path.exists():
-        doc = json.loads(pca_path.read_text())
-        pca_models = [desc.PcaModel.from_dict(m) for m in doc["models"]]
     _atomic_write(Path(args.out),
                   save_model(result.params, pca_models=pca_models,
                              config_hash=config.hash()) + "\n")
@@ -344,12 +357,14 @@ def _frames_table(videos) -> str:
     """The per-frame CSV, ``video_id,t,region,z,v,u`` rows in (t, region)
     order, from (video_id, z, v, u) tuples of (T, R) label arrays."""
     lines = ["video_id,t,region,z,v,u"]
+    cells: dict[tuple[int, int], list[str]] = {}    # "t,r" per (T, R)
     for video_id, z, v, u in videos:
         T, R = z.shape
-        for t in range(T):
-            for r in range(R):
-                lines.append(f"{video_id},{t},{r},{z[t, r]},{v[t, r]},"
-                             f"{u[t, r]}")
+        if (T, R) not in cells:
+            cells[T, R] = [f"{t},{r}" for t in range(T) for r in range(R)]
+        lines += map(",".join, zip(
+            repeat(video_id), cells[T, R],
+            *(map(str, np.ravel(labels).tolist()) for labels in (z, v, u))))
     return "\n".join(lines) + "\n"
 
 
@@ -407,33 +422,51 @@ def cmd_annotate(args) -> int:
 
 def _frames_to_intervals(path, min_run) -> dict[str, list[ActionInterval]]:
     """Per-video intervals of a predicted-frames CSV, whose rows must give
-    each (t, region) cell of a video's T x R grid exactly once."""
-    rows: dict[str, dict] = {}
-    for line, row in _read_csv(path, "prediction frames file", lambda fh: list(
-            csv_rows(fh, ("video_id", "t", "region", "u"), "frames"))):
-        for key in ("t", "region"):
-            if row[key] < 0:
-                raise ParseError(f"{path}: line {line}: {key} {row[key]} "
-                                 "is negative")
-        video_id, cell = row["video_id"], (row["t"], row["region"])
-        cells = rows.setdefault(video_id, {})
-        if cell in cells:
-            raise ParseError(f"{path}: line {line}: video {video_id!r} "
-                             f"repeats frame t={cell[0]}, region {cell[1]}")
-        cells[cell] = row["u"]
+    each (t, region) cell of a video's T x R grid exactly once. The first
+    row with a negative ``t`` or ``region``, or repeating a cell of its
+    video, raises ParseError naming its line."""
+    lines, columns = _read_csv(
+        path, "prediction frames file",
+        lambda fh: csv_columns(fh, ("video_id", "t", "region", "u"),
+                               "frames"))
+    # videos numbered in order of first appearance
+    number: dict[str, int] = {}
+    video = np.array([number.setdefault(vid, len(number))
+                      for vid in columns["video_id"]], dtype=np.intp)
+    t, region, u = (np.array(columns[key], dtype=int)
+                    for key in ("t", "region", "u"))
+    # rows sorted by (video, t, region), equal cells in file order
+    order = np.lexsort((region, t, video))
+    cell = np.stack([video, t, region])[:, order]
+    again = order[1:][(cell[:, 1:] == cell[:, :-1]).all(axis=0)]
+    negative = np.flatnonzero((t < 0) | (region < 0))
+    first = min(again.min(initial=len(t)), negative.min(initial=len(t)))
+    if first < len(t):
+        line = lines[first]
+        if t[first] < 0 or region[first] < 0:
+            key = "t" if t[first] < 0 else "region"
+            raise ParseError(f"{path}: line {line}: {key} "
+                             f"{columns[key][first]} is negative")
+        raise ParseError(f"{path}: line {line}: video "
+                         f"{columns['video_id'][first]!r} repeats frame "
+                         f"t={t[first]}, region {region[first]}")
     out = {}
-    for video_id, cells in rows.items():
-        T = 1 + max(t for t, _ in cells)
-        R = 1 + max(r for _, r in cells)
-        if len(cells) < T * R:
-            t, r = next((t, r) for t in range(T) for r in range(R)
-                        if (t, r) not in cells)
+    starts = np.searchsorted(cell[0], np.arange(len(number) + 1))
+    for video_id, n in number.items():
+        s, e = starts[n], starts[n + 1]
+        ts, rs = cell[1, s:e], cell[2, s:e]
+        T, R = 1 + int(ts[-1]), 1 + int(rs.max())
+        if e - s < T * R:
+            # distinct cells in row-major order: the first that differs
+            # from its position's cell, or the one past the last, is missing
+            pos = np.arange(e - s)
+            gap = np.flatnonzero((ts != pos // R) | (rs != pos % R))
+            missing_t, missing_r = divmod(int(gap[0]) if gap.size else e - s,
+                                          R)
             raise UsageError(f"{path}: video {video_id!r} has no row for "
-                             f"frame t={t}, region {r}")
-        u = np.zeros((T, R), dtype=int)
-        for (t, r), value in cells.items():
-            u[t, r] = value
-        out[video_id] = intervals_from_frames(u, min_run=min_run)
+                             f"frame t={missing_t}, region {missing_r}")
+        out[video_id] = intervals_from_frames(u[order[s:e]].reshape(T, R),
+                                              min_run=min_run)
     return out
 
 

@@ -5,14 +5,16 @@ with its complex action fixed or free, optional frame constraints and an
 optional loss-augmenting truth. Per region and candidate complex action the
 maximization is a Viterbi pass over joint (poselet, actionlet) states; the
 (query, region, candidate y) rows of every query of one length share a
-single batched pass, each row under its region's transition tables, and a
-free complex action is picked by exhaustive enumeration. The pass runs in
-row chunks whose unary rows are built just before they run, so memory does
-not grow with the number of queries. Its one-call wrappers are ``infer``
-(labeling a test video, with its energy and unary margins),
-``loss_augmented_infer_many`` (the most-violating labelings for the cutting
-plane) and ``complete_latent`` (latent completion at the true complex
-action).
+single batched pass, each row under its region's transition tables. The
+pass runs in row chunks whose unary rows are built just before they run,
+so memory does not grow with the number of queries. A free complex action
+without a loss is picked by branch and bound over y: a rounding-safe upper
+bound per candidate, from a Viterbi over actionlets alone, rules out every
+y that cannot reach the best total found, and the rest are solved exactly.
+Its one-call wrappers are ``infer`` (labeling a test video, with its energy
+and unary margins), ``loss_augmented_infer_many`` (the most-violating
+labelings for the cutting plane) and ``complete_latent`` (latent completion
+at the true complex action).
 
 State (k, a) maps to index k*A + a, and every argmax breaks ties toward
 the lowest index, so results are deterministic: among equal-scoring label
@@ -148,11 +150,20 @@ def _apply_beam(unary: np.ndarray, beam: int) -> np.ndarray:
     ``unary`` is a (B, T, N) stack."""
     if beam >= unary.shape[-1]:
         return unary
-    keep = np.argsort(-unary, axis=-1, kind="stable")[..., :beam]
-    out = np.full_like(unary, NEG_INF)
-    np.put_along_axis(out, keep, np.take_along_axis(unary, keep, axis=-1),
-                      axis=-1)
-    return out
+    # the states a stable sort of -unary puts first: those below the
+    # beam-th smallest key, then the ties at it from the lowest index (NaN
+    # keys sort last in both the sort and the partition)
+    key = -unary
+    thr = np.partition(key, beam - 1, axis=-1)[..., beam - 1:beam]
+    below, at = key < thr, key == thr
+    nan_thr = np.isnan(thr)
+    if nan_thr.any():
+        nan_key = np.isnan(key)
+        below |= nan_thr & ~nan_key
+        at |= nan_thr & nan_key
+    room = beam - below.sum(axis=-1, keepdims=True)
+    keep = below | (at & (np.cumsum(at, axis=-1) <= room))
+    return np.where(keep, unary, NEG_INF)
 
 
 # Byte budget of one row chunk of the Viterbi pass: its score history plus
@@ -357,18 +368,34 @@ class _QueryRows:
                        score=float(totals[j]))
 
 
-def _unary_rows(queries: list[Query], idxs: list[int], params: ModelParams,
-                lambda_y: float, lambda_v: float):
+def _by_length(queries: list[Query]) -> list[tuple[int, list[int]]]:
+    """The indices of the queries of each video length, shortest first."""
+    by_len: dict[int, list[int]] = {}
+    for i, q in enumerate(queries):
+        by_len.setdefault(np.shape(q.x)[0], []).append(i)
+    return sorted(by_len.items())
+
+
+def _stacked_tables(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every region's transition tables, eta (R, K', K') and gamma
+    (R, A, A)."""
+    eta, gamma = zip(*(_transition_tables(params, r)
+                       for r in range(params.dims.R)))
+    return np.stack(eta), np.stack(gamma)
+
+
+def _unary_rows(queries: list[Query], candidates: list[np.ndarray],
+                idxs: list[int], params: ModelParams, lambda_y: float,
+                lambda_v: float):
     """Every (query, region, candidate y) row of the equal-length queries
     ``idxs``, in that order, as (query rows, region, candidate j, base):
     the row's unary table is ``base`` plus the alpha term of y. A (query,
     region) base is built for its first row and dropped after its last."""
     d = params.dims
     for i in idxs:
-        q = queries[i]
+        q, ys = queries[i], candidates[i]
         x = np.asarray(q.x, dtype=float)
         T = x.shape[0]
-        ys = np.arange(d.Y) if q.y is None else np.array([q.y])
         totals = (np.zeros(ys.size) if q.loss is None
                   else np.where(ys == q.loss.y, 0.0, lambda_y))
         addends = None
@@ -382,6 +409,118 @@ def _unary_rows(queries: list[Query], idxs: list[int], params: ModelParams,
                                       addends if r == LOSS_REGION else None)
             for j in range(ys.size):
                 yield rows, r, j, base
+
+
+def _solve(queries: list[Query], candidates: list[np.ndarray],
+           params: ModelParams, lambda_y: float, lambda_v: float,
+           beam: int | None) -> list[Maximum]:
+    """Best labeling per query over its ascending ``candidates`` y, every
+    (query, region, candidate) row of one length in one Viterbi pass."""
+    d = params.dims
+    KK = params.num_poselet_states
+    alphas = [np.stack([_alpha_term(params, r, y) for y in range(d.Y)])
+              for r in range(d.R)]
+    eta, gamma = _stacked_tables(params)
+    results: list[Maximum | None] = [None] * len(queries)
+    for T, idxs in _by_length(queries):
+        num_rows = d.R * sum(candidates[i].size for i in idxs)
+        unary = np.empty((min(num_rows, _chunk_rows(T, KK, d.A)), T,
+                          KK * d.A))
+        region = np.empty(len(unary), dtype=np.intp)
+        rows = _unary_rows(queries, candidates, idxs, params, lambda_y,
+                           lambda_v)
+        while owners := list(islice(rows, len(unary))):
+            for n, (query_rows, r, j, base) in enumerate(owners):
+                np.add(base, alphas[r][query_rows.ys[j]], out=unary[n])
+                region[n] = r
+            chunk = unary[:len(owners)]
+            if beam is not None:
+                chunk = _apply_beam(chunk, beam)
+            states, scores = _viterbi_batch(chunk, eta, gamma,
+                                            region[:len(owners)])
+            for (query_rows, r, j, _), row_states, score in zip(
+                    owners, states, scores):
+                query_rows.states[r, j] = row_states
+                query_rows.scores[r, j] = score
+                query_rows.left -= 1
+                if not query_rows.left:
+                    results[query_rows.index] = query_rows.best(d.A)
+    return results
+
+
+def _y_bounds(queries: list[Query], params: ModelParams) -> np.ndarray:
+    """(len(queries), Y) upper bounds on the total ``_solve`` finds for each
+    query without a loss at each complex action y, under any beam.
+
+    A region's Viterbi score is the float sum, in the pass's order, of the
+    3(T-1)+1 terms of its best path: T unary entries and T-1 entries each of
+    gamma and eta. Taking each unary entry's maximum over poselets and each
+    eta entry's maximum over the region's table leaves a chain over
+    actionlets alone, which runs here in floats as a max-plus pass with
+    transitions gamma + max eta; in exact arithmetic its maximum is at least
+    the best path's sum. The maximum over poselets of the pass's unary
+    entries fl(base + alpha) is fl(max base + alpha), as rounding is
+    monotone. Every float sum lies within gamma_m times the sum of its terms'
+    magnitudes of the exact sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.1; m additions, gamma_m = m u / (1 - m u),
+    u the unit roundoff), and M, the sum over regions of T (max finite
+    |base| + max |alpha|) + (T-1) (max |gamma| + max |eta|), bounds every
+    magnitude involved. So the region-order sum of the chain maxima plus
+    8 (T + R + 1) (u M + the smallest normal number) covers the rounding of
+    the pass, of its region-order total, of the chain and of this sum, with
+    room to spare, and underflow. A beam only removes paths. A NaN anywhere
+    in the tables gives a NaN bound, which rules nothing out.
+    """
+    d = params.dims
+    KK = params.num_poselet_states
+    alpha = np.stack([params.alpha[r][:, params.u_of_v()]
+                      for r in range(d.R)])              # [r, y, a]
+    eta, gamma = _stacked_tables(params)
+    # gamma + max eta, as [a', a, ., r, .] to broadcast over (q, r, y)
+    transition = (gamma + eta.max(axis=(1, 2))[:, None, None]).transpose(
+        1, 2, 0)[:, :, None, :, None]
+    step_size = np.abs(gamma).max(axis=(1, 2)) + np.abs(eta).max(axis=(1, 2))
+    alpha_size = np.abs(alpha).max(axis=(1, 2))
+    bounds = np.empty((len(queries), d.Y))
+    for T, idxs in _by_length(queries):
+        # chunks of queries whose chain rows take about VITERBI_CHUNK_BYTES
+        step = max(1, VITERBI_CHUNK_BYTES // (8 * d.R * d.Y * T * d.A))
+        for s in range(0, len(idxs), step):
+            chunk = idxs[s:s + step]
+            shape = (len(chunk), d.R, d.Y)
+            best = np.empty((T, d.A, len(chunk), d.R, 1))  # [t, a, q, r, .]
+            size = np.empty((len(chunk), d.R))
+            for n, i in enumerate(chunk):
+                q = queries[i]
+                x = np.asarray(q.x, dtype=float)
+                for r in range(d.R):
+                    base = _region_unary_base(x, params, r, q.constraints,
+                                              None).reshape(T, KK, d.A)
+                    hi = base.max(axis=1)
+                    best[:, :, n, r, 0] = hi
+                    # the largest magnitude of an entry other than -inf
+                    size[n, r] = max(
+                        np.abs(hi).max(where=hi > NEG_INF, initial=0.0),
+                        -base.min(where=base > NEG_INF, initial=0.0))
+            # each chain row's unary maxima, [t, a, (q, r, y)], with the
+            # chain rows innermost so every step runs over contiguous rows
+            unary = (best + alpha.transpose(2, 0, 1)[:, None]).reshape(
+                T, d.A, -1)
+            trans = np.broadcast_to(transition, (d.A, d.A) + shape).reshape(
+                d.A, d.A, -1)
+            over = np.empty_like(trans)
+            chain = unary[0].copy()
+            for t in range(1, T):
+                np.add(chain[:, None], trans, out=over)
+                np.maximum.reduce(over, axis=0, out=chain)
+                chain += unary[t]
+            magnitude = (T * (size + alpha_size)
+                         + (T - 1) * step_size).sum(axis=1)
+            slack = 8 * (T + d.R + 1) * (np.finfo(float).eps / 2 * magnitude
+                                         + np.finfo(float).tiny)
+            bounds[chunk] = (chain.max(axis=0).reshape(shape).sum(axis=1)
+                             + slack[:, None])
+    return bounds
 
 
 def maximize(queries: list[Query], params: ModelParams,
@@ -399,47 +538,46 @@ def maximize(queries: list[Query], params: ModelParams,
     before it runs, so apart from the results nothing held grows with the
     number of queries. The rows are independent and each query's region
     scores are summed in region order, so every result equals that of its
-    query run alone, bit for bit. ``beam`` of None (or >= the state count)
-    runs the exact pass; otherwise only the ``beam`` best states per frame
-    by unary score survive, which can only lower the attained score. A
-    query whose constraints or beam leave no path raises InfeasibleError
-    for the batch.
+    query run alone, bit for bit.
+
+    A query with a fixed y or a loss solves every candidate. A query with
+    a free y and no loss is solved by branch and bound over y in two
+    rounds: ``_y_bounds`` gives a rounding-safe upper bound on each y's
+    total; the first round solves the y of the largest bound, and the
+    second every other y whose bound is not strictly below the total found
+    (a tie must be solved, as ties go to the smallest y). A y left out
+    cannot reach that total, so the result equals the exhaustive search's
+    bit for bit.
+
+    ``beam`` of None (or >= the state count) runs the exact pass; otherwise
+    only the ``beam`` best states per frame by unary score survive, which
+    can only lower the attained score. A query whose constraints or beam
+    leave no path raises InfeasibleError for the batch.
     """
     if beam is not None and beam < 1:
         raise ValueError("beam must be >= 1")
-    d = params.dims
-    KK = params.num_poselet_states
-    alphas = [np.stack([_alpha_term(params, r, y) for y in range(d.Y)])
-              for r in range(d.R)]
-    eta, gamma = (np.stack(tables) for tables in zip(
-        *(_transition_tables(params, r) for r in range(d.R))))
-    results: list[Maximum | None] = [None] * len(queries)
-    by_len: dict[int, list[int]] = {}
-    for i, q in enumerate(queries):
-        by_len.setdefault(np.shape(q.x)[0], []).append(i)
-    for T, idxs in sorted(by_len.items()):
-        num_rows = sum(d.R * (d.Y if queries[i].y is None else 1)
-                       for i in idxs)
-        unary = np.empty((min(num_rows, _chunk_rows(T, KK, d.A)), T,
-                          KK * d.A))
-        region = np.empty(len(unary), dtype=np.intp)
-        rows = _unary_rows(queries, idxs, params, lambda_y, lambda_v)
-        while owners := list(islice(rows, len(unary))):
-            for n, (query_rows, r, j, base) in enumerate(owners):
-                np.add(base, alphas[r][query_rows.ys[j]], out=unary[n])
-                region[n] = r
-            chunk = unary[:len(owners)]
-            if beam is not None:
-                chunk = _apply_beam(chunk, beam)
-            states, scores = _viterbi_batch(chunk, eta, gamma,
-                                            region[:len(owners)])
-            for (query_rows, r, j, _), row_states, score in zip(
-                    owners, states, scores):
-                query_rows.states[r, j] = row_states
-                query_rows.scores[r, j] = score
-                query_rows.left -= 1
-                if not query_rows.left:
-                    results[query_rows.index] = query_rows.best(d.A)
+    every_y = np.arange(params.dims.Y)
+    candidates = [every_y if q.y is None else np.array([q.y])
+                  for q in queries]
+    free = [i for i, q in enumerate(queries)
+            if q.y is None and q.loss is None]
+    bounds = _y_bounds([queries[i] for i in free], params)
+    for i, bound in zip(free, bounds):
+        candidates[i] = every_y[[np.argmax(bound)]]
+    results = _solve(queries, candidates, params, lambda_y, lambda_v, beam)
+    again = []
+    for i, bound in zip(free, bounds):
+        admit = ~(bound < results[i].score)
+        admit[results[i].y] = False
+        if admit.any():
+            again.append((i, every_y[admit]))
+    if again:
+        idxs, ys = zip(*again)
+        more = _solve([queries[i] for i in idxs], list(ys), params,
+                      lambda_y, lambda_v, beam)
+        for i, res in zip(idxs, more):
+            pair = sorted((results[i], res), key=lambda m: m.y)
+            results[i] = pair[int(np.argmax([m.score for m in pair]))]
     return results
 
 

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -340,13 +341,9 @@ def validate_annotations(intervals: list[ActionInterval],
     return violations
 
 
-def csv_rows(stream, columns: tuple[str, ...], kind: str):
-    """Yield (line number, row) for each row of a CSV that has ``columns``.
-
-    A row maps each of ``columns`` to its value: ``video_id`` as text, the
-    others as integers. A missing column, a missing value or one that is
-    not an integer raises ParseError naming the line.
-    """
+def _csv_reader(stream, columns: tuple[str, ...], kind: str):
+    """A CSV reader past the header, and (column, position, numeric) for
+    each of ``columns``; a header without them raises ParseError."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
@@ -354,22 +351,59 @@ def csv_rows(stream, columns: tuple[str, ...], kind: str):
     if not set(columns) <= set(header):
         raise ParseError(f"line 1: {kind} CSV must have columns "
                          + ",".join(columns))
-    fields = [(key, header.index(key), key != "video_id") for key in columns]
+    return reader, [(key, header.index(key), key != "video_id")
+                    for key in columns]
+
+
+def _row(cells: list[str], fields, line: int) -> dict:
+    """One row's values by column; ParseError if one is missing or not an
+    integer."""
+    try:
+        return {key: int(cells[i]) if numeric else cells[i]
+                for key, i, numeric in fields}
+    except (IndexError, ValueError):
+        raise ParseError(_bad_cell(cells, fields, line)) from None
+
+
+def csv_rows(stream, columns: tuple[str, ...], kind: str):
+    """Yield (line number, row) for each row of a CSV that has ``columns``.
+
+    A row maps each of ``columns`` to its value: ``video_id`` as text, the
+    others as integers. A missing column, a missing value or one that is
+    not an integer raises ParseError naming the line.
+    """
+    reader, fields = _csv_reader(stream, columns, kind)
     for cells in reader:
-        if not cells:
-            continue                                    # a blank line
-        try:
-            row = {key: int(cells[i]) if numeric else cells[i]
-                   for key, i, numeric in fields}
-        except (IndexError, ValueError):
-            raise ParseError(_bad_cell(cells, fields, reader.line_num)) \
-                from None
-        yield reader.line_num, row
+        if cells:                                       # not a blank line
+            yield reader.line_num, _row(cells, fields, reader.line_num)
+
+
+def csv_columns(stream, columns: tuple[str, ...], kind: str
+                ) -> tuple[list[int], dict[str, list]]:
+    """Every row of a CSV that has ``columns``, column by column: (line
+    numbers, values per column), the values as ``csv_rows`` gives them.
+    The first row ``csv_rows`` would reject raises its ParseError."""
+    reader, fields = _csv_reader(stream, columns, kind)
+    lines, rows = [], []
+    for cells in reader:
+        if cells:                                       # not a blank line
+            lines.append(reader.line_num)
+            rows.append(cells)
+    values = {}
+    try:
+        for key, i, numeric in fields:
+            text = list(map(itemgetter(i), rows))
+            values[key] = list(map(int, text)) if numeric else text
+    except (IndexError, ValueError):
+        for line, cells in zip(lines, rows):
+            _row(cells, fields, line)
+        raise
+    return lines, values
 
 
 def _bad_cell(cells: list[str], fields, line: int) -> str:
-    """Why ``csv_rows`` could not read a row: its first missing value or
-    value that is not an integer."""
+    """Why a row could not be read: its first missing value or value that
+    is not an integer."""
     for key, i, numeric in fields:
         if i >= len(cells):
             return f"line {line}: no {key} value"

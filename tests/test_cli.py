@@ -556,6 +556,34 @@ class TestErrors:
         assert code == 1
         assert f"{header}: {fault}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, fault", [
+        ("{broken", "invalid JSON"),
+        ('{"dims": []}', 'no list of PCA models under "models" (KeyError'),
+        ('{"models": [{"mean": [0.0]}]}',
+         'no list of PCA models under "models" (KeyError')],
+        ids=["not-json", "no-models", "bad-model"])
+    def test_bad_pca_file_stops_train_before_training(
+            self, synth_dataset, tmp_path, capsys, monkeypatch, text, fault):
+        base = synth_dataset / "train"
+        features = tmp_path / "features"
+        features.mkdir()
+        for path in (base / "features").iterdir():
+            (features / path.name).write_bytes(path.read_bytes())
+        pca = features / "pca.json"
+        pca.write_text(text)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+        monkeypatch.setattr(cli, "initialize", refuse)
+        code = main(["train", "--features", str(features),
+                     "--annotations", str(base / "annotations.csv"),
+                     "--labels", str(base / "labels.csv"),
+                     "--out", str(tmp_path / "model.json"),
+                     "--num-poselets", "3"])
+        assert code == 1
+        assert f"{pca}: {fault}" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     @pytest.mark.parametrize("fault", ["no-weights", "not-json"])
     def test_bad_model_file_names_the_file(self, synth_dataset, tmp_path,
                                            capsys, fault):

@@ -72,6 +72,23 @@ class TestDpRegion:
         with pytest.raises(ValueError):
             infer(x, params, beam=0)
 
+    def test_beam_keeps_the_stable_sort_states(self):
+        """The kept states are the first ``beam`` of a stable sort of
+        -unary, so ties at the cut go to the lowest index."""
+        rng = np.random.default_rng(3)
+        unary = rng.integers(-2, 3, size=(3, 5, 24)).astype(float)
+        unary[rng.random(unary.shape) < 0.2] = -np.inf
+        unary[0, 0, [3, 7]] = np.nan
+        unary[0, 1, :22] = np.nan     # fewer finite states than the beam
+        for beam in range(1, 25):
+            keep = np.argsort(-unary, axis=-1, kind="stable")[..., :beam]
+            reference = np.full_like(unary, -np.inf)
+            np.put_along_axis(reference, keep,
+                              np.take_along_axis(unary, keep, axis=-1),
+                              axis=-1)
+            np.testing.assert_array_equal(_apply_beam(unary, beam),
+                                          reference)
+
 
 class TestOracleEquivalence:
     def test_matches_brute_force(self):
@@ -696,3 +713,163 @@ class TestMaximizeAcrossRegions:
         # a fixed y keeps the four-query pass short
         one = peak([Query(xs[0], 0)])
         assert peak([Query(x, 0) for x in xs]) <= 1.1 * one
+
+
+class TestPrunedComplexActions:
+    """A free y without a loss is solved by branch and bound over y; the
+    result equals the exhaustive search over every y bit for bit."""
+
+    DIMS = ModelDims(R=2, K=8, D=4, A=6, S=3, Y=4)
+
+    @staticmethod
+    def _exhaustive(q, params, beam=None):
+        """Every y solved as its own fixed-y query; the best total, ties to
+        the smallest y."""
+        fixed = maximize([Query(q.x, y, q.constraints)
+                          for y in range(params.dims.Y)], params, beam=beam)
+        return fixed[int(np.argmax([m.score for m in fixed]))]
+
+    def _videos(self, rng, integer=False, constrained=False):
+        """Videos of mixed lengths, some sharing a length; small integer
+        features (exact sums, many ties) when ``integer``."""
+        d = self.DIMS
+        queries = []
+        for T in [5, 9, 5, 1, 12, 9, 5]:
+            x = (rng.integers(-2, 3, size=(T, d.R, d.D)).astype(float)
+                 if integer else rng.normal(size=(T, d.R, d.D)))
+            constraints = None
+            if constrained:
+                allowed_v = rng.random((T, d.R, d.A)) > 0.5
+                allowed_v[:, :, 1] = True
+                constraints = FrameConstraints(allowed_v=allowed_v)
+            queries.append(Query(x, constraints=constraints))
+        return queries
+
+    def _params(self, rng, integer=False, lead=None, tie=None):
+        """Random parameters; ``lead`` raises one y's alpha far above the
+        others, and ``tie`` (y, y') gives y' the alpha of y."""
+        d = self.DIMS
+        params = random_params(d, rng)
+        if integer:
+            params = params.with_flat(
+                rng.integers(-2, 3, size=d.total).astype(float))
+        for r in range(d.R):
+            if lead is not None:
+                params.alpha[r][lead] += 50.0
+            if tie is not None:
+                params.alpha[r][tie[1]] = params.alpha[r][tie[0]]
+        return params
+
+    def _count_rows(self, monkeypatch):
+        counted = []
+        batch = inference._viterbi_batch
+
+        def counting(unary, *args):
+            counted.append(len(unary))
+            return batch(unary, *args)
+        monkeypatch.setattr(inference, "_viterbi_batch", counting)
+        return counted
+
+    def _assert_exhaustive(self, queries, params, beam=None):
+        batch = maximize(queries, params, beam=beam)
+        for q, res in zip(queries, batch):
+            assert _bit_identical(res, self._exhaustive(q, params, beam))
+            alone, = maximize([q], params, beam=beam)
+            assert _bit_identical(res, alone)
+        return batch
+
+    @pytest.mark.parametrize("case", ["random", "separated", "tied",
+                                      "integer", "constrained"])
+    @pytest.mark.parametrize("beam", [None, 1, 7])
+    def test_equals_exhaustive_search(self, case, beam):
+        rng = np.random.default_rng(60)
+        integer = case == "integer"
+        params = self._params(rng, integer=integer,
+                              lead=2 if case == "separated" else None,
+                              tie=(1, 3) if case == "tied" else None)
+        queries = self._videos(rng, integer=integer,
+                               constrained=case == "constrained")
+        self._assert_exhaustive(queries, params, beam)
+
+    def test_bound_covers_every_total(self):
+        """``_y_bounds`` is at least the total of every y, also where sums
+        are exact and a bound can meet its total."""
+        rng = np.random.default_rng(61)
+        met = 0
+        for integer, constrained in [(False, False), (True, False),
+                                     (True, True)]:
+            params = self._params(rng, integer=integer)
+            queries = self._videos(rng, integer=integer,
+                                   constrained=constrained)
+            bounds = inference._y_bounds(queries, params)
+            for q, bound in zip(queries, bounds):
+                totals = np.array([m.score for m in maximize(
+                    [Query(q.x, y, q.constraints)
+                     for y in range(self.DIMS.Y)], params)])
+                assert np.all(totals <= bound)
+                met += int(np.sum(bound - totals < 1e-9))
+        print(f"bounds within 1e-9 of their totals: {met}")
+
+    def test_bound_covers_the_rounding_of_a_tight_chain(self):
+        """With one poselet state and a constant eta the chain is the pass
+        itself but for the grouping of its sums, so the bounds are tight
+        and only the slack keeps them above the rounded totals."""
+        rng = np.random.default_rng(65)
+        dims = ModelDims(R=3, K=1, D=4, A=6, S=3, Y=4)
+        params = random_params(dims, rng, use_gc=False)
+        for r in range(dims.R):
+            params.eta[r][:] = 0.1
+        for T in (2, 5, 17, 40):
+            xs = [rng.normal(size=(T, dims.R, dims.D)) for _ in range(5)]
+            bounds = inference._y_bounds([Query(x) for x in xs], params)
+            for x, bound in zip(xs, bounds):
+                totals = np.array([m.score for m in maximize(
+                    [Query(x, y) for y in range(dims.Y)], params)])
+                assert np.all(totals <= bound)
+                assert np.all(bound - totals < 1e-9)
+
+    def test_separated_instance_solves_only_the_winner(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        params = self._params(rng, lead=2)
+        queries = self._videos(rng)
+        counted = self._count_rows(monkeypatch)
+        batch = maximize(queries, params)
+        assert [res.y for res in batch] == [2] * len(queries)
+        # one row per region and video, against R*Y without the bound
+        assert sum(counted) == self.DIMS.R * len(queries)
+        assert sum(counted) < self.DIMS.R * self.DIMS.Y * len(queries)
+
+    def test_fixed_y_and_loss_queries_solve_every_candidate(self,
+                                                            monkeypatch):
+        rng = np.random.default_rng(63)
+        params = self._params(rng, lead=2)
+        x = rng.normal(size=(6, self.DIMS.R, self.DIMS.D))
+        counted = self._count_rows(monkeypatch)
+        maximize([Query(x, loss=LossSpec(y=0))], params, 10.0, 0.0)
+        maximize([Query(x, y=1)], params)
+        assert sum(counted) == self.DIMS.R * (self.DIMS.Y + 1)
+
+    def test_exact_tie_returns_the_smaller_y(self, monkeypatch):
+        """y = 1 and y = 3 tie exactly and lead the others. Bounds equal to
+        the totals, with y = 3's raised, make the first round solve y = 3;
+        y = 1, whose bound equals the total found, must still be solved,
+        and wins the tie."""
+        rng = np.random.default_rng(64)
+        params = self._params(rng, lead=1, tie=(1, 3))
+        queries = self._videos(rng)
+        totals = np.array([[m.score for m in maximize(
+            [Query(q.x, y) for y in range(self.DIMS.Y)], params)]
+            for q in queries])
+        np.testing.assert_array_equal(totals[:, 1], totals[:, 3])
+        exhaustive = self._assert_exhaustive(queries, params)
+        assert [res.y for res in exhaustive] == [1] * len(queries)
+        bounds = totals.copy()
+        bounds[:, 3] += 1.0
+        monkeypatch.setattr(inference, "_y_bounds",
+                            lambda free, params: bounds[:len(free)])
+        counted = self._count_rows(monkeypatch)
+        batch = maximize(queries, params)
+        # y = 3 in the first round, y = 1 alone in the second
+        assert sum(counted) == 2 * self.DIMS.R * len(queries)
+        for res, reference in zip(batch, exhaustive):
+            assert _bit_identical(res, reference)
