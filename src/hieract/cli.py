@@ -568,13 +568,15 @@ def _config(args) -> RunConfig:
                       if hasattr(args, f.name)})
 
 
-def _beam(raw: str) -> int | None:
-    """``--beam`` takes the spellings of the INI key: a width, or ``none``
-    for exact inference."""
-    try:
-        return _coerce("beam", raw, "the command line")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _as_key(key: str):
+    """The type of a config flag that takes the spellings and the range of
+    its INI key (``--beam``: a width, or ``none`` for exact inference)."""
+    def parse(raw: str):
+        try:
+            return _coerce(key, raw, "the command line")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="feature directory")
     p.add_argument("--schema")
     p.add_argument("--mode", choices=desc.MODES)
-    p.add_argument("--window", type=int)
-    p.add_argument("--pca-dim", dest="pca_dim", type=int)
+    p.add_argument("--window", type=_as_key("window"))
+    p.add_argument("--pca-dim", dest="pca_dim", type=_as_key("pca_dim"))
     p.add_argument("--sidecar-dir", default=None,
                    help="per-video motion sidecars for geo+precomputed")
 
@@ -612,7 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--annotations", required=True)
         p.add_argument("--labels", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--num-poselets", dest="num_poselets", type=int)
+        p.add_argument("--num-poselets", dest="num_poselets",
+                       type=_as_key("num_poselets"))
         p.add_argument("--supervision", choices=SUPERVISION_LEVELS)
 
     p = command("train", cmd_train, help="fit the model")
@@ -621,8 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--supervision", choices=SUPERVISION_LEVELS)
-    p.add_argument("--num-poselets", dest="num_poselets", type=int)
-    p.add_argument("--beam", type=_beam)
+    p.add_argument("--num-poselets", dest="num_poselets",
+                   type=_as_key("num_poselets"))
+    p.add_argument("--beam", type=_as_key("beam"))
     p.add_argument("--C", type=float)
     p.add_argument("--max-cccp-iters", dest="max_cccp_iters", type=int)
     p.add_argument("--max-cutting-plane-iters",
@@ -638,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--beam", type=_beam)
+    p.add_argument("--beam", type=_as_key("beam"))
 
     p = command("annotate", cmd_annotate, help="per-frame CSV annotations")
     p.add_argument("--model", required=True)
@@ -646,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="frames CSV path")
     p.add_argument("--labels-out", dest="labels_out", required=True,
                    help="predicted video labels CSV path")
-    p.add_argument("--beam", type=_beam)
+    p.add_argument("--beam", type=_as_key("beam"))
 
     p = command("eval", cmd_eval, help="score predictions against truth")
     p.add_argument("--pred-labels", dest="pred_labels", required=True)

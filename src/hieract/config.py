@@ -46,6 +46,9 @@ _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
              **dict.fromkeys(("0", "false", "no", "off"), False)}
 # keys whose value is one of a fixed set, as their command-line flags take
 _CHOICES = {"mode": MODES, "supervision": SUPERVISION_LEVELS}
+# the least value of sizes a smaller one would make meaningless: no
+# poselets, no PCA components, a negative velocity window
+_MINIMA = {"num_poselets": 1, "pca_dim": 1, "window": 0}
 
 
 def _coerce(key: str, raw: str, where: str):
@@ -53,8 +56,9 @@ def _coerce(key: str, raw: str, where: str):
     with; ``none`` or an empty value sets an optional field to None.
 
     Booleans take 1/true/yes/on or 0/false/no/off in any case; a key of
-    ``_CHOICES`` takes one of its values, like its flag. A value that does
-    not parse raises ValueError naming the key and ``where`` it is.
+    ``_CHOICES`` takes one of its values, like its flag, and a key of
+    ``_MINIMA`` no value below its least. A value that does not parse or is
+    out of range raises ValueError naming the key and ``where`` it is.
     """
     kind = get_type_hints(RunConfig)[key]
     value = raw.strip()
@@ -67,14 +71,16 @@ def _coerce(key: str, raw: str, where: str):
             return None
         kind, = (t for t in options if t is not type(None))
     try:
-        if kind is bool:
-            return _BOOLEANS[value.lower()]
-        return kind(value)
+        parsed = _BOOLEANS[value.lower()] if kind is bool else kind(value)
     except (KeyError, ValueError):
         expected = ("a boolean (1/true/yes/on or 0/false/no/off)"
                     if kind is bool else f"a value of type {kind.__name__}")
         raise ValueError(f"config key {key!r} in {where}: {value!r} is not "
                          f"{expected}") from None
+    if key in _MINIMA and parsed < _MINIMA[key]:
+        raise ValueError(f"config key {key!r} in {where}: {value!r} is "
+                         f"less than {_MINIMA[key]}")
+    return parsed
 
 
 def load_config(path: str | None = None) -> RunConfig:

@@ -22,6 +22,28 @@ def make_dictionary(num_actionlets: int, num_actions: int,
     )
 
 
+def pp_seed_reference(points: np.ndarray, k: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding with every row's squared distance to its nearest
+    centre updated after each draw: the reference the pruned seeding of
+    ``hieract.dictionaries._pp_seed`` must equal bit for bit."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    first = int(rng.integers(n))
+    centroids[0] = points[first]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[c:] = points[first]
+            break
+        probs = d2 / total
+        pick = int(rng.choice(n, p=probs))
+        centroids[c] = points[pick]
+        d2 = np.minimum(d2, np.sum((points - centroids[c]) ** 2, axis=1))
+    return centroids
+
+
 def chi2(h1: np.ndarray, h2: np.ndarray) -> float:
     """Chi-squared distance between two nonnegative histograms, the scalar
     reference for the vectorized distances of the program.

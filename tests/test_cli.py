@@ -442,6 +442,43 @@ class TestErrors:
         with pytest.raises(UsageError, match=r"b.npy: \(regions, dim\)"):
             load_features(features)
 
+    @pytest.mark.parametrize("key, value, command", [
+        ("num_poselets", "0", "init-assignments"),
+        ("num_poselets", "0", "train"),
+        ("num_poselets", "-3", "init-dictionary"),
+        ("pca_dim", "-2", "features"),
+        ("pca_dim", "0", "features"),
+        ("window", "-1", "features")])
+    @pytest.mark.parametrize("via", ["flag", "ini"])
+    def test_size_out_of_range_is_validation_error(
+            self, synth_dataset, tmp_path, capsys, key, value, command, via):
+        if command == "features":
+            skeletons = tmp_path / "skel"
+            skeletons.mkdir()
+            _write_skeleton(skeletons / "v0.jsonl", "v0")
+            args = ["features", "--skeletons", str(skeletons)]
+        else:
+            base = synth_dataset / "train"
+            args = [command, "--features", str(base / "features"),
+                    "--annotations", str(base / "annotations.csv"),
+                    "--labels", str(base / "labels.csv")]
+        out = tmp_path / "out"
+        args += ["--out", str(out)]
+        config = tmp_path / "run.ini"
+        if via == "flag":
+            args += ["--" + key.replace("_", "-"), value]
+        else:
+            config.write_text(f"[sizes]\n{key} = {value}\n")
+            args += ["--config", str(config)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and repr(value) in err
+        if via == "ini":
+            assert "[sizes]" in err and str(config) in err
+        else:
+            assert "--" + key.replace("_", "-") in err
+        assert not out.exists()
+
     def test_missing_model_is_validation_error(self, tmp_path):
         code = main(["infer", "--model", str(tmp_path / "missing.json"),
                      "--features", str(tmp_path), "--out",

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import chi2
+from conftest import chi2, pp_seed_reference
 
 from hieract import dictionaries
 from hieract.dictionaries import (NEAREST_CHUNK_ROWS, _pp_seed, assign_labels,
@@ -16,26 +16,36 @@ def _direct_d2(points, centroids):
     return np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
 
 
-def _kmeans_reference(points, k, seed):
-    """Lloyd's loop on ``_direct_d2``, seeded like ``kmeans``; also counts
-    the clusters re-seeded after emptying."""
+def _update_reference(points, centroids, labels, nearest):
+    """One Lloyd update in place, cluster by cluster in ascending order: an
+    empty cluster takes the farthest row, every other its mean. Returns
+    the number of clusters re-seeded."""
+    reseeds = 0
+    for c in range(centroids.shape[0]):
+        members = labels == c
+        if not np.any(members):
+            reseeds += 1
+            far = int(np.argmax(nearest))
+            centroids[c] = points[far]
+            labels[far] = c
+            nearest[far] = 0.0
+        else:
+            centroids[c] = points[members].mean(axis=0)
+    return reseeds
+
+
+def _kmeans_reference(points, k, seed, max_iter=100):
+    """Lloyd's loop on ``_direct_d2`` from ``pp_seed_reference``, each step
+    searching every row and averaging every cluster; also counts the
+    clusters re-seeded after emptying."""
     n = points.shape[0]
-    centroids = _pp_seed(points, k, np.random.default_rng(seed))
+    centroids = pp_seed_reference(points, k, np.random.default_rng(seed))
     prev_labels, reseeds = None, 0
-    for _ in range(100):
+    for _ in range(max_iter):
         d2 = _direct_d2(points, centroids)
         labels = np.argmin(d2, axis=1)
         nearest = d2[np.arange(n), labels]
-        for c in range(k):
-            members = labels == c
-            if not np.any(members):
-                reseeds += 1
-                far = int(np.argmax(nearest))
-                centroids[c] = points[far]
-                labels[far] = c
-                nearest[far] = 0.0
-            else:
-                centroids[c] = points[members].mean(axis=0)
+        reseeds += _update_reference(points, centroids, labels, nearest)
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         prev_labels = labels
@@ -90,6 +100,11 @@ class TestKmeans:
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 3)), 5)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_needs_a_cluster(self, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            kmeans(np.zeros((4, 3)), k)
 
 
 class TestChunkedDistances:
@@ -204,6 +219,128 @@ class TestNearTies:
         monkeypatch.setattr(dictionaries, "_nearest", counting)
         kmeans(points, 100, seed=0)
         assert sum(fallback) < 0.01 * sum(searched)
+
+
+def _clustered(rng, n=3000, dim=38, k=100):
+    """Clusters of uneven sizes and spreads around k Gaussian centres."""
+    centres = 3 * rng.normal(size=(k, dim))
+    which = rng.integers(k, size=n) ** 2 // k
+    spread = rng.uniform(0.3, 1.5, size=k)
+    return centres[which] + spread[which, None] * rng.normal(size=(n, dim))
+
+
+class TestSettledWork:
+    """``kmeans`` skips the searches, seeding distances and cluster means
+    that bounds or unchanged clusters rule out, and still equals the full
+    Lloyd loop of ``_kmeans_reference`` bit for bit."""
+
+    @staticmethod
+    def _points(case, rng):
+        if case == "spread":
+            return rng.normal(size=(600, 38)), 20
+        if case == "repeated":
+            distinct = np.round(3 * rng.normal(size=(5, 4)))
+            return distinct[rng.integers(5, size=600)], 8
+        if case == "grid":
+            # integer points: many rows exactly equidistant from centroids
+            return rng.integers(-2, 3, size=(600, 3)).astype(float), 12
+        if case == "offset":
+            return 1e6 + rng.normal(size=(600, 38)), 20
+        # the expansion's rounding exceeds every distance
+        return 1e8 + rng.normal(size=(600, 38)), 20
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 100])
+    @pytest.mark.parametrize("case", ["spread", "repeated", "grid", "offset",
+                                      "far"])
+    def test_equal_to_full_lloyd_loop(self, case, max_iter):
+        points, k = self._points(case, np.random.default_rng(51))
+        centroids, labels = kmeans(points, k, seed=4, max_iter=max_iter)
+        ref_centroids, ref_labels, reseeds = _kmeans_reference(
+            points, k, 4, max_iter)
+        assert centroids.tobytes() == ref_centroids.tobytes()
+        np.testing.assert_array_equal(labels, ref_labels)
+        if case == "repeated":
+            assert reseeds > 0
+
+    def test_rows_reseeded_are_searched_again(self):
+        # a few distinct points, more clusters: seeding runs out of points,
+        # clusters empty, and a re-seeded row's bound no longer covers the
+        # cluster it left
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(2, 6))
+            k = int(rng.integers(m + 1, m + 5))
+            distinct = np.round(3 * rng.normal(size=(m, 3)))
+            points = distinct[rng.integers(m, size=int(rng.integers(k, 40)))]
+            for max_iter in (2, 100):
+                centroids, labels = kmeans(points, k, seed, max_iter)
+                ref_centroids, ref_labels, _ = _kmeans_reference(
+                    points, k, seed, max_iter)
+                assert centroids.tobytes() == ref_centroids.tobytes()
+                np.testing.assert_array_equal(labels, ref_labels)
+
+    @pytest.mark.parametrize("labels, reseeded", [
+        # cluster 0 is empty and takes row 4 from cluster 2, whose mean,
+        # taken later, leaves row 4 out
+        ([1, 1, 2, 2, 2, 3, 3, 1, 2, 3], [4]),
+        # row 4 was cluster 2's only row, so cluster 2 then takes row 7
+        ([1, 1, 3, 3, 2, 3, 3, 1, 1, 3], [4, 7])])
+    def test_reseed_takes_rows_from_later_clusters(self, labels, reseeded):
+        rng = np.random.default_rng(54)
+        points = rng.normal(size=(10, 3))
+        nearest = np.linspace(0.1, 0.3, 10)
+        nearest[[4, 7]] = 2.0, 1.0
+        centroids = rng.normal(size=(4, 3))
+        labels = np.array(labels)
+        ref = centroids.copy(), labels.copy(), nearest.copy()
+        _update_reference(points, *ref)
+        _, _, moved = dictionaries._update(points, centroids, labels,
+                                           nearest, None)
+        assert moved == reseeded
+        assert centroids.tobytes() == ref[0].tobytes()
+        np.testing.assert_array_equal(labels, ref[1])
+        assert nearest.tobytes() == ref[2].tobytes()
+
+    def test_settled_rows_are_not_searched_again(self, monkeypatch):
+        points = _clustered(np.random.default_rng(52))
+        searched = []
+        nearest = dictionaries._nearest
+
+        def counting(points, centroids):
+            searched.append(points.shape[0])
+            return nearest(points, centroids)
+
+        monkeypatch.setattr(dictionaries, "_nearest", counting)
+        kmeans(points, 100, seed=0)
+        steps = len(searched) - 1
+        assert searched[0] == 3000 and steps >= 5
+        assert sum(searched[1:]) < 0.6 * 3000 * steps
+
+    def test_seeding_sums_few_rows_directly(self, monkeypatch):
+        points = _clustered(np.random.default_rng(52))
+        rows = []
+        direct = dictionaries._direct_sq
+
+        def counting(points, centre):
+            rows.append(points.shape[0])
+            return direct(points, centre)
+
+        monkeypatch.setattr(dictionaries, "_direct_sq", counting)
+        centroids = _pp_seed(points, 100, np.random.default_rng(0))
+        assert sum(rows) < 0.2 * 3000 * 100
+        reference = pp_seed_reference(points, 100, np.random.default_rng(0))
+        assert centroids.tobytes() == reference.tobytes()
+
+    def test_memory_stays_bounded(self):
+        points = np.random.default_rng(53).normal(size=(9000, 38))
+        tracemalloc.start()
+        try:
+            kmeans(points, 100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (N, K, D) float64 tensor would be 9000 * 100 * 38 * 8 = 274 MB
+        assert peak < 32 * 2 ** 20
 
 
 class TestGcInit:
