@@ -14,19 +14,19 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import descriptors as desc
-from .config import RunConfig, _coerce, load_config
+from .config import FIELDS, RunConfig, _coerce, load_config
 from .energy import ModelDims, load_model, save_model
 from .evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
                          intervals_from_frames, plant_synthetic, pooled_pr)
 from .inference import Query, infer, maximize
-from .learning import SUPERVISION_LEVELS, TrainingVideo, initialize, train
+from .learning import TrainingVideo, initialize, train
 from .skeleton import (ActionInterval, JointSchema, ParseError, SchemaError,
                        SkeletonSequence, csv_columns, get_schema,
                        load_annotations, load_labels, parse_skeleton,
@@ -563,13 +563,12 @@ def _config(args) -> RunConfig:
     """The config file's settings with every config flag given on the
     command line applied over them. Flags not given are absent from
     ``args``, so a flag can also set an optional key to None."""
-    return replace(load_config(args.config),
-                   **{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                      if hasattr(args, f.name)})
+    return replace(load_config(args.config), **{
+        key: value for key, value in vars(args).items() if key in FIELDS})
 
 
 def _as_key(key: str):
-    """The type of a config flag that takes the spellings and the range of
+    """The type of a config flag that takes the spellings and the values of
     its INI key (``--beam``: a width, or ``none`` for exact inference)."""
     def parse(raw: str):
         try:
@@ -585,82 +584,70 @@ def build_parser() -> argparse.ArgumentParser:
                                  "from body-joint sequences")
     sub = parser.add_subparsers(dest="command")
 
-    def command(name, func, **kwargs):
-        # a config flag not given stays absent from the parsed arguments
+    def command(name, func, keys, **kwargs):
+        # a flag for --seed and each of the config keys, spelt with dashes
+        # for underscores; a flag not given stays absent from the arguments
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS,
                            **kwargs)
         p.add_argument("--config", default=None,
                        help="INI config file; flags override its keys")
-        p.add_argument("--seed", type=int)
+        for key in ("seed", *keys):
+            rule = FIELDS[key].metadata
+            p.add_argument("--" + key.replace("_", "-"), type=_as_key(key),
+                           choices=rule.get("choices"), help=rule.get("help"))
         p.set_defaults(func=func)
         return p
 
     p = command("features", cmd_features,
+                ("schema", "mode", "window", "pca_dim"),
                 help="compute per-region descriptors")
     p.add_argument("--skeletons", required=True,
                    help="directory of *.jsonl skeleton files")
     p.add_argument("--out", required=True, help="feature directory")
-    p.add_argument("--schema")
-    p.add_argument("--mode", choices=desc.MODES)
-    p.add_argument("--window", type=_as_key("window"))
-    p.add_argument("--pca-dim", dest="pca_dim", type=_as_key("pca_dim"))
     p.add_argument("--sidecar-dir", default=None,
                    help="per-video motion sidecars for geo+precomputed")
 
     for name, func in (("init-dictionary", cmd_init_dictionary),
                        ("init-assignments", cmd_init_assignments)):
-        p = command(name, func)
+        p = command(name, func, ("num_poselets", "supervision"))
         p.add_argument("--features", required=True)
         p.add_argument("--annotations", required=True)
         p.add_argument("--labels", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--num-poselets", dest="num_poselets",
-                       type=_as_key("num_poselets"))
-        p.add_argument("--supervision", choices=SUPERVISION_LEVELS)
 
-    p = command("train", cmd_train, help="fit the model")
+    p = command("train", cmd_train,
+                ("supervision", "num_poselets", "beam", "C", "max_cccp_iters",
+                 "max_cutting_plane_iters"), help="fit the model")
     p.add_argument("--features", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--supervision", choices=SUPERVISION_LEVELS)
-    p.add_argument("--num-poselets", dest="num_poselets",
-                   type=_as_key("num_poselets"))
-    p.add_argument("--beam", type=_as_key("beam"))
-    p.add_argument("--C", type=float)
-    p.add_argument("--max-cccp-iters", dest="max_cccp_iters", type=int)
-    p.add_argument("--max-cutting-plane-iters",
-                   dest="max_cutting_plane_iters", type=int,
-                   help="cap on the exact loss-augmented passes of each "
-                        "cutting-plane solve; steps taken from cached "
-                        "violators do not count")
     p.add_argument("--no-gc", dest="use_gc", action="store_false",
                    help="disable the garbage collector label")
     p.add_argument("--log", default=None, help="training log (JSON lines)")
 
-    p = command("infer", cmd_infer, help="label videos with a trained model")
+    p = command("infer", cmd_infer, ("beam",),
+                help="label videos with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--beam", type=_as_key("beam"))
 
-    p = command("annotate", cmd_annotate, help="per-frame CSV annotations")
+    p = command("annotate", cmd_annotate, ("beam",),
+                help="per-frame CSV annotations")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="frames CSV path")
     p.add_argument("--labels-out", dest="labels_out", required=True,
                    help="predicted video labels CSV path")
-    p.add_argument("--beam", type=_as_key("beam"))
 
-    p = command("eval", cmd_eval, help="score predictions against truth")
+    p = command("eval", cmd_eval, ("min_overlap", "min_run"),
+                help="score predictions against truth")
     p.add_argument("--pred-labels", dest="pred_labels", required=True)
     p.add_argument("--truth-labels", dest="truth_labels", required=True)
     p.add_argument("--pred-frames", dest="pred_frames", default=None)
     p.add_argument("--truth-annotations", dest="truth_annotations",
                    default=None)
     p.add_argument("--out", required=True, help="metrics JSON path")
-    p.add_argument("--min-overlap", dest="min_overlap", type=float)
-    p.add_argument("--min-run", dest="min_run", type=int)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)

@@ -1,19 +1,59 @@
 """Run configuration: INI file with sections, overridable by CLI flags.
 
+Each key is a field of ``TrainConfig`` or ``RunConfig`` that declares,
+once, its default and the values it takes. One check serves an INI value,
+a command-line flag and a direct construction such as ``TrainConfig(C=0)``,
+raising ValueError that names the key and the file or flag that set it.
+
 Every output artifact embeds ``config_hash``, a digest of the effective
 configuration, so artifacts can be traced back to the settings that
 produced them and byte-identical reruns can be verified.
 """
-from __future__ import annotations
-
 import configparser
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
-from typing import get_args, get_type_hints
+import operator
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_args
 
 from .descriptors import MODES
-from .learning import SUPERVISION_LEVELS, TrainConfig
+from .skeleton import SCHEMAS
+
+SUPERVISION_LEVELS = ("full", "temporal", "video")
+# A field's metadata declares the values its key takes: "choices", or any
+# of these bounds, each with the test a value must pass and its words.
+# "help" describes the key's command-line flag.
+_BOUNDS = (("least", operator.ge, "at least"), ("above", operator.gt, "above"),
+           ("most", operator.le, "at most"))
+
+
+@dataclass
+class TrainConfig:
+    """Hyperparameters of the trainer, each declared once with the default
+    every ``hieract`` command runs with and the values it takes;
+    ``RunConfig`` extends this class with the pipeline's other keys.
+    ``beam`` None is exact inference; a width is an opt-in approximation.
+    """
+    C: float = field(default=10.0, metadata={"above": 0})
+    lambda_y: float = field(default=100.0, metadata={"least": 0})
+    lambda_v: float = field(default=25.0, metadata={"least": 0})
+    # None: 1e-3 x the initial loss scale
+    eps_qp: float | None = field(default=None, metadata={"above": 0})
+    max_cccp_iters: int = field(default=3, metadata={"least": 0})
+    max_cutting_plane_iters: int = field(default=400, metadata={
+        "least": 0,
+        "help": "cap on the exact loss-augmented passes of each cutting-plane "
+                "solve; steps taken from cached violators do not count"})
+    beam: int | None = field(default=None, metadata={"least": 1})
+    seed: int = field(default=0, metadata={"least": 0})
+    use_gc: bool = True
+    supervision: str = field(default="temporal",
+                             metadata={"choices": SUPERVISION_LEVELS})
+
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            if fault := _fault(key, value):
+                raise ValueError(f"config key {key!r}: {value!r} is {fault}")
 
 
 @dataclass
@@ -27,14 +67,14 @@ class RunConfig(TrainConfig):
     the feature stage.
     """
     # features
-    schema: str = "kinect20"
-    mode: str = "geo+velocity"
-    window: int = 7
-    pca_dim: int = 20
+    schema: str = field(default="kinect20", metadata={"choices": SCHEMAS})
+    mode: str = field(default="geo+velocity", metadata={"choices": MODES})
+    window: int = field(default=7, metadata={"least": 0})
+    pca_dim: int = field(default=20, metadata={"least": 1})
     # dictionary
-    num_poselets: int = 100
+    num_poselets: int = field(default=100, metadata={"least": 1})
     # evaluation
-    min_overlap: float = 0.60
+    min_overlap: float = field(default=0.60, metadata={"above": 0, "most": 1})
     min_run: int = 3
 
     def hash(self) -> str:
@@ -42,29 +82,35 @@ class RunConfig(TrainConfig):
         return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
+FIELDS = {spec.name: spec for spec in fields(RunConfig)}
 _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
              **dict.fromkeys(("0", "false", "no", "off"), False)}
-# keys whose value is one of a fixed set, as their command-line flags take
-_CHOICES = {"mode": MODES, "supervision": SUPERVISION_LEVELS}
-# the least value of sizes a smaller one would make meaningless: no
-# poselets, no PCA components, a negative velocity window
-_MINIMA = {"num_poselets": 1, "pca_dim": 1, "window": 0}
+
+
+def _fault(key: str, value) -> str | None:
+    """Why ``value`` is not a value config key ``key`` takes, in words
+    (``"not at least 1"``), or None when it is one."""
+    if value is None and type(None) in get_args(FIELDS[key].type):
+        return None                         # an optional key takes None
+    rule = FIELDS[key].metadata
+    if "choices" in rule and value not in rule["choices"]:
+        return "not one of " + ", ".join(rule["choices"])
+    for name, holds, words in _BOUNDS:
+        if name in rule and not holds(value, rule[name]):   # NaN fails too
+            return f"not {words} {rule[name]}"
+    return None
 
 
 def _coerce(key: str, raw: str, where: str):
     """Parse an INI value as the type its RunConfig field is annotated
     with; ``none`` or an empty value sets an optional field to None.
 
-    Booleans take 1/true/yes/on or 0/false/no/off in any case; a key of
-    ``_CHOICES`` takes one of its values, like its flag, and a key of
-    ``_MINIMA`` no value below its least. A value that does not parse or is
-    out of range raises ValueError naming the key and ``where`` it is.
+    Booleans take 1/true/yes/on or 0/false/no/off in any case. A value that
+    does not parse or that its key does not take raises ValueError naming
+    the key and ``where`` it is.
     """
-    kind = get_type_hints(RunConfig)[key]
+    kind = FIELDS[key].type
     value = raw.strip()
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ValueError(f"config key {key!r} in {where}: {value!r} is not "
-                         f"one of {', '.join(_CHOICES[key])}")
     options = get_args(kind)
     if type(None) in options:
         if value.lower() in ("none", ""):
@@ -77,9 +123,9 @@ def _coerce(key: str, raw: str, where: str):
                     if kind is bool else f"a value of type {kind.__name__}")
         raise ValueError(f"config key {key!r} in {where}: {value!r} is not "
                          f"{expected}") from None
-    if key in _MINIMA and parsed < _MINIMA[key]:
+    if fault := _fault(key, parsed):
         raise ValueError(f"config key {key!r} in {where}: {value!r} is "
-                         f"less than {_MINIMA[key]}")
+                         f"{fault}")
     return parsed
 
 
@@ -90,7 +136,6 @@ def load_config(path: str | None = None) -> RunConfig:
     Unknown keys raise, naming the offender. The CLI layers its flags over
     the result with ``dataclasses.replace``.
     """
-    known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -105,7 +150,7 @@ def load_config(path: str | None = None) -> RunConfig:
             raise FileNotFoundError(f"config file not found: {path}")
         for section, pairs in items:
             for key, raw in pairs:
-                if key not in known:
+                if key not in FIELDS:
                     raise ValueError(
                         f"unknown config key {key!r} in [{section}] of {path}")
                 values[key] = _coerce(key, raw, f"[{section}] of {path}")

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrainConfig
 from .dictionaries import (ActionletDictionary, assign_labels,
                            build_actionlets, gc_init, interval_histogram,
                            kmeans)
@@ -36,7 +37,6 @@ from .skeleton import ActionInterval
 
 log = logging.getLogger(__name__)
 
-SUPERVISION_LEVELS = ("full", "temporal", "video")
 # CCCP stops once a step lowers the objective by less than this, relatively
 CCCP_TOL = 1e-4
 # P1 alternations per self-paced round, at most
@@ -45,35 +45,6 @@ P1_MAX_ALTERNATIONS = 20
 # lambda from one round to the next
 P1_ROUNDS = 5
 P1_DECAY = 0.5
-
-
-@dataclass
-class TrainConfig:
-    """Hyperparameters of the trainer, each declared once with the default
-    every ``hieract`` command runs with; ``config.RunConfig`` extends this
-    class with the pipeline's other keys. ``beam`` None is exact inference;
-    a width is an opt-in approximation.
-    """
-    C: float = 10.0
-    lambda_y: float = 100.0
-    lambda_v: float = 25.0
-    eps_qp: float | None = None       # None: 1e-3 x the initial loss scale
-    max_cccp_iters: int = 3
-    max_cutting_plane_iters: int = 400   # exact oracle passes per solve
-    beam: int | None = None           # None: exact inference
-    seed: int = 0
-    use_gc: bool = True
-    supervision: str = "temporal"
-
-    def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.lambda_y < 0 or self.lambda_v < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.eps_qp is not None and self.eps_qp <= 0:
-            raise ValueError("eps_qp must be positive")
-        if self.supervision not in SUPERVISION_LEVELS:
-            raise ValueError(f"supervision must be one of {SUPERVISION_LEVELS}")
 
 
 @dataclass

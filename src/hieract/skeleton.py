@@ -89,24 +89,31 @@ class JointSchema:
             raise SchemaError(f"unknown joint {name!r} in schema {self.name!r}")
 
 
-def _side_arm(side: str) -> RegionSpec:
+def _side_arm(side: str, spine: str = "torso", hand: bool = True
+              ) -> RegionSpec:
+    """One arm; its last segment runs from the neck to ``spine``, and it
+    owns a hand joint if the schema has one."""
     s, e, w = f"{side}_shoulder", f"{side}_elbow", f"{side}_wrist"
     return RegionSpec(
         name=f"{side}_arm",
-        joints=(s, e, w, f"{side}_hand"),
+        joints=(s, e, w) + ((f"{side}_hand",) if hand else ()),
         segments=((w, e), (e, s), (s, "neck"), (w, s), (w, "head"),
-                  ("neck", "torso")),
+                  ("neck", spine)),
         plane=(s, e, w),
     )
 
 
-def _side_leg(side: str) -> RegionSpec:
+def _side_leg(side: str, pelvis: str = "hip_center", ankle_to: str = "torso",
+              last: tuple[str, str] = ("hip_center", "torso"),
+              foot: bool = True) -> RegionSpec:
+    """One leg; the hip joins ``pelvis``, the ankle also joins
+    ``ankle_to``, ``last`` is its last segment, and it owns a foot joint if
+    the schema has one."""
     h, k, a = f"{side}_hip", f"{side}_knee", f"{side}_ankle"
     return RegionSpec(
         name=f"{side}_leg",
-        joints=(h, k, a, f"{side}_foot"),
-        segments=((a, k), (k, h), (h, "hip_center"), (a, h), (a, "torso"),
-                  ("hip_center", "torso")),
+        joints=(h, k, a) + ((f"{side}_foot",) if foot else ()),
+        segments=((a, k), (k, h), (h, pelvis), (a, h), (a, ankle_to), last),
         plane=(h, k, a),
     )
 
@@ -135,52 +142,11 @@ PUPPET15 = JointSchema(
         "left_hip", "left_knee", "left_ankle",
         "right_hip", "right_knee", "right_ankle",
     ),
-    regions=(
-        RegionSpec(
-            name="left_arm",
-            joints=("left_shoulder", "left_elbow", "left_wrist"),
-            segments=(("left_wrist", "left_elbow"),
-                      ("left_elbow", "left_shoulder"),
-                      ("left_shoulder", "neck"),
-                      ("left_wrist", "left_shoulder"),
-                      ("left_wrist", "head"),
-                      ("neck", "belly")),
-            plane=("left_shoulder", "left_elbow", "left_wrist"),
-        ),
-        RegionSpec(
-            name="right_arm",
-            joints=("right_shoulder", "right_elbow", "right_wrist"),
-            segments=(("right_wrist", "right_elbow"),
-                      ("right_elbow", "right_shoulder"),
-                      ("right_shoulder", "neck"),
-                      ("right_wrist", "right_shoulder"),
-                      ("right_wrist", "head"),
-                      ("neck", "belly")),
-            plane=("right_shoulder", "right_elbow", "right_wrist"),
-        ),
-        RegionSpec(
-            name="left_leg",
-            joints=("left_hip", "left_knee", "left_ankle"),
-            segments=(("left_ankle", "left_knee"),
-                      ("left_knee", "left_hip"),
-                      ("left_hip", "belly"),
-                      ("left_ankle", "left_hip"),
-                      ("left_ankle", "belly"),
-                      ("belly", "neck")),
-            plane=("left_hip", "left_knee", "left_ankle"),
-        ),
-        RegionSpec(
-            name="right_leg",
-            joints=("right_hip", "right_knee", "right_ankle"),
-            segments=(("right_ankle", "right_knee"),
-                      ("right_knee", "right_hip"),
-                      ("right_hip", "belly"),
-                      ("right_ankle", "right_hip"),
-                      ("right_ankle", "belly"),
-                      ("belly", "neck")),
-            plane=("right_hip", "right_knee", "right_ankle"),
-        ),
-    ),
+    regions=(*(_side_arm(side, spine="belly", hand=False)
+               for side in ("left", "right")),
+             *(_side_leg(side, pelvis="belly", ankle_to="belly",
+                         last=("belly", "neck"), foot=False)
+               for side in ("left", "right"))),
     dims=2,
 )
 
@@ -365,24 +331,12 @@ def _row(cells: list[str], fields, line: int) -> dict:
         raise ParseError(_bad_cell(cells, fields, line)) from None
 
 
-def csv_rows(stream, columns: tuple[str, ...], kind: str):
-    """Yield (line number, row) for each row of a CSV that has ``columns``.
-
-    A row maps each of ``columns`` to its value: ``video_id`` as text, the
-    others as integers. A missing column, a missing value or one that is
-    not an integer raises ParseError naming the line.
-    """
-    reader, fields = _csv_reader(stream, columns, kind)
-    for cells in reader:
-        if cells:                                       # not a blank line
-            yield reader.line_num, _row(cells, fields, reader.line_num)
-
-
 def csv_columns(stream, columns: tuple[str, ...], kind: str
                 ) -> tuple[list[int], dict[str, list]]:
     """Every row of a CSV that has ``columns``, column by column: (line
-    numbers, values per column), the values as ``csv_rows`` gives them.
-    The first row ``csv_rows`` would reject raises its ParseError."""
+    numbers, values per column), ``video_id`` as text and the others as
+    integers. A missing column, or a row with a missing value or one that
+    is not an integer, raises ParseError naming the line of the first."""
     reader, fields = _csv_reader(stream, columns, kind)
     lines, rows = [], []
     for cells in reader:
@@ -420,19 +374,20 @@ def load_annotations(stream, num_regions: int | None = None
     """Read an annotation CSV into per-video interval lists. Given the
     features' ``num_regions``, a region outside -1 (unknown) to
     ``num_regions - 1`` raises ParseError naming the line."""
+    keys = ("video_id", "action_id", "t_start", "t_end", "region")
+    lines, columns = csv_columns(stream, keys, "annotation")
     result: dict[str, list[ActionInterval]] = {}
-    for line, row in csv_rows(stream, ("video_id", "action_id", "t_start",
-                                       "t_end", "region"), "annotation"):
-        if num_regions is not None and not -1 <= row["region"] < num_regions:
-            raise ParseError(f"line {line}: region {row['region']} is not "
+    for line, video_id, action_id, t_start, t_end, region in zip(
+            lines, *(columns[key] for key in keys)):
+        if num_regions is not None and not -1 <= region < num_regions:
+            raise ParseError(f"line {line}: region {region} is not "
                              f"-1 (unknown) or one of the {num_regions} "
                              "regions of the features")
         try:
-            interval = ActionInterval(row["action_id"], row["t_start"],
-                                      row["t_end"], row["region"])
+            interval = ActionInterval(action_id, t_start, t_end, region)
         except ParseError as exc:
             raise ParseError(f"line {line}: {exc}") from None
-        result.setdefault(row["video_id"], []).append(interval)
+        result.setdefault(video_id, []).append(interval)
     return result
 
 
@@ -447,8 +402,8 @@ def save_annotations(intervals_by_video: dict[str, list[ActionInterval]]) -> str
 
 def load_labels(stream) -> dict[str, int]:
     """Read a labels CSV (video_id,complex_action)."""
-    return {row["video_id"]: row["complex_action"] for _, row in
-            csv_rows(stream, ("video_id", "complex_action"), "labels")}
+    _, columns = csv_columns(stream, ("video_id", "complex_action"), "labels")
+    return dict(zip(columns["video_id"], columns["complex_action"]))
 
 
 def save_labels(labels: dict[str, int]) -> str:

@@ -442,21 +442,44 @@ class TestErrors:
         with pytest.raises(UsageError, match=r"b.npy: \(regions, dim\)"):
             load_features(features)
 
-    @pytest.mark.parametrize("key, value, command", [
-        ("num_poselets", "0", "init-assignments"),
-        ("num_poselets", "0", "train"),
-        ("num_poselets", "-3", "init-dictionary"),
-        ("pca_dim", "-2", "features"),
-        ("pca_dim", "0", "features"),
-        ("window", "-1", "features")])
-    @pytest.mark.parametrize("via", ["flag", "ini"])
+    @pytest.mark.parametrize("via, key, value, command", [
+        (via, *case) for via in ("flag", "ini") for case in (
+            ("num_poselets", "0", "init-assignments"),
+            ("num_poselets", "0", "train"),
+            ("num_poselets", "-3", "init-dictionary"),
+            ("pca_dim", "-2", "features"),
+            ("pca_dim", "0", "features"),
+            ("window", "-1", "features"),
+            ("C", "0", "train"),
+            ("C", "nan", "train"),
+            ("max_cccp_iters", "-2", "train"),
+            ("max_cutting_plane_iters", "-1", "train"),
+            ("beam", "0", "train"),
+            ("seed", "-1", "init-dictionary"),
+            ("schema", "bogus", "features"),
+            ("min_overlap", "0", "eval"),
+            ("min_overlap", "1.5", "eval"))] + [
+        # keys without a flag
+        ("ini", "lambda_y", "-1", "train"),
+        ("ini", "lambda_v", "-0.5", "train"),
+        ("ini", "eps_qp", "0", "train")])
     def test_size_out_of_range_is_validation_error(
-            self, synth_dataset, tmp_path, capsys, key, value, command, via):
+            self, synth_dataset, tmp_path, capsys, monkeypatch, key, value,
+            command, via):
+        def refuse(*args, **kwargs):
+            raise AssertionError("initialization started")
+        monkeypatch.setattr(cli, "initialize", refuse)
         if command == "features":
             skeletons = tmp_path / "skel"
             skeletons.mkdir()
             _write_skeleton(skeletons / "v0.jsonl", "v0")
             args = ["features", "--skeletons", str(skeletons)]
+        elif command == "eval":
+            test = synth_dataset / "test"
+            args = ["eval", "--pred-labels", str(test / "labels.csv"),
+                    "--truth-labels", str(test / "labels.csv"),
+                    "--pred-frames", str(test / "frames.csv"),
+                    "--truth-annotations", str(test / "annotations.csv")]
         else:
             base = synth_dataset / "train"
             args = [command, "--features", str(base / "features"),

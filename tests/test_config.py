@@ -1,11 +1,12 @@
+import argparse
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from hieract.cli import _config, build_parser, main
-from hieract.config import RunConfig, load_config
+from hieract.cli import UsageError, _config, build_parser, main
+from hieract.config import FIELDS, RunConfig, load_config
 from hieract.learning import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -137,3 +138,59 @@ def test_unparsable_beam_flag_exits_1_naming_it(tmp_path, capsys):
     assert main(_infer_args(tmp_path, "--beam", "wide")) == 1
     err = capsys.readouterr().err
     assert "--beam" in err and "'wide'" in err
+
+
+# each command's flags that set a config key
+CONFIG_FLAGS = {
+    "features": {"--seed", "--schema", "--mode", "--window", "--pca-dim"},
+    "init-dictionary": {"--seed", "--num-poselets", "--supervision"},
+    "init-assignments": {"--seed", "--num-poselets", "--supervision"},
+    "train": {"--seed", "--supervision", "--num-poselets", "--beam", "--C",
+              "--max-cccp-iters", "--max-cutting-plane-iters", "--no-gc"},
+    "infer": {"--seed", "--beam"},
+    "annotate": {"--seed", "--beam"},
+    "eval": {"--seed", "--min-overlap", "--min-run"},
+}
+# values each flag must refuse: ones that do not parse or are out of range
+BAD_VALUES = {
+    "--seed": ["x", "-1"], "--schema": ["kinect25"],
+    "--mode": ["geo+depth"], "--window": ["2.5", "-1"],
+    "--pca-dim": ["x", "0"], "--num-poselets": ["1e2", "0"],
+    "--supervision": ["weak"], "--beam": ["wide", "0"],
+    "--C": ["ten", "0", "nan"], "--max-cccp-iters": ["x", "-1"],
+    "--max-cutting-plane-iters": ["x", "-1"], "--no-gc": ["yes"],
+    "--min-overlap": ["x", "0", "1.5"], "--min-run": ["three"],
+}
+
+
+def test_each_command_takes_its_config_flags():
+    sub, = (action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    # every command that reads a config file, and its config flags
+    taken = {name: {flag for action in p._actions if action.dest in FIELDS
+                    for flag in action.option_strings}
+             for name, p in sub.choices.items()
+             if "--config" in p._option_string_actions}
+    assert taken == CONFIG_FLAGS
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command, flags in CONFIG_FLAGS.items()
+    for flag in sorted(flags) for value in BAD_VALUES[flag]])
+def test_config_flag_refuses_bad_value_naming_it(command, flag, value):
+    # refused while parsing, before any required flag is missed
+    with pytest.raises(UsageError) as err:
+        build_parser().parse_args([command, f"{flag}={value}"])
+    assert f"argument {flag}: " in str(err.value)
+    assert repr(value) in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("C", 0), ("lambda_v", -1), ("eps_qp", 0.0), ("max_cccp_iters", -1),
+    ("beam", 0), ("seed", -1), ("supervision", "weak"),
+    ("schema", "kinect25"), ("window", -1), ("min_overlap", 1.5)])
+def test_construction_refuses_bad_value_naming_key(key, value):
+    trainer = {field.name for field in fields(TrainConfig)}
+    config_class = TrainConfig if key in trainer else RunConfig
+    with pytest.raises(ValueError, match=f"config key '{key}': "):
+        config_class(**{key: value})
