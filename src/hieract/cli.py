@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -85,8 +86,8 @@ def save_features(out_dir: Path, video_id: str, x: np.ndarray,
 def load_features(features_dir: str | Path) -> dict[str, np.ndarray]:
     """Every video's (frames, regions, dim) array under ``features_dir``.
 
-    Each array must have the shape its JSON header declares, and all videos
-    must share ``regions`` and ``dim``.
+    Each array must have the shape its JSON header declares and at least
+    one frame, and all videos must share ``regions`` and ``dim``.
     """
     directory = _require(features_dir, "features directory")
     out, shape = {}, None
@@ -110,6 +111,8 @@ def load_features(features_dir: str | Path) -> dict[str, np.ndarray]:
             raise UsageError(f"{array_path}: array shape {x.shape} is not "
                              f"the (frames, regions, dim) {declared} of "
                              f"its header {header_path.name}")
+        if not x.shape[0]:
+            raise UsageError(f"{array_path}: video has no frames")
         if shape is not None and x.shape[1:] != shape:
             raise UsageError(f"{array_path}: (regions, dim) {x.shape[1:]} "
                              f"differs from {shape} of the videos before it")
@@ -504,6 +507,12 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    if args.min_frames > args.max_frames:
+        raise UsageError(f"--min-frames {args.min_frames} is above "
+                         f"--max-frames {args.max_frames}")
+    if not args.videos_per_class + args.test_per_class:
+        raise UsageError("--videos-per-class and --test-per-class are both "
+                         "0, so there is no video to plant")
     spec = SyntheticSpec(
         num_classes=args.classes, num_actions=args.actions,
         num_actionlets=args.actionlets, num_poselets=args.poselets,
@@ -575,6 +584,23 @@ def _as_key(key: str):
             return _coerce(key, raw, "the command line")
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _bounded(kind, least, most=math.inf):
+    """The type of a flag that takes a ``kind`` value from ``least`` to
+    ``most``; argparse reports a value outside them naming the flag."""
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{raw!r} is not a value of type {kind.__name__}") from None
+        if not least <= value <= most:                  # NaN fails too
+            raise argparse.ArgumentTypeError(
+                f"{raw!r} is not " + (f"at least {least}" if most == math.inf
+                                      else f"from {least} to {most}"))
+        return value
     return parse
 
 
@@ -651,24 +677,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--actions", type=int, default=4)
-    p.add_argument("--actionlets", type=int, default=6)
-    p.add_argument("--poselets", type=int, default=8)
-    p.add_argument("--regions", type=int, default=2)
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--min-frames", dest="min_frames", type=int, default=30)
-    p.add_argument("--max-frames", dest="max_frames", type=int, default=60)
-    p.add_argument("--videos-per-class", dest="videos_per_class", type=int,
+    positive, count = _bounded(int, 1), _bounded(int, 0)
+    p.add_argument("--classes", type=positive, default=3)
+    p.add_argument("--actions", type=positive, default=4)
+    p.add_argument("--actionlets", type=positive, default=6)
+    p.add_argument("--poselets", type=positive, default=8)
+    p.add_argument("--regions", type=positive, default=2)
+    p.add_argument("--dim", type=positive, default=10)
+    p.add_argument("--min-frames", dest="min_frames", type=positive,
+                   default=30)
+    p.add_argument("--max-frames", dest="max_frames", type=positive,
+                   default=60)
+    p.add_argument("--videos-per-class", dest="videos_per_class", type=count,
                    default=20)
-    p.add_argument("--test-per-class", dest="test_per_class", type=int,
+    p.add_argument("--test-per-class", dest="test_per_class", type=count,
                    default=0)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--noise-fraction", dest="noise_fraction", type=float,
-                   default=0.0)
+    p.add_argument("--sigma", type=_bounded(float, 0), default=0.05)
+    p.add_argument("--noise-fraction", dest="noise_fraction",
+                   type=_bounded(float, 0, 1), default=0.0)
     p.add_argument("--actions-per-class", dest="actions_per_class",
-                   type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+                   type=positive, default=2)
+    p.add_argument("--seed", type=count, default=0)
     p.set_defaults(func=cmd_synth)
     return parser
 

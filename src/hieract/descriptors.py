@@ -39,10 +39,6 @@ class PcaModel:
     components: np.ndarray
     explained_variance: np.ndarray
 
-    @property
-    def out_dim(self) -> int:
-        return self.components.shape[1]
-
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         return (X - self.mean) @ self.components

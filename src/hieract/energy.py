@@ -111,12 +111,12 @@ class ModelParams:
     """All learned weights as one flat vector, plus the actionlet dictionary.
 
     ``vec`` is laid out as ``ModelDims.blocks`` declares. ``w``, ``beta``,
-    ``alpha``, ``eta`` and ``gamma`` are lists of per-region views of it and
-    ``theta`` is an (R,) view, so writing a block writes ``vec``. ``use_gc``
-    gates the reserved poselet label K during inference and initialization.
-    GC-labeled frames stay visible to the beta counts (column K), so
-    actionlets can still see collected frames. Pickling would part the views
-    from ``vec``.
+    ``alpha``, ``eta``, ``gamma`` and ``theta`` are the (R, ...) views of it
+    that ``block_views`` cuts, so ``params.w[r]`` is region r's block and
+    writing a block writes ``vec``. ``use_gc`` gates the reserved poselet
+    label K during inference and initialization. GC-labeled frames stay
+    visible to the beta counts (column K), so actionlets can still see
+    collected frames. Pickling would part the views from ``vec``.
     """
     dims: ModelDims
     vec: np.ndarray
@@ -129,12 +129,9 @@ class ModelParams:
             raise ValueError(
                 f"flat vector must have length {self.dims.total}")
         views = block_views(self.dims, self.vec)
-        self.w = list(views["w"])
-        self.beta = list(views["beta"])
-        self.alpha = list(views["alpha"])
-        self.eta = list(views["eta"])
-        self.gamma = list(views["gamma"])
-        self.theta = views["theta"]
+        self.w, self.beta = views["w"], views["beta"]
+        self.alpha, self.eta = views["alpha"], views["eta"]
+        self.gamma, self.theta = views["gamma"], views["theta"]
 
     @classmethod
     def zeros(cls, dims: ModelDims,

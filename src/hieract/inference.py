@@ -1,16 +1,19 @@
 """Energy maximization over labelings: one batched DP core and an oracle.
 
 ``maximize`` solves every maximization the model needs. A query is a video
-with its complex action fixed or free, optional frame constraints and an
-optional loss-augmenting truth. Per region and candidate complex action the
+with its complex action fixed or free, optional frame constraints (the
+(T, R, A) bool allowed actionlets per frame and region) and an optional
+loss-augmenting truth. Per region and candidate complex action the
 maximization is a Viterbi pass over joint (poselet, actionlet) states; the
 (query, region, candidate y) rows of every query of one length share a
 single batched pass, each row under its region's transition tables. The
-pass runs in row chunks whose unary rows are built just before they run,
-so memory does not grow with the number of queries. A free complex action
-without a loss is picked by branch and bound over y: a rounding-safe upper
-bound per candidate, from a Viterbi over actionlets alone, rules out every
-y that cannot reach the best total found, and the rest are solved exactly.
+tables and complex-action scores are read from the model's (R, ...) weight
+views. The pass runs in row chunks whose unary rows are built just before
+they run, so memory does not grow with the number of queries. A free
+complex action without a loss is picked by branch and bound over y: a
+rounding-safe upper bound per candidate, from a Viterbi over actionlets
+alone, rules out every y that cannot reach the best total found, and the
+rest are solved exactly.
 Its one-call wrappers are ``infer`` (labeling a test video, with its energy
 and unary margins), ``loss_augmented_infer_many`` (the most-violating
 labelings for the cutting plane) and ``complete_latent`` (latent completion
@@ -51,13 +54,6 @@ class InfeasibleError(RuntimeError):
 
 # The region whose actionlets carry the per-frame margin-rescaling loss
 LOSS_REGION = 0
-
-
-@dataclass
-class FrameConstraints:
-    """Allowed actionlets per frame and region, (T, R, A) bool; ``None``
-    means unrestricted."""
-    allowed_v: np.ndarray | None = None
 
 
 @dataclass
@@ -105,10 +101,11 @@ def loss_value(labeling: Labeling, spec: LossSpec, lambda_y: float,
 
 
 def _region_unary_base(x: np.ndarray, params: ModelParams, r: int,
-                       constraints: FrameConstraints | None,
+                       constraints: np.ndarray | None,
                        loss_addends: np.ndarray | None) -> np.ndarray:
-    """(T, N) non-sequential scores without the complex-action term;
-    -inf for disallowed states."""
+    """(T, N) non-sequential scores without the complex-action term; -inf
+    for the states whose actionlet ``constraints``, the (T, R, A) bool
+    allowed actionlets per frame and region, rules out."""
     d = params.dims
     KK = params.num_poselet_states
     T = x.shape[0]
@@ -120,8 +117,8 @@ def _region_unary_base(x: np.ndarray, params: ModelParams, r: int,
     if loss_addends is not None:
         unary = unary + loss_addends[:, None, :]
     unary = unary.reshape(T, KK * d.A)
-    if constraints is not None and constraints.allowed_v is not None:
-        allowed = constraints.allowed_v[:, r, :]
+    if constraints is not None:
+        allowed = constraints[:, r, :]
         empty = ~allowed.any(axis=1)
         if empty.any():
             raise InfeasibleError(
@@ -131,18 +128,19 @@ def _region_unary_base(x: np.ndarray, params: ModelParams, r: int,
     return unary
 
 
-def _alpha_term(params: ModelParams, r: int, y: int) -> np.ndarray:
-    """Per-state complex-action scores, tiled over poselets: (N,)."""
-    per_actionlet = params.alpha[r][y, params.u_of_v()]
-    return np.tile(per_actionlet, params.num_poselet_states)
+def _alpha_rows(params: ModelParams) -> np.ndarray:
+    """(R, Y, N) complex-action scores of every state, tiled over
+    poselets."""
+    return np.tile(params.alpha[:, :, params.u_of_v()],
+                   params.num_poselet_states)
 
 
-def _transition_tables(params: ModelParams,
-                       r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Poselet and actionlet transition tables for one region; the joint
+def _tables(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every region's transition tables, eta (R, K', K') over the poselet
+    states in use and gamma (R, A, A), as views of the weights; the joint
     table over states (k, a) is their sum but is never materialized."""
     KK = params.num_poselet_states
-    return params.eta[r][:KK, :KK], params.gamma[r]
+    return params.eta[:, :KK, :KK], params.gamma
 
 
 def _apply_beam(unary: np.ndarray, beam: int) -> np.ndarray:
@@ -187,12 +185,11 @@ def _chunk_rows(T: int, KK: int, A: int) -> int:
 
 
 def _viterbi_batch(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
-                   region) -> tuple[np.ndarray, np.ndarray]:
+                   region: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Viterbi over a (B, T, N) stack of unary tables for the joint states
     (k, a), n = k*A + a, row b under the transition tables of its region:
     ``eta`` (R, K', K') and ``gamma`` (R, A, A) stack every region's, and
-    ``region`` (B,) (or one int for every row) picks each row's. Returns
-    (states (B, T), scores (B,)).
+    ``region`` (B,) picks each row's. Returns (states (B, T), scores (B,)).
 
     The transition maximization factors through the two labels, the
     actionlet step ``sa[a, k'] = max_a' score[a', k'] + gamma[a', a]`` and
@@ -203,30 +200,14 @@ def _viterbi_batch(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
     the history, with the tie-break of a full argmax over n' (the smallest
     k', then the smallest a' within it). Every sum is grouped as
     ``(score + gamma) + eta``, then ``+ unary``, on both passes, so states
-    and scores do not depend on which cells are recomputed.
+    and scores do not depend on which cells are recomputed. Every table is
+    indexed actionlet first, [b, a, k], so each reduction runs over a
+    leading axis of contiguous K'-long rows.
 
-    Rows are independent, so the stack runs in chunks of ``_chunk_rows``
-    rows; every chunk gives the states and scores it would give in one
-    pass, whatever the regions of its rows.
+    Rows are independent: each row's states and score do not depend on
+    the other rows of the stack or on their regions, so ``_solve`` runs
+    its rows in chunks of ``_chunk_rows``.
     """
-    B, T = unary.shape[:2]
-    region = np.broadcast_to(np.asarray(region, dtype=np.intp), (B,))
-    step = _chunk_rows(T, eta.shape[1], gamma.shape[1])
-    parts = [_viterbi_rows(unary[i:i + step], eta, gamma,
-                           region[i:i + step])
-             for i in range(0, B, step)]
-    states, scores = zip(*parts)
-    scores = np.concatenate(scores)
-    if np.any(scores == NEG_INF):
-        raise InfeasibleError("beam or constraints removed every path")
-    return np.concatenate(states), scores
-
-
-def _viterbi_rows(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
-                  region: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk of ``_viterbi_batch``. Every table is indexed actionlet
-    first, [b, a, k], so each reduction runs over a leading axis of
-    contiguous K'-long rows."""
     B, T, N = unary.shape
     KK, A = eta.shape[1], gamma.shape[1]
     unary = unary.reshape(B, T, KK, A).transpose(0, 1, 3, 2)
@@ -249,6 +230,8 @@ def _viterbi_rows(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
     last = history[:, -1].transpose(0, 2, 1).reshape(B, N)
     best_last = last.argmax(axis=1)           # ties: smallest state
     best_score = last[rows, best_last]
+    if np.any(best_score == NEG_INF):
+        raise InfeasibleError("beam or constraints removed every path")
     states = np.empty((B, T), dtype=int)
     states[:, -1] = best_last
     k, a = np.divmod(best_last, A)
@@ -339,7 +322,7 @@ class Query:
     truth whose margin-rescaling loss is added to the energy."""
     x: np.ndarray
     y: int | None = None
-    constraints: FrameConstraints | None = None
+    constraints: np.ndarray | None = None    # (T, R, A) bool
     loss: LossSpec | None = None
 
 
@@ -376,14 +359,6 @@ def _by_length(queries: list[Query]) -> list[tuple[int, list[int]]]:
     return sorted(by_len.items())
 
 
-def _stacked_tables(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Every region's transition tables, eta (R, K', K') and gamma
-    (R, A, A)."""
-    eta, gamma = zip(*(_transition_tables(params, r)
-                       for r in range(params.dims.R)))
-    return np.stack(eta), np.stack(gamma)
-
-
 def _unary_rows(queries: list[Query], candidates: list[np.ndarray],
                 idxs: list[int], params: ModelParams, lambda_y: float,
                 lambda_v: float):
@@ -418,9 +393,8 @@ def _solve(queries: list[Query], candidates: list[np.ndarray],
     (query, region, candidate) row of one length in one Viterbi pass."""
     d = params.dims
     KK = params.num_poselet_states
-    alphas = [np.stack([_alpha_term(params, r, y) for y in range(d.Y)])
-              for r in range(d.R)]
-    eta, gamma = _stacked_tables(params)
+    alphas = _alpha_rows(params)
+    eta, gamma = _tables(params)
     results: list[Maximum | None] = [None] * len(queries)
     for T, idxs in _by_length(queries):
         num_rows = d.R * sum(candidates[i].size for i in idxs)
@@ -431,7 +405,7 @@ def _solve(queries: list[Query], candidates: list[np.ndarray],
                            lambda_v)
         while owners := list(islice(rows, len(unary))):
             for n, (query_rows, r, j, base) in enumerate(owners):
-                np.add(base, alphas[r][query_rows.ys[j]], out=unary[n])
+                np.add(base, alphas[r, query_rows.ys[j]], out=unary[n])
                 region[n] = r
             chunk = unary[:len(owners)]
             if beam is not None:
@@ -473,9 +447,8 @@ def _y_bounds(queries: list[Query], params: ModelParams) -> np.ndarray:
     """
     d = params.dims
     KK = params.num_poselet_states
-    alpha = np.stack([params.alpha[r][:, params.u_of_v()]
-                      for r in range(d.R)])              # [r, y, a]
-    eta, gamma = _stacked_tables(params)
+    alpha = params.alpha[:, :, params.u_of_v()]          # [r, y, a]
+    eta, gamma = _tables(params)
     # gamma + max eta, as [a', a, ., r, .] to broadcast over (q, r, y)
     transition = (gamma + eta.max(axis=(1, 2))[:, None, None]).transpose(
         1, 2, 0)[:, :, None, :, None]
@@ -561,7 +534,7 @@ def maximize(queries: list[Query], params: ModelParams,
                   for q in queries]
     free = [i for i, q in enumerate(queries)
             if q.y is None and q.loss is None]
-    bounds = _y_bounds([queries[i] for i in free], params)
+    bounds = _y_bounds([queries[i] for i in free], params) if free else []
     for i, bound in zip(free, bounds):
         candidates[i] = every_y[[np.argmax(bound)]]
     results = _solve(queries, candidates, params, lambda_y, lambda_v, beam)
@@ -582,16 +555,17 @@ def maximize(queries: list[Query], params: ModelParams,
 
 
 def infer(x: np.ndarray, params: ModelParams,
-          constraints: FrameConstraints | None = None,
+          constraints: np.ndarray | None = None,
           beam: int | None = None) -> InferenceResult:
     """Maximize the energy over (y, v, z); ties go to the smallest y. The
     result carries the labeling's energy and, per region, the unary margins
     at the chosen complex action."""
     x = np.asarray(x, dtype=float)
     best, = maximize([Query(x, constraints=constraints)], params, beam=beam)
+    alpha = _alpha_rows(params)[:, best.y]
     margins = np.stack(
         [_unary_margins(_region_unary_base(x, params, r, constraints, None)
-                        + _alpha_term(params, r, best.y))
+                        + alpha[r])
          for r in range(params.dims.R)], axis=1)
     return InferenceResult(labeling=best.labeling, score=best.score,
                            energy=energy_total(x, best.labeling, params),
@@ -610,7 +584,7 @@ def loss_augmented_infer_many(xs: list[np.ndarray], params: ModelParams,
 
 
 def complete_latent(x: np.ndarray, params: ModelParams, y: int,
-                    constraints: FrameConstraints | None = None,
+                    constraints: np.ndarray | None = None,
                     beam: int | None = None) -> Labeling:
     """Best labeling at a fixed complex action, under constraints."""
     return maximize([Query(x, y=y, constraints=constraints)], params,

@@ -30,9 +30,8 @@ from .dictionaries import (ActionletDictionary, assign_labels,
                            build_actionlets, gc_init, interval_histogram,
                            kmeans)
 from .energy import Labeling, ModelDims, ModelParams, energy_total, feature_map
-from .inference import (LOSS_REGION, FrameConstraints, LossSpec,
-                        complete_latent, loss_augmented_infer_many,
-                        loss_value)
+from .inference import (LOSS_REGION, LossSpec, complete_latent,
+                        loss_augmented_infer_many, loss_value)
 from .skeleton import ActionInterval
 
 log = logging.getLogger(__name__)
@@ -302,11 +301,12 @@ def solve_p1(problems: list[AssignmentProblem],
 class InitArtifacts:
     """Everything the CCCP loop needs from initialization: the dictionary,
     the first latent completion of every video, and the frame constraints
-    its annotations imply (None for a video without intervals, and for
-    every video under video supervision)."""
+    its annotations imply: the (T, R, A) bool allowed actionlets per frame
+    and region (None for a video without intervals, and for every video
+    under video supervision)."""
     dictionary: ActionletDictionary
     completions: list[Labeling]
-    constraints: list[FrameConstraints | None]
+    constraints: list[np.ndarray | None]
     p1: P1Result | None = None
 
 
@@ -444,12 +444,12 @@ def _first_actionlets(intervals: list[ActionInterval], table: np.ndarray,
 
 def _frame_constraints(intervals: list[ActionInterval], table: np.ndarray,
                        T: int, u_of_v: np.ndarray,
-                       supervision: str) -> FrameConstraints | None:
-    """Allowed actionlets per frame and region. Full supervision pins each
-    assigned (region, interval)'s frames to its actionlet in the table.
-    Temporal supervision restricts every region of a covered frame to the
-    actionlets of the actions annotated there. Other frames are free, and
-    video supervision constrains nothing."""
+                       supervision: str) -> np.ndarray | None:
+    """Allowed actionlets per frame and region, (T, R, A) bool. Full
+    supervision pins each assigned (region, interval)'s frames to its
+    actionlet in the table. Temporal supervision restricts every region of
+    a covered frame to the actionlets of the actions annotated there. Other
+    frames are free, and video supervision constrains nothing (None)."""
     if supervision == "video":
         return None
     R = table.shape[0]
@@ -462,15 +462,14 @@ def _frame_constraints(intervals: list[ActionInterval], table: np.ndarray,
             allowed[span, r, table[r, q]] = True
             fixed[span, r] = True
         allowed[~fixed] = True
-        return FrameConstraints(allowed_v=allowed)
+        return allowed
     allowed = np.zeros((T, A), dtype=bool)
     covered = np.zeros(T, dtype=bool)
     for iv in intervals:
         allowed[iv.t_start:iv.t_end + 1] |= (u_of_v == iv.action_id)[None, :]
         covered[iv.t_start:iv.t_end + 1] = True
     allowed[~covered] = True
-    return FrameConstraints(allowed_v=np.repeat(allowed[:, None, :], R,
-                                                axis=1))
+    return np.repeat(allowed[:, None, :], R, axis=1)
 
 
 def _fill_gaps(column: np.ndarray) -> np.ndarray:
@@ -499,17 +498,16 @@ def _fill_gaps(column: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def build_loss_spec(video: TrainingVideo,
-                    constraints: FrameConstraints | None) -> LossSpec:
+                    constraints: np.ndarray | None) -> LossSpec:
     """Truth for margin rescaling; the per-frame term lives in
     ``LOSS_REGION``."""
     if constraints is None:
         return LossSpec(y=video.y)
-    return LossSpec(y=video.y,
-                    allowed_v=constraints.allowed_v[:, LOSS_REGION, :])
+    return LossSpec(y=video.y, allowed_v=constraints[:, LOSS_REGION, :])
 
 
 def impute_latents(videos: list[TrainingVideo], params: ModelParams,
-                   constraints: list[FrameConstraints | None],
+                   constraints: list[np.ndarray | None],
                    beam: int | None = None) -> list[Labeling]:
     """Best constrained labeling per video at its true complex action."""
     return [complete_latent(video.x, params, video.y, constraints=c,

@@ -189,9 +189,6 @@ class SkeletonSequence:
     def num_joints(self) -> int:
         return self.joints.shape[1]
 
-    def joint(self, t: int, name: str) -> np.ndarray:
-        return self.joints[t, get_schema(self.schema).joint_index(name)]
-
 
 @dataclass(frozen=True)
 class ActionInterval:
@@ -321,16 +318,6 @@ def _csv_reader(stream, columns: tuple[str, ...], kind: str):
                     for key in columns]
 
 
-def _row(cells: list[str], fields, line: int) -> dict:
-    """One row's values by column; ParseError if one is missing or not an
-    integer."""
-    try:
-        return {key: int(cells[i]) if numeric else cells[i]
-                for key, i, numeric in fields}
-    except (IndexError, ValueError):
-        raise ParseError(_bad_cell(cells, fields, line)) from None
-
-
 def csv_columns(stream, columns: tuple[str, ...], kind: str
                 ) -> tuple[list[int], dict[str, list]]:
     """Every row of a CSV that has ``columns``, column by column: (line
@@ -350,23 +337,24 @@ def csv_columns(stream, columns: tuple[str, ...], kind: str
             values[key] = list(map(int, text)) if numeric else text
     except (IndexError, ValueError):
         for line, cells in zip(lines, rows):
-            _row(cells, fields, line)
+            if fault := _bad_cell(cells, fields, line):
+                raise ParseError(fault) from None
         raise
     return lines, values
 
 
-def _bad_cell(cells: list[str], fields, line: int) -> str:
-    """Why a row could not be read: its first missing value or value that
-    is not an integer."""
+def _bad_cell(cells: list[str], fields, line: int) -> str | None:
+    """Why a row could not be read, its first missing value or value that
+    is not an integer; None for a row that reads."""
     for key, i, numeric in fields:
         if i >= len(cells):
             return f"line {line}: no {key} value"
-        try:
-            if numeric:
+        if numeric:
+            try:
                 int(cells[i])
-        except ValueError:
-            break
-    return f"line {line}: {key} {cells[i]!r} is not an integer"
+            except ValueError:
+                return f"line {line}: {key} {cells[i]!r} is not an integer"
+    return None
 
 
 def load_annotations(stream, num_regions: int | None = None

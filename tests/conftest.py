@@ -6,8 +6,8 @@ import pytest
 from hieract.dictionaries import ActionletDictionary
 from hieract.energy import Labeling, ModelDims, ModelParams, energy_total
 from hieract.evaluation import DetectionCriterion, pooled_pr
-from hieract.inference import (LOSS_REGION, InferenceResult, _alpha_term,
-                               _region_unary_base, _transition_tables)
+from hieract.inference import (LOSS_REGION, InferenceResult, _alpha_rows,
+                               _region_unary_base, _tables)
 
 
 def make_dictionary(num_actionlets: int, num_actions: int,
@@ -175,7 +175,7 @@ def region_unary(x, y, params, r, constraints, loss_addends):
     """(T, N) scores of the non-sequential terms; -inf for disallowed
     states."""
     base = _region_unary_base(x, params, r, constraints, loss_addends)
-    return base + _alpha_term(params, r, y)[None, :]
+    return base + _alpha_rows(params)[r, y][None, :]
 
 
 def enumerate_best(unary, eta, gamma):
@@ -268,6 +268,7 @@ def brute_force(x, params, constraints=None, loss_spec=None,
     if loss_spec is not None and loss_spec.allowed_v is not None \
             and lambda_v != 0.0:
         addends = (lambda_v / T) * (~loss_spec.allowed_v).astype(float)
+    eta, gamma = _tables(params)
     best = None
     for y in range(d.Y):
         const = lambda_y * float(loss_spec is not None and y != loss_spec.y)
@@ -276,8 +277,7 @@ def brute_force(x, params, constraints=None, loss_spec=None,
         for r in range(d.R):
             region_addends = addends if r == LOSS_REGION else None
             unary = region_unary(x, y, params, r, constraints, region_addends)
-            eta, gamma = _transition_tables(params, r)
-            states, score = enumerate_best(unary, eta, gamma)
+            states, score = enumerate_best(unary, eta[r], gamma[r])
             total += score
             zs.append(states // d.A)
             vs.append(states % d.A)

@@ -65,6 +65,31 @@ class TestSynth:
                 (synth_dataset / rel).read_bytes(), rel
 
 
+    @pytest.mark.parametrize("flags, fault", [
+        (["--seed", "-1"], "argument --seed: '-1' is not at least 0"),
+        (["--videos-per-class", "0", "--test-per-class", "0"],
+         "--videos-per-class and --test-per-class are both 0"),
+        (["--videos-per-class", "-1"],
+         "argument --videos-per-class: '-1' is not at least 0"),
+        (["--min-frames", "0"],
+         "argument --min-frames: '0' is not at least 1"),
+        (["--min-frames", "-3"],
+         "argument --min-frames: '-3' is not at least 1"),
+        (["--min-frames", "50", "--max-frames", "40"],
+         "--min-frames 50 is above --max-frames 40"),
+        (["--sigma", "-1"], "argument --sigma: '-1' is not at least 0"),
+        (["--noise-fraction", "2"],
+         "argument --noise-fraction: '2' is not from 0 to 1")],
+        ids=["seed", "no-videos", "negative-videos", "no-frames",
+             "negative-frames", "min-above-max", "sigma", "noise-fraction"])
+    def test_flag_out_of_range_is_validation_error(self, tmp_path, capsys,
+                                                   flags, fault):
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out)] + flags) == 1
+        assert fault in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFeatures:
     def test_geo_only(self, tmp_path):
         skel = tmp_path / "skel"
@@ -526,6 +551,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"features under {features} have (regions, dim) (2, 5)" in err
         assert f"model {model_path} takes ({regions}, {dim})" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["infer", "annotate"])
+    def test_video_without_frames_is_validation_error(self, tmp_path, capsys,
+                                                      command):
+        dims = ModelDims(R=2, K=3, D=5, A=2, S=2, Y=2)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(save_model(ModelParams.zeros(
+            dims, dictionary=make_dictionary(2, 2, 3))))
+        features = tmp_path / "features"
+        save_features(features, "a", np.zeros((4, 2, 5)), "h")
+        save_features(features, "b", np.zeros((0, 2, 5)), "h")
+        out = tmp_path / "pred"
+        outputs = (["--out", str(out)] if command == "infer" else
+                   ["--out", str(out), "--labels-out", str(tmp_path / "l")])
+        code = main([command, "--model", str(model_path),
+                     "--features", str(features)] + outputs)
+        assert code == 1
+        assert f"{features / 'b.npy'}: video has no frames" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_model_without_gc_beta_counts_is_validation_error(

@@ -212,15 +212,18 @@ class TestLift2d:
 
     def test_wrist_gets_positive_depth(self):
         lifted = lift_2d(self._seq({"left_wrist": (3.0, 4.0)}), depth=30.0)
-        np.testing.assert_allclose(lifted.joint(0, "left_wrist"), (3, 4, 30))
+        joint = lifted.joints[0, PUPPET15.joint_index("left_wrist")]
+        np.testing.assert_allclose(joint, (3, 4, 30))
 
     def test_head_stays_at_zero_depth(self):
         lifted = lift_2d(self._seq({"head": (0.0, 0.0)}), depth=30.0)
-        np.testing.assert_allclose(lifted.joint(0, "head"), (0, 0, 0))
+        joint = lifted.joints[0, PUPPET15.joint_index("head")]
+        np.testing.assert_allclose(joint, (0, 0, 0))
 
     def test_elbow_gets_negative_depth(self):
         lifted = lift_2d(self._seq({"right_elbow": (1.0, 1.0)}), depth=5.0)
-        np.testing.assert_allclose(lifted.joint(0, "right_elbow"), (1, 1, -5))
+        joint = lifted.joints[0, PUPPET15.joint_index("right_elbow")]
+        np.testing.assert_allclose(joint, (1, 1, -5))
 
 
 class TestBuildDescriptors:

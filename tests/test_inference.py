@@ -9,8 +9,8 @@ from conftest import (brute_force, make_dictionary, random_params,
 
 import hieract.inference as inference
 from hieract.energy import ModelDims, ModelParams, energy_total
-from hieract.inference import (FrameConstraints, InfeasibleError, LossSpec,
-                               Query, _apply_beam, _viterbi_batch,
+from hieract.inference import (InfeasibleError, LossSpec, Query,
+                               _apply_beam, _viterbi_batch,
                                complete_latent, infer,
                                loss_augmented_infer_many, loss_value, maximize)
 
@@ -257,8 +257,7 @@ class TestCompleteLatent:
         T = x.shape[0]
         v_fixed = rng.integers(0, params.dims.A, size=(T, params.dims.R))
         allowed = v_fixed[:, :, None] == np.arange(params.dims.A)
-        constraints = FrameConstraints(allowed_v=allowed)
-        labeling = complete_latent(x, params, 0, constraints)
+        labeling = complete_latent(x, params, 0, allowed)
         np.testing.assert_array_equal(labeling.v, v_fixed)
 
     def test_singleton_sets_force_v(self):
@@ -269,8 +268,7 @@ class TestCompleteLatent:
         x = rng.normal(size=(T, 2, 3))
         allowed = np.zeros((T, 2, 3), dtype=bool)
         allowed[:, :, 2] = True
-        constraints = FrameConstraints(allowed_v=allowed)
-        labeling = complete_latent(x, params, 0, constraints)
+        labeling = complete_latent(x, params, 0, allowed)
         assert (labeling.v == 2).all()
 
     def test_matches_constrained_brute_force(self):
@@ -280,9 +278,8 @@ class TestCompleteLatent:
             T = x.shape[0]
             allowed = rng.random((T, params.dims.R, params.dims.A)) > 0.3
             allowed[:, :, 0] = True   # keep feasible
-            constraints = FrameConstraints(allowed_v=allowed)
-            labeling = complete_latent(x, params, 0, constraints)
-            oracle = brute_force(x, params, constraints=constraints)
+            labeling = complete_latent(x, params, 0, allowed)
+            oracle = brute_force(x, params, constraints=allowed)
             np.testing.assert_array_equal(labeling.z, oracle.labeling.z)
             np.testing.assert_array_equal(labeling.v, oracle.labeling.v)
             assert np.all(allowed[np.arange(T)[:, None],
@@ -295,7 +292,7 @@ class TestCompleteLatent:
         T = x.shape[0]
         allowed = np.zeros((T, params.dims.R, params.dims.A), dtype=bool)
         with pytest.raises(InfeasibleError):
-            complete_latent(x, params, 0, FrameConstraints(allowed_v=allowed))
+            complete_latent(x, params, 0, allowed)
 
 
 def _margins_reference(unary):
@@ -337,7 +334,7 @@ class TestBatchedCore:
                 # frame 0 of region 0 admits one actionlet
                 allowed_v[0, 0] = False
                 allowed_v[0, 0, 1] = True
-                constraints = FrameConstraints(allowed_v=allowed_v)
+                constraints = allowed_v
             loss = None
             if with_loss:
                 allowed = rng.random((T, d.A)) > 0.4 if per_frame else None
@@ -461,26 +458,12 @@ class TestViterbiAtPaperShapes:
 
     def test_ties_match_joint_state_reference(self):
         unary, eta, gamma = self._tied_stack(np.random.default_rng(40), 3, 6)
-        states, scores = _viterbi_batch(unary, eta[None], gamma[None], 0)
+        states, scores = _viterbi_batch(unary, eta[None], gamma[None],
+                                        np.zeros(len(unary), int))
         for b in range(3):
             ref_states, ref_score = _joint_viterbi(unary[b], eta, gamma)
             np.testing.assert_array_equal(states[b], ref_states)
             assert scores[b] == ref_score
-
-    def test_row_chunks_equal_one_pass(self, monkeypatch):
-        rng = np.random.default_rng(41)
-        # the paper shape, then a desk shape (K' = 9, A = 14)
-        for unary, eta, gamma in [
-                self._tied_stack(rng, 3, 6),
-                (rng.normal(size=(5, 7, 9 * 14)),
-                 rng.normal(size=(9, 9)), rng.normal(size=(14, 14)))]:
-            stacked = (unary, eta[None], gamma[None], 0)
-            monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", 1 << 40)
-            whole = _viterbi_batch(*stacked)
-            monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", 1)
-            split = _viterbi_batch(*stacked)
-            np.testing.assert_array_equal(split[0], whole[0])
-            assert split[1].tobytes() == whole[1].tobytes()
 
     def _gaussian_stack(self, rng, B, T, KK=KK, A=A):
         """Unary spread four times the transitions', as in a paper-scale
@@ -489,7 +472,8 @@ class TestViterbiAtPaperShapes:
                 rng.normal(size=(KK, KK)), rng.normal(size=(A, A)))
 
     def _assert_matches_reference(self, unary, eta, gamma):
-        states, scores = _viterbi_batch(unary, eta[None], gamma[None], 0)
+        states, scores = _viterbi_batch(unary, eta[None], gamma[None],
+                                        np.zeros(len(unary), int))
         ref_states, ref_scores = reference_viterbi(unary, eta, gamma)
         np.testing.assert_array_equal(states, ref_states)
         assert scores.tobytes() == ref_scores.tobytes()
@@ -535,24 +519,6 @@ class TestViterbiAtPaperShapes:
             *self._tied_stack(np.random.default_rng(45), 2, 6))
         assert sum(counted) > 0
 
-    def test_memory_stays_bounded(self):
-        rng = np.random.default_rng(42)
-        eta = rng.normal(size=(self.KK, self.KK))
-        gamma = rng.normal(size=(self.A, self.A))
-        # ten short rows, and one paper-length row
-        for B, T in [(10, 20), (1, 150)]:
-            unary = rng.normal(size=(B, T, self.KK * self.A))
-            tracemalloc.start()
-            try:
-                _viterbi_batch(unary, eta[None], gamma[None], 0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # a row holds T*A*K' float64 of score history (2.4 MB at 150
-            # frames) and about 0.7 MB of per-frame tables; the ten rows
-            # in one chunk would take 10 MB
-            assert peak < 8 * 2 ** 20
-
 
 def _per_region_reference(unary, eta, gamma, region):
     """``reference_viterbi`` run on each region's rows alone, under that
@@ -597,32 +563,24 @@ class TestRegionStackedRows:
         rng = np.random.default_rng(50)
         self._assert_matches(*self._stack(rng, R=2, B=12, T=9, KK=9, A=14))
 
-    def test_paper_shape_pruned_step(self, monkeypatch):
-        # every row in one chunk, so each chunk mixes the four regions
-        monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", 1 << 40)
+    def test_paper_shape_pruned_step(self):
         rng = np.random.default_rng(51)
         self._assert_matches(*self._stack(rng, R=4, B=8, T=10, KK=101,
                                           A=20))
 
     def test_ties_reach_the_full_maximum_on_mixed_regions(self,
                                                            monkeypatch):
-        monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", 1 << 40)
-        chunks, unsettled = [], []
-        rows, full = inference._viterbi_rows, inference._unsettled_max
-
-        def recording_rows(unary, eta, gamma, region):
-            chunks.append(np.unique(region))
-            return rows(unary, eta, gamma, region)
+        unsettled = []
+        full = inference._unsettled_max
 
         def counting(sa_rows, eta_cols):
             unsettled.append(len(sa_rows))
             return full(sa_rows, eta_cols)
-        monkeypatch.setattr(inference, "_viterbi_rows", recording_rows)
         monkeypatch.setattr(inference, "_unsettled_max", counting)
         stack = self._stack(np.random.default_rng(52), R=3, B=6, T=6,
                             KK=101, A=20, tied=True)
         self._assert_matches(*stack)
-        assert len(chunks) == 1 and chunks[0].tolist() == [0, 1, 2]
+        assert np.unique(stack[3]).tolist() == [0, 1, 2]
         assert sum(unsettled) > 0
 
 
@@ -639,7 +597,7 @@ class TestMaximizeAcrossRegions:
             if n % 2:
                 allowed_v = rng.random((T, dims.R, dims.A)) > 0.3
                 allowed_v[:, :, 0] = True
-                constraints = FrameConstraints(allowed_v=allowed_v)
+                constraints = allowed_v
             loss = None
             if n % 3:
                 loss = LossSpec(y=int(rng.integers(dims.Y)),
@@ -656,6 +614,7 @@ class TestMaximizeAcrossRegions:
         addends = None
         if q.loss is not None:
             addends = (self.LAMBDA_V / T) * (~q.loss.allowed_v).astype(float)
+        eta, gamma = inference._tables(params)
         best = None
         for y in (range(d.Y) if q.y is None else [q.y]):
             total = 0.0 if q.loss is None else \
@@ -664,8 +623,7 @@ class TestMaximizeAcrossRegions:
             for r in range(d.R):
                 unary = region_unary(q.x, y, params, r, q.constraints,
                                      addends if r == 0 else None)
-                eta, gamma = inference._transition_tables(params, r)
-                s, score = reference_viterbi(unary[None], eta, gamma)
+                s, score = reference_viterbi(unary[None], eta[r], gamma[r])
                 total += score[0]
                 states.append(s[0])
             if best is None or total > best[2]:
@@ -694,22 +652,26 @@ class TestMaximizeAcrossRegions:
 
     def test_memory_does_not_grow_with_queries(self):
         """Paper-shaped 150-frame queries (K' = 101, A = 20, R = 4, Y = 10):
-        one query with free y holds one region base, one chunk and one
-        row's Viterbi tables, not its 40 unary rows (24 MB); four queries
-        of one length peak where one does."""
+        one query with free y, or with a loss and so all 40 of its rows
+        solved, holds one region base, one chunk and one row's Viterbi
+        tables, not its 40 unary rows (24 MB); four queries of one length
+        peak where one does."""
         rng = np.random.default_rng(55)
         dims = ModelDims(R=4, K=100, D=38, A=20, S=10, Y=10)
         params = random_params(dims, rng)
         xs = [rng.normal(size=(150, dims.R, dims.D)) for _ in range(4)]
 
-        def peak(queries):
+        def peak(queries, *lam):
             tracemalloc.start()
             try:
-                maximize(queries, params)
+                maximize(queries, params, *lam)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peak([Query(xs[0])]) < 24 * 2 ** 20
+        loss = LossSpec(y=3, allowed_v=rng.random((150, dims.A)) > 0.3)
+        assert peak([Query(xs[0], loss=loss)], self.LAMBDA_Y,
+                    self.LAMBDA_V) < 24 * 2 ** 20
         # a fixed y keeps the four-query pass short
         one = peak([Query(xs[0], 0)])
         assert peak([Query(x, 0) for x in xs]) <= 1.1 * one
@@ -741,7 +703,7 @@ class TestPrunedComplexActions:
             if constrained:
                 allowed_v = rng.random((T, d.R, d.A)) > 0.5
                 allowed_v[:, :, 1] = True
-                constraints = FrameConstraints(allowed_v=allowed_v)
+                constraints = allowed_v
             queries.append(Query(x, constraints=constraints))
         return queries
 

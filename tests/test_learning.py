@@ -275,7 +275,7 @@ class TestConstraintsAndImputation:
                            if iv.t_start <= t <= iv.t_end]
                 if actions:
                     expected[t] = np.isin(u_of_v, actions)
-            np.testing.assert_array_equal(constraints.allowed_v, expected)
+            np.testing.assert_array_equal(constraints, expected)
 
     def test_imputation_dominates_random_feasible_labelings(self):
         rng = np.random.default_rng(2)
@@ -296,7 +296,7 @@ class TestConstraintsAndImputation:
             v = np.empty((T, 2), dtype=int)
             for t in range(T):
                 for r in range(2):
-                    options = np.flatnonzero(constraints.allowed_v[t, r])
+                    options = np.flatnonzero(constraints[t, r])
                     v[t, r] = rng.choice(options)
             z = rng.integers(0, spec.num_poselets + 1, size=(T, 2))
             rival = energy_total(video.x, Labeling(z=z, v=v, y=video.y),

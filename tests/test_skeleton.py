@@ -35,7 +35,8 @@ class TestParse:
     def test_toy_fixture_values(self, toy_skeleton_text):
         seq = parse_skeleton(toy_skeleton_text)
         assert seq.num_frames == 3
-        np.testing.assert_allclose(seq.joint(0, "head"), (0.0, 1.8, 0.0))
+        head = seq.joints[0, KINECT20.joint_index("head")]
+        np.testing.assert_allclose(head, (0.0, 1.8, 0.0))
 
     def test_duplicate_frame_rejected(self):
         frame = [[0.0, 0.0, 0.0]] * 20
