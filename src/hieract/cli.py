@@ -513,6 +513,21 @@ def cmd_synth(args) -> int:
     if not args.videos_per_class + args.test_per_class:
         raise UsageError("--videos-per-class and --test-per-class are both "
                          "0, so there is no video to plant")
+    if args.dim < args.poselets:
+        raise UsageError(f"--dim {args.dim} is below --poselets "
+                         f"{args.poselets}; each poselet needs its own "
+                         "orthonormal prototype")
+    if 4 * args.sigma >= math.sqrt(2):
+        raise UsageError(f"--sigma {args.sigma} is not below sqrt(2)/4, "
+                         "so planted poselets may not stay separable")
+    if not args.actions <= args.actionlets <= args.poselets:
+        raise UsageError(f"--actionlets {args.actionlets} is not from "
+                         f"--actions {args.actions} to --poselets "
+                         f"{args.poselets}: each action needs an actionlet "
+                         "and each actionlet its own pose cycle")
+    if args.actions_per_class > args.actions:
+        raise UsageError(f"--actions-per-class {args.actions_per_class} is "
+                         f"above --actions {args.actions}")
     spec = SyntheticSpec(
         num_classes=args.classes, num_actions=args.actions,
         num_actionlets=args.actionlets, num_poselets=args.poselets,

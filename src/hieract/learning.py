@@ -89,98 +89,118 @@ def assign_regions(costs: np.ndarray, overlaps: list[tuple[int, int]],
     """Solve one video's assignment: minimize sum b*(cost - inv_lambda).
 
     Subject to: every interval gets at least one region, and overlapping
-    intervals never share a region. Solved exactly as a 0/1 program.
-    Returns (b, feasible); when the overlap structure makes coverage
-    impossible, coverage wins: each interval goes to its cheapest region,
-    and ``feasible`` is False.
+    intervals never share a region. Solved exactly by the interval DP of
+    ``_sweep``. Returns (b, feasible); when the overlap structure makes
+    coverage impossible, coverage wins: each interval goes to its cheapest
+    region, and ``feasible`` is False.
     """
     costs = np.asarray(costs, dtype=float)
-    program = _StackedP1([costs.shape], [overlaps])
+    program = _IntervalDP(costs.shape[0], [costs.shape[1]], [overlaps])
     return program.solve([costs - inv_lambda])[0], program.feasible[0]
 
 
-class _StackedP1:
-    """P1 for several videos as one 0/1 program, the videos' blocks stacked
-    block-diagonally.
+class _IntervalDP:
+    """P1 for several videos by the DP of ``_sweep``, the videos' sweeps
+    advancing side by side. The moves depend only on the overlaps, so they
+    are enumerated once and each b-step only prices them."""
 
-    The rows depend only on the shapes and overlaps, so they are built once
-    and each b-step only prices them. Whether a video can be covered at all
-    is decided once, by a program that may waive a video's coverage rows at
-    a cost of 1: the waived videos are the infeasible ones, and stay out of
-    the stack.
-    """
-
-    def __init__(self, shapes: list[tuple[int, int]],
+    def __init__(self, R: int, counts: list[int],
                  overlaps: list[list[tuple[int, int]]]):
-        blocks = [_p1_block(R, Q, pairs)
-                  for (R, Q), pairs in zip(shapes, overlaps)]
-        self.feasible = [True] * len(shapes)
-        if any(overlaps):
-            n = sum(R * Q for R, Q in shapes)
-            waived = _solve_01(np.r_[np.zeros(n), np.ones(len(shapes))],
-                               *_stack(blocks, waivers=True))
-            self.feasible = [not w for w in waived[n:]]
-        self.stacked = [i for i, ok in enumerate(self.feasible) if ok]
-        self.last = None, None    # prices and solution of the last program
-        if self.stacked:
-            self.rows = _stack([blocks[i] for i in self.stacked])
+        self.cols = np.cumsum([0, *counts])
+        sweeps = [_sweep(R, Q, pairs, 2 ** R * col)
+                  for Q, pairs, col in zip(counts, overlaps, self.cols)]
+        self.feasible = [s is not None for s in sweeps]
+        sweeps = [s for s in sweeps if s is not None]
+        self.last = None, None    # prices and solution of the last sweep
+        # each step's moves (state, cell, state') of all feasible videos,
+        # states numbered video after video; a finished video stays in its
+        # one state through cell -1, which costs nothing
+        self.steps, sizes = [], [1] * len(sweeps)
+        for s in range(max(map(len, sweeps), default=0)):
+            src, cell, dst, lo, hi = [], [], [], 0, 0
+            for j, sweep in enumerate(sweeps):
+                a, c, b = sweep[s] if s < len(sweep) else ([0], [-1], [0])
+                src += [lo + x for x in a]
+                cell += c
+                dst += [hi + x for x in b]
+                lo, sizes[j] = lo + sizes[j], max(b) + 1
+                hi += sizes[j]
+            self.steps.append((np.array(src), np.array(cell), np.array(dst)))
 
     def solve(self, effs: list[np.ndarray]) -> list[np.ndarray]:
         """Minimize sum b*eff for every video; an infeasible video covers
         each interval at its cheapest region. Prices equal to the last
-        solved ones reuse that solution."""
-        x = None
-        if self.stacked:
-            c = np.concatenate([effs[i].reshape(-1) for i in self.stacked])
-            if not np.array_equal(c, self.last[0]):
-                self.last = c, _solve_01(c, *self.rows)
-            x = self.last[1]
-        out, lo = [], 0
-        for eff, ok in zip(effs, self.feasible):
-            if ok:
-                out.append(x[lo:lo + eff.size].reshape(eff.shape))
-                lo += eff.size
-            else:
-                out.append(np.argmin(eff, axis=0)[None, :]
-                           == np.arange(eff.shape[0])[:, None])
-        return out
+        ones reuse the last solution."""
+        eff = np.concatenate(effs, axis=1)
+        if not np.array_equal(eff, self.last[0]):
+            self.last = eff, self.price(eff)
+        parts = np.split(self.last[1], self.cols[1:-1], axis=1)
+        return [b if ok else np.argmin(e, axis=0) == np.arange(len(e))[:, None]
+                for b, e, ok in zip(parts, effs, self.feasible)]
+
+    def price(self, eff: np.ndarray) -> np.ndarray:
+        """b, (R, width), of the cheapest sweeps at the region prices
+        ``eff``, the videos' columns side by side."""
+        R, width = eff.shape
+        bits = (np.arange(2 ** R)[:, None] >> np.arange(R)) & 1
+        table = np.zeros((width, 2 ** R))
+        for r in range(R):                # each bitmask's sum, region order
+            table += eff[r, :, None] * bits[:, r]
+        table = np.append(table, 0.0)     # cell -1
+        state = np.arange(sum(self.feasible))
+        cost, firsts = np.zeros(state.size), []
+        for src, cell, dst in self.steps:
+            cand = cost[src] + table[cell]
+            order = np.lexsort((cand, dst))     # stable: ties keep the first
+            firsts.append(order[np.r_[True, np.diff(dst[order]) > 0]])
+            cost = cand[firsts[-1]]
+        b = np.zeros((R, width), dtype=bool)
+        for (src, cell, _), first in zip(self.steps[::-1], firsts[::-1]):
+            move = first[state]
+            col, mask = np.divmod(cell[move][cell[move] >= 0], 2 ** R)
+            b[:, col] = bits[mask].T
+            state = src[move]
+        return b
 
 
-def _p1_block(R: int, Q: int, overlaps: list[tuple[int, int]]):
-    """One video's rows over b[r, q] at column r*Q + q: Q coverage rows
-    sum_r b[r, q] >= 1, then b[r, q1] + b[r, q2] <= 1 for each region and
-    overlapping pair. Returns (A, lower, upper)."""
-    eye = np.eye(Q)
-    pairs = np.asarray(overlaps, dtype=int).reshape(-1, 2)
-    clash = np.kron(np.eye(R), eye[pairs[:, 0]] + eye[pairs[:, 1]])
-    return (np.vstack([np.tile(eye, R), clash]),
-            np.r_[np.ones(Q), np.full(len(clash), -np.inf)],
-            np.r_[np.full(Q, np.inf), np.ones(len(clash))])
+def _sweep(R: int, Q: int, overlaps: list[tuple[int, int]], base: int):
+    """One video's P1 as a DP: per step, its moves (state, cell, state') as
+    three lists, cell = base + 2^R q + bitmask; None when a step reaches no
+    state, so that the intervals cannot be covered.
 
-
-def _stack(blocks, waivers: bool = False):
-    """Block-diagonal (A, lower, upper) of several videos' blocks; with
-    ``waivers``, one more column per video enters its coverage rows."""
-    from scipy.sparse import block_diag, hstack
-
-    A = block_diag([A for A, _, _ in blocks], format="csr")
-    if waivers:
-        A = hstack([A, block_diag([(lo > 0)[:, None] for _, lo, _ in blocks])],
-                   format="csr")
-    return (A, np.concatenate([lo for _, lo, _ in blocks]),
-            np.concatenate([up for _, _, up in blocks]))
-
-
-def _solve_01(c: np.ndarray, A, lower, upper) -> np.ndarray:
-    """Exact minimizer of c.x over 0/1 vectors x with lower <= Ax <= upper."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    res = milp(c, integrality=np.ones(c.size), bounds=Bounds(0.0, 1.0),
-               constraints=LinearConstraint(A, lower, upper),
-               options={"mip_rel_gap": 0.0})
-    if res.status != 0:
-        raise RuntimeError(f"P1 0/1 program failed: {res.message}")
-    return res.x > 0.5
+    A step gives one interval q a non-empty region bitmask disjoint from
+    those of its visited overlap neighbours; the state is the bitmasks of
+    the visited intervals that still have an unvisited neighbour. States
+    are numbered in the order first reached, moves listed by state and
+    bitmask ascending, and ties keep the first path. Intervals are visited
+    in maximum-cardinality-search order, ties to the lowest index (Tarjan &
+    Yannakakis, SIAM J. Comput. 1984): on the chordal overlap graph of time
+    intervals, few visited intervals are then left waiting.
+    """
+    near = [set() for _ in range(Q)]
+    for q1, q2 in overlaps:
+        near[q1].add(q2)
+        near[q2].add(q1)
+    todo = list(range(Q))                   # unvisited, by index
+    frontier, states, steps = [], [()], []
+    while todo:
+        v = max(todo, key=lambda u: len(near[u].difference(todo)))
+        todo.remove(v)
+        hit = [i for i, u in enumerate(frontier) if u in near[v]]
+        ahead = frontier + [v]
+        keep = [i for i, u in enumerate(ahead) if not near[u].isdisjoint(todo)]
+        index, moves = {}, []
+        for s, state in enumerate(states):
+            for mask in range(1, 2 ** R):
+                if not any(mask & state[i] for i in hit):
+                    key = tuple((state + (mask,))[i] for i in keep)
+                    moves.append((s, base + 2 ** R * v + mask,
+                                  index.setdefault(key, len(index))))
+        if not moves:
+            return None
+        frontier, states = [ahead[i] for i in keep], list(index)
+        steps.append(tuple(map(list, zip(*moves))))
+    return steps
 
 
 def _p1_means(problems: list[AssignmentProblem],
@@ -188,26 +208,22 @@ def _p1_means(problems: list[AssignmentProblem],
               num_regions: int, num_bins: int) -> np.ndarray:
     """Mean selected histogram per (region, action); fall back to the
     action's global mean over all regions when nothing is selected."""
-    means = np.zeros((num_regions, num_actions, num_bins))
+    sums = np.zeros((num_regions, num_actions, num_bins))
+    cnts = np.zeros((num_regions, num_actions))
     global_sum = np.zeros((num_actions, num_bins))
     global_cnt = np.zeros(num_actions)
-    sums = np.zeros_like(means)
-    cnts = np.zeros((num_regions, num_actions))
-    for prob, b in zip(problems, assignments):
-        for q, action in enumerate(prob.actions):
-            global_sum[action] += prob.histograms[:, q].sum(axis=0)
-            global_cnt[action] += num_regions
-            for r in range(num_regions):
-                if b[r, q]:
-                    sums[r, action] += prob.histograms[r, q]
-                    cnts[r, action] += 1
-    for s in range(num_actions):
-        fallback = (global_sum[s] / global_cnt[s]) if global_cnt[s] > 0 \
-            else np.zeros(num_bins)
-        for r in range(num_regions):
-            means[r, s] = sums[r, s] / cnts[r, s] if cnts[r, s] > 0 \
-                else fallback
-    return means
+    for prob, b in zip(problems, assignments):    # summed interval by interval
+        q, r = np.nonzero(b.T)
+        np.add.at(sums, (r, prob.actions[q]), prob.histograms[r, q])
+        np.add.at(cnts, (r, prob.actions[q]), 1)
+        np.add.at(global_sum, prob.actions, prob.histograms.sum(axis=0))
+        np.add.at(global_cnt, prob.actions, num_regions)
+    fallback = np.divide(global_sum, global_cnt[:, None],
+                         out=np.zeros_like(global_sum),
+                         where=global_cnt[:, None] > 0)
+    picked = cnts[..., None] > 0
+    return np.where(picked, sums / np.where(picked, cnts[..., None], 1),
+                    fallback)
 
 
 def _p1_costs(prob: AssignmentProblem, means: np.ndarray) -> np.ndarray:
@@ -232,11 +248,11 @@ def solve_p1(problems: list[AssignmentProblem],
 
     The first round uses 1/lambda = 0 (minimal assignments); the next
     ``P1_ROUNDS`` rounds start from lambda = 8 / (mean cost) and shrink it
-    by ``P1_DECAY``,
-    making extra region assignments progressively cheaper. Each half step
-    is kept only if it does not increase the round's objective, so the
-    per-round objective trace is non-increasing by construction. Every
-    b-step solves all videos exactly in one stacked 0/1 program.
+    by ``P1_DECAY``, making extra region assignments progressively cheaper.
+    Each half step is kept only if it does not increase the round's
+    objective, so the per-round objective trace is non-increasing by
+    construction. Every b-step solves each video exactly by its interval
+    DP, all videos' sweeps in one pass.
     """
     if not problems:
         raise ValueError("no assignment problems given")
@@ -250,8 +266,8 @@ def solve_p1(problems: list[AssignmentProblem],
     inv_lambdas = [0.0] + [1.0 / (lambda0 * P1_DECAY ** i)
                            for i in range(P1_ROUNDS)]
 
-    program = _StackedP1([(R, p.actions.shape[0]) for p in problems],
-                         [p.overlaps for p in problems])
+    program = _IntervalDP(R, [p.actions.shape[0] for p in problems],
+                          [p.overlaps for p in problems])
     infeasible = [f"{p.video_id}: coverage forced an overlap"
                   for p, ok in zip(problems, program.feasible) if not ok]
     for msg in infeasible:
@@ -268,23 +284,19 @@ def solve_p1(problems: list[AssignmentProblem],
             # b-step: exact for every video, kept only on descent
             new_assignments = program.solve([c - inv_lambda for c in costs])
             new_obj = _p1_objective(new_assignments, costs, inv_lambda)
-            if new_obj <= obj:
-                changed = any(not np.array_equal(a, b) for a, b in
-                              zip(assignments, new_assignments))
-                assignments = new_assignments
-                obj = new_obj
-            else:
-                changed = False
+            kept = new_obj <= obj
+            changed = kept and any(not np.array_equal(a, b) for a, b in
+                                   zip(assignments, new_assignments))
+            if kept:
+                assignments, obj = new_assignments, new_obj
             trace.append(obj)
             # mu-step: means of the selected histograms, safeguarded
             new_means = _p1_means(problems, assignments, num_actions, R, K)
             new_costs = [_p1_costs(p, new_means) for p in problems]
             new_obj = _p1_objective(assignments, new_costs, inv_lambda)
             if new_obj <= obj:
-                if not np.allclose(new_means, means):
-                    changed = True
-                means, costs = new_means, new_costs
-                obj = new_obj
+                changed |= not np.allclose(new_means, means)
+                means, costs, obj = new_means, new_costs, new_obj
             trace.append(obj)
             if not changed:
                 break
@@ -311,12 +323,9 @@ class InitArtifacts:
 
 
 def _overlap_pairs(intervals: list[ActionInterval]) -> list[tuple[int, int]]:
-    pairs = []
-    for i in range(len(intervals)):
-        for j in range(i + 1, len(intervals)):
-            if intervals[i].overlaps(intervals[j]):
-                pairs.append((i, j))
-    return pairs
+    return [(i, j) for i in range(len(intervals))
+            for j in range(i + 1, len(intervals))
+            if intervals[i].overlaps(intervals[j])]
 
 
 def initialize(videos: list[TrainingVideo], num_poselets: int,
@@ -361,16 +370,12 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
     for i, video in enumerate(videos):
         if not video.intervals:
             continue
-        Q = len(video.intervals)
-        hists = np.zeros((R, Q, K))
-        for q, iv in enumerate(video.intervals):
-            for r in range(R):
-                hists[r, q] = interval_histogram(
-                    z_init[i][:, r], K, iv.t_start, iv.t_end)
         problems.append(AssignmentProblem(
             video_id=video.video_id,
             actions=np.array([iv.action_id for iv in video.intervals]),
-            histograms=hists,
+            histograms=np.array([[interval_histogram(
+                z_init[i][:, r], K, iv.t_start, iv.t_end)
+                for iv in video.intervals] for r in range(R)]),
             overlaps=_overlap_pairs(video.intervals)))
 
     p1 = None
@@ -475,22 +480,14 @@ def _frame_constraints(intervals: list[ActionInterval], table: np.ndarray,
 def _fill_gaps(column: np.ndarray) -> np.ndarray:
     """Fill -1 entries with the temporally nearest assigned value (earlier
     frame wins ties); all -1 falls back to 0."""
-    filled = column.copy()
-    known = np.flatnonzero(filled >= 0)
+    known = np.flatnonzero(column >= 0)
     if known.size == 0:
-        return np.zeros_like(filled)
-    missing = np.flatnonzero(filled < 0)
-    for t in missing:
-        pos = np.searchsorted(known, t)
-        left = known[pos - 1] if pos > 0 else None
-        right = known[pos] if pos < known.size else None
-        if left is None:
-            filled[t] = filled[right]
-        elif right is None or t - left <= right - t:
-            filled[t] = filled[left]
-        else:
-            filled[t] = filled[right]
-    return filled
+        return np.zeros_like(column)
+    t = np.arange(column.size)
+    pos = np.searchsorted(known, t)       # a known t is its own right
+    left = known[np.maximum(pos - 1, 0)]
+    right = known[np.minimum(pos, known.size - 1)]
+    return column[np.where(t - left <= right - t, left, right)]
 
 
 # ---------------------------------------------------------------------------

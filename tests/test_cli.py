@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -79,9 +82,20 @@ class TestSynth:
          "--min-frames 50 is above --max-frames 40"),
         (["--sigma", "-1"], "argument --sigma: '-1' is not at least 0"),
         (["--noise-fraction", "2"],
-         "argument --noise-fraction: '2' is not from 0 to 1")],
+         "argument --noise-fraction: '2' is not from 0 to 1"),
+        (["--dim", "5"], "--dim 5 is below --poselets 8"),
+        (["--sigma", "0.4"], "--sigma 0.4 is not below sqrt(2)/4"),
+        (["--actionlets", "3"],
+         "--actionlets 3 is not from --actions 4 to --poselets 8"),
+        (["--actionlets", "9"],
+         "--actionlets 9 is not from --actions 4 to --poselets 8"),
+        (["--actions-per-class", "5"],
+         "--actions-per-class 5 is above --actions 4")],
         ids=["seed", "no-videos", "negative-videos", "no-frames",
-             "negative-frames", "min-above-max", "sigma", "noise-fraction"])
+             "negative-frames", "min-above-max", "sigma", "noise-fraction",
+             "dim-below-poselets", "sigma-not-separable",
+             "actionlets-below-actions", "actionlets-above-poselets",
+             "actions-per-class-above-actions"])
     def test_flag_out_of_range_is_validation_error(self, tmp_path, capsys,
                                                    flags, fault):
         out = tmp_path / "data"
@@ -794,3 +808,38 @@ class TestErrors:
     def test_planted_frames_evaluate(self, synth_dataset, tmp_path):
         code, _ = self._eval_frames(synth_dataset, tmp_path, list)
         assert code == 0
+
+
+def test_training_runs_without_scipy(tmp_path):
+    # P1 needs no solver library: synth, init-assignments and train in a
+    # fresh interpreter leave scipy unimported
+    script = """
+import sys
+from pathlib import Path
+from hieract.cli import main
+
+out = Path(sys.argv[1])
+data = out / "train"
+common = ["--features", str(data / "features"),
+          "--annotations", str(data / "annotations.csv"),
+          "--labels", str(data / "labels.csv"), "--num-poselets", "3",
+          "--supervision", "temporal"]
+assert main(["synth", "--out", str(out), "--classes", "2", "--actions", "2",
+             "--actionlets", "2", "--poselets", "3", "--dim", "5",
+             "--min-frames", "14", "--max-frames", "18",
+             "--videos-per-class", "4", "--actions-per-class", "1"]) == 0
+assert main(["init-assignments", *common,
+             "--out", str(out / "assignments.json")]) == 0
+assert main(["train", *common, "--max-cccp-iters", "1",
+             "--out", str(out / "model.json")]) == 0
+assert "scipy" not in sys.modules, sorted(
+    name for name in sys.modules if name.startswith("scipy"))[:5]
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]

@@ -4,7 +4,7 @@ committed SHA-256 digests of every file they write, byte for byte.
 
 The pipeline runs in a child process with one BLAS thread, as the benchmark
 runs it. Training logs are hashed without their ``wall_time`` fields. The
-digests pin the numerical environment (numpy, scipy and the BLAS build) as
+digests pin the numerical environment (numpy and the BLAS build) as
 well as the code, so a failure prints the versions. A change that alters
 outputs on purpose regenerates the digests, with ``THREAD_VARS`` set to 1
 in the environment, by
@@ -162,15 +162,13 @@ def run_pipeline(work: Path) -> dict[str, str]:
 
 
 def _environment() -> str:
-    import scipy
-
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas.get('version', '')}".strip()
     except Exception:            # older numpy: no dict form of the config
         blas = "unknown"
-    return (f"numpy {np.__version__}, scipy {scipy.__version__}, BLAS "
-            f"{blas}, BLAS threads 1 ({', '.join(THREAD_VARS)})")
+    return (f"numpy {np.__version__}, BLAS {blas}, BLAS threads 1 "
+            f"({', '.join(THREAD_VARS)})")
 
 
 def test_outputs_match_committed_digests(tmp_path):

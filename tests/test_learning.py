@@ -103,6 +103,55 @@ class TestAssignRegions:
                           brute_force_assignment(costs, overlaps),
                           rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("R, max_Q, count", [(2, 10, 40), (3, 7, 15)])
+    def test_long_chains_reach_enumeration_optimum(self, R, max_Q, count):
+        rng = np.random.default_rng(R)
+        for _ in range(count):
+            costs, overlaps = _chain_instance(rng, R, max_Q)
+            b, ok = assign_regions(costs, overlaps)
+            assert ok, (costs, overlaps)
+            _assert_feasible(b, overlaps)
+            assert np.isclose(float((costs * b).sum()),
+                              brute_force_assignment(costs, overlaps),
+                              rtol=0, atol=1e-9), (costs, overlaps)
+
+    def test_permuted_intervals_reach_the_same_optimum(self):
+        rng = np.random.default_rng(5)
+        for R, max_Q in [(2, 10), (3, 7), (4, 6)] * 8:
+            costs, overlaps = _chain_instance(rng, R, max_Q)
+            order = rng.permutation(costs.shape[1])    # new q is old order[q]
+            rank = np.argsort(order)
+            moved = [(int(rank[q2]), int(rank[q1])) for q1, q2 in overlaps]
+            b, ok = assign_regions(costs, overlaps)
+            b_moved, ok_moved = assign_regions(costs[:, order], moved)
+            assert ok and ok_moved
+            _assert_feasible(b_moved, moved)
+            assert np.isclose(float((costs[:, order] * b_moved).sum()),
+                              float((costs * b).sum()), rtol=0, atol=1e-9)
+
+    def test_zigzag_chain_listed_region_major(self):
+        # 40 intervals, each overlapping only its neighbours in time; the
+        # even ones are listed first, as synth lists region 0 before
+        # region 1. At R=2 the only covers alternate the two regions.
+        rng = np.random.default_rng(6)
+        R, Q = 2, 40
+        position = np.r_[np.arange(0, Q, 2), np.arange(1, Q, 2)]
+        spans = [(10 * p, 10 * p + 14) for p in position]
+        overlaps = [(i, j) for i in range(Q) for j in range(i + 1, Q)
+                    if spans[i][0] <= spans[j][1]
+                    and spans[j][0] <= spans[i][1]]
+        assert len(overlaps) == Q - 1
+        costs = rng.uniform(-1.0, 1.0, size=(R, Q))
+        covers = [(position % 2 == r)[None, :] != np.arange(R)[:, None]
+                  for r in range(R)]
+        best = min(covers, key=lambda b: float((costs * b).sum()))
+        b, ok = assign_regions(costs, overlaps)
+        assert ok
+        np.testing.assert_array_equal(b, best)
+        # the search order keeps the DP at a handful of states a step
+        steps = learning._sweep(R, Q, overlaps, 0)
+        assert max(max(dst) + 1 for _, _, dst in steps) <= 3
+
 
 def _assert_feasible(b, overlaps):
     assert b.any(axis=0).all()
@@ -127,6 +176,22 @@ def _random_instance(rng):
         t = int(ends.max()) + 1
     overlaps = [(i, j) for i in range(Q) for j in range(i + 1, Q)
                 if spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]]
+    return rng.uniform(-1.0, 1.0, size=(R, Q)), overlaps
+
+
+def _chain_instance(rng, R, max_Q):
+    """Costs and time-overlap pairs of 4 to ``max_Q`` intervals, listed in
+    random order. The p-th in time starts near 10 p and often overlaps the
+    next, but ends before the (p + R)-th starts: overlap chains run through
+    many intervals, and no R + 1 intervals overlap each other, so every
+    instance can be covered."""
+    Q = int(rng.integers(4, max_Q + 1))
+    starts = 10 * np.arange(Q) + rng.integers(0, 3, size=Q)
+    ends = starts + rng.integers(8, 10 * R - 2, size=Q)
+    order = rng.permutation(Q)
+    starts, ends = starts[order], ends[order]
+    overlaps = [(i, j) for i in range(Q) for j in range(i + 1, Q)
+                if starts[i] <= ends[j] and starts[j] <= ends[i]]
     return rng.uniform(-1.0, 1.0, size=(R, Q)), overlaps
 
 
@@ -175,13 +240,13 @@ class TestSolveP1:
 
     def test_no_b_step_repeats_the_last_program(self, monkeypatch):
         priced = []
-        solve_01 = learning._solve_01
+        price = learning._IntervalDP.price
 
-        def record(c, *rows):
-            priced.append(c.copy())
-            return solve_01(c, *rows)
+        def record(program, eff):
+            priced.append(eff.copy())
+            return price(program, eff)
 
-        monkeypatch.setattr(learning, "_solve_01", record)
+        monkeypatch.setattr(learning._IntervalDP, "price", record)
         result = solve_p1(self._problems(), num_actions=2)
         for a, b in zip(priced, priced[1:]):
             assert not np.array_equal(a, b)
@@ -201,12 +266,51 @@ class TestSolveP1:
             np.testing.assert_allclose(_p1_costs(prob, means), expected,
                                        rtol=1e-12, atol=0)
 
+    def test_means_match_the_interval_loop(self):
+        # the reference sums each selected histogram interval by interval
+        rng = np.random.default_rng(3)
+        problems = self._problems()
+        problems[1].actions = np.array([1, 1])
+        picks = [rng.random((2, 2)) < 0.5 for _ in problems]
+        R, S, K = 2, 3, 4          # action 2 is never annotated
+        sums, cnts = np.zeros((R, S, K)), np.zeros((R, S))
+        global_sum, global_cnt = np.zeros((S, K)), np.zeros(S)
+        for prob, b in zip(problems, picks):
+            for q, a in enumerate(prob.actions):
+                global_sum[a] += prob.histograms[:, q].sum(axis=0)
+                global_cnt[a] += R
+                for r in range(R):
+                    if b[r, q]:
+                        sums[r, a] += prob.histograms[r, q]
+                        cnts[r, a] += 1
+        expected = np.zeros((R, S, K))
+        for a in range(S):
+            for r in range(R):
+                if cnts[r, a]:
+                    expected[r, a] = sums[r, a] / cnts[r, a]
+                elif global_cnt[a]:
+                    expected[r, a] = global_sum[a] / global_cnt[a]
+        np.testing.assert_array_equal(
+            learning._p1_means(problems, picks, S, R, K), expected)
+
     def test_empty_problem_list_rejected(self):
         with pytest.raises(ValueError):
             solve_p1([], num_actions=1)
 
 
 class TestConstraintsAndImputation:
+    def test_fill_gaps_takes_the_nearest_frame_earlier_on_ties(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            column = rng.integers(-1, 3, size=int(rng.integers(1, 12)))
+            column[rng.random(column.size) < 0.5] = -1
+            known = np.flatnonzero(column >= 0)
+            expected = np.zeros_like(column) if not known.size else \
+                column[[known[np.argmin(np.abs(known - t))]
+                        for t in range(column.size)]]
+            np.testing.assert_array_equal(learning._fill_gaps(column),
+                                          expected)
+
     def test_temporal_constraints_respect_annotations(self):
         spec, ds, videos = _training_set()
         cfg = TrainConfig(seed=0, supervision="temporal", beam=None)
