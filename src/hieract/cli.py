@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -506,6 +507,14 @@ def cmd_eval(args) -> int:
 # synth
 # ---------------------------------------------------------------------------
 
+# the SyntheticSpec fields that synth sets from one flag each
+_SYNTH_FLAGS = {"num_classes": "--classes", "num_actions": "--actions",
+                "num_actionlets": "--actionlets", "num_poselets": "--poselets",
+                "num_regions": "--regions", "dim": "--dim", "sigma": "--sigma",
+                "noise_frame_fraction": "--noise-fraction",
+                "actions_per_class": "--actions-per-class", "seed": "--seed"}
+
+
 def cmd_synth(args) -> int:
     if args.min_frames > args.max_frames:
         raise UsageError(f"--min-frames {args.min_frames} is above "
@@ -513,29 +522,18 @@ def cmd_synth(args) -> int:
     if not args.videos_per_class + args.test_per_class:
         raise UsageError("--videos-per-class and --test-per-class are both "
                          "0, so there is no video to plant")
-    if args.dim < args.poselets:
-        raise UsageError(f"--dim {args.dim} is below --poselets "
-                         f"{args.poselets}; each poselet needs its own "
-                         "orthonormal prototype")
-    if 4 * args.sigma >= math.sqrt(2):
-        raise UsageError(f"--sigma {args.sigma} is not below sqrt(2)/4, "
-                         "so planted poselets may not stay separable")
-    if not args.actions <= args.actionlets <= args.poselets:
-        raise UsageError(f"--actionlets {args.actionlets} is not from "
-                         f"--actions {args.actions} to --poselets "
-                         f"{args.poselets}: each action needs an actionlet "
-                         "and each actionlet its own pose cycle")
-    if args.actions_per_class > args.actions:
-        raise UsageError(f"--actions-per-class {args.actions_per_class} is "
-                         f"above --actions {args.actions}")
-    spec = SyntheticSpec(
-        num_classes=args.classes, num_actions=args.actions,
-        num_actionlets=args.actionlets, num_poselets=args.poselets,
-        num_regions=args.regions, dim=args.dim,
-        frames_range=(args.min_frames, args.max_frames),
-        videos_per_class=args.videos_per_class + args.test_per_class,
-        sigma=args.sigma, noise_frame_fraction=args.noise_fraction,
-        actions_per_class=args.actions_per_class, seed=args.seed)
+    try:
+        spec = SyntheticSpec(
+            num_classes=args.classes, num_actions=args.actions,
+            num_actionlets=args.actionlets, num_poselets=args.poselets,
+            num_regions=args.regions, dim=args.dim,
+            frames_range=(args.min_frames, args.max_frames),
+            videos_per_class=args.videos_per_class + args.test_per_class,
+            sigma=args.sigma, noise_frame_fraction=args.noise_fraction,
+            actions_per_class=args.actions_per_class, seed=args.seed)
+    except ValueError as exc:       # the spec's fields, named as flags
+        raise UsageError(re.sub(r"\w+", lambda m: _SYNTH_FLAGS.get(m[0], m[0]),
+                                str(exc))) from None
     dataset = plant_synthetic(spec)
     out = Path(args.out)
     config_hash = f"synth-{args.seed}"

@@ -156,18 +156,24 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # each message names the fields it compares, as `synth` maps them
+        # to its flags
         if self.num_poselets > self.dim:
-            raise ValueError("dim must be >= num_poselets for orthonormal "
-                             "prototypes")
+            raise ValueError(f"dim {self.dim} is below num_poselets "
+                             f"{self.num_poselets}; each poselet needs its "
+                             "own orthonormal prototype")
         if 4 * self.sigma >= np.sqrt(2):
-            raise ValueError("sigma too large for the separability guarantee")
-        if self.num_actionlets < self.num_actions:
-            raise ValueError("need at least one actionlet per action")
-        if self.num_actionlets > self.num_poselets:
-            raise ValueError("need num_actionlets <= num_poselets so the "
-                             "planted pose cycles stay distinct")
+            raise ValueError(f"sigma {self.sigma} is not below sqrt(2)/4, so "
+                             "planted poselets may not stay separable")
+        if not self.num_actions <= self.num_actionlets <= self.num_poselets:
+            raise ValueError(
+                f"num_actionlets {self.num_actionlets} is not from "
+                f"num_actions {self.num_actions} to num_poselets "
+                f"{self.num_poselets}: each action needs an actionlet and "
+                "each actionlet its own pose cycle")
         if self.actions_per_class > self.num_actions:
-            raise ValueError("actions_per_class exceeds num_actions")
+            raise ValueError(f"actions_per_class {self.actions_per_class} "
+                             f"is above num_actions {self.num_actions}")
         if not 0 <= self.pose_noise < 0.5:
             raise ValueError("pose_noise must be in [0, 0.5)")
         slots = self.num_classes * self.num_regions * self.actions_per_class

@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -75,6 +76,7 @@ class AssignmentProblem:
     actions: np.ndarray               # (Q,)
     histograms: np.ndarray            # (R, Q, K)
     overlaps: list[tuple[int, int]]
+    starts: np.ndarray | None = None  # (Q,) start frames; None: by index
 
 
 @dataclass
@@ -85,52 +87,42 @@ class P1Result:
 
 
 def assign_regions(costs: np.ndarray, overlaps: list[tuple[int, int]],
-                   inv_lambda: float = 0.0) -> tuple[np.ndarray, bool]:
+                   inv_lambda: float = 0.0, starts: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, bool]:
     """Solve one video's assignment: minimize sum b*(cost - inv_lambda).
 
     Subject to: every interval gets at least one region, and overlapping
-    intervals never share a region. Solved exactly by the interval DP of
-    ``_sweep``. Returns (b, feasible); when the overlap structure makes
-    coverage impossible, coverage wins: each interval goes to its cheapest
-    region, and ``feasible`` is False.
+    intervals never share a region. Solved exactly by the DP of ``_sweep``,
+    by start frame ``starts`` or else by index. Returns (b, feasible); when
+    the overlaps make coverage impossible, coverage wins: each interval
+    goes to its cheapest region, and ``feasible`` is False.
     """
     costs = np.asarray(costs, dtype=float)
-    program = _IntervalDP(costs.shape[0], [costs.shape[1]], [overlaps])
+    program = _IntervalDP(len(costs), [(costs.shape[1], overlaps, starts)])
     return program.solve([costs - inv_lambda])[0], program.feasible[0]
 
 
 class _IntervalDP:
     """P1 for several videos by the DP of ``_sweep``, the videos' sweeps
-    advancing side by side. The moves depend only on the overlaps, so they
-    are enumerated once and each b-step only prices them."""
+    side by side. The moves depend only on the overlaps, so they are
+    enumerated once and each b-step only prices them."""
 
-    def __init__(self, R: int, counts: list[int],
-                 overlaps: list[list[tuple[int, int]]]):
-        self.cols = np.cumsum([0, *counts])
-        sweeps = [_sweep(R, Q, pairs, 2 ** R * col)
-                  for Q, pairs, col in zip(counts, overlaps, self.cols)]
-        self.feasible = [s is not None for s in sweeps]
-        sweeps = [s for s in sweeps if s is not None]
-        self.last = None, None    # prices and solution of the last sweep
-        # each step's moves (state, cell, state') of all feasible videos,
-        # states numbered video after video; a finished video stays in its
-        # one state through cell -1, which costs nothing
-        self.steps, sizes = [], [1] * len(sweeps)
-        for s in range(max(map(len, sweeps), default=0)):
-            src, cell, dst, lo, hi = [], [], [], 0, 0
-            for j, sweep in enumerate(sweeps):
-                a, c, b = sweep[s] if s < len(sweep) else ([0], [-1], [0])
-                src += [lo + x for x in a]
-                cell += c
-                dst += [hi + x for x in b]
-                lo, sizes[j] = lo + sizes[j], max(b) + 1
-                hi += sizes[j]
-            self.steps.append((np.array(src), np.array(cell), np.array(dst)))
+    def __init__(self, R: int, videos: list[tuple]):
+        """``videos``: each video's (Q, overlaps, starts) for ``_sweep``."""
+        self.cols, index = np.cumsum([0, *(Q for Q, _, _ in videos)]), {}
+        sweeps = [_sweep(R, *video, 2 ** R * c, index)
+                  for video, c in zip(videos, self.cols)]
+        self.feasible = [end is not None for _, end in sweeps]
+        self.ends = np.array([e for _, e in sweeps if e is not None], int)
+        moves = zip_longest(*(steps for steps, end in sweeps
+                              if end is not None), fillvalue=[])
+        self.steps = [np.array(sum(m, [])).T    # (state, cell, state') rows
+                      for m in moves]
+        self.size, self.last = len(index), (None, None)
 
     def solve(self, effs: list[np.ndarray]) -> list[np.ndarray]:
-        """Minimize sum b*eff for every video; an infeasible video covers
-        each interval at its cheapest region. Prices equal to the last
-        ones reuse the last solution."""
+        """Minimize sum b*eff per video, reusing the last solution at equal
+        prices; an infeasible video covers each interval at its cheapest."""
         eff = np.concatenate(effs, axis=1)
         if not np.array_equal(eff, self.last[0]):
             self.last = eff, self.price(eff)
@@ -143,64 +135,51 @@ class _IntervalDP:
         ``eff``, the videos' columns side by side."""
         R, width = eff.shape
         bits = (np.arange(2 ** R)[:, None] >> np.arange(R)) & 1
-        table = np.zeros((width, 2 ** R))
-        for r in range(R):                # each bitmask's sum, region order
-            table += eff[r, :, None] * bits[:, r]
-        table = np.append(table, 0.0)     # cell -1
-        state = np.arange(sum(self.feasible))
-        cost, firsts = np.zeros(state.size), []
+        table = np.zeros((width + 1, 2 ** R))    # column width: no interval
+        table[:width] = sum(eff[r, :, None] * bits[:, r] for r in range(R))
+        cost, back = np.zeros(self.size), np.zeros((2, self.size), int)
+        back[0], back[1] = np.arange(self.size), 2 ** R * width  # stay put
         for src, cell, dst in self.steps:
-            cand = cost[src] + table[cell]
+            cand = cost[src] + table.flat[cell]
             order = np.lexsort((cand, dst))     # stable: ties keep the first
-            firsts.append(order[np.r_[True, np.diff(dst[order]) > 0]])
-            cost = cand[firsts[-1]]
-        b = np.zeros((R, width), dtype=bool)
-        for (src, cell, _), first in zip(self.steps[::-1], firsts[::-1]):
-            move = first[state]
-            col, mask = np.divmod(cell[move][cell[move] >= 0], 2 ** R)
-            b[:, col] = bits[mask].T
-            state = src[move]
-        return b
+            first = order[np.r_[True, np.diff(dst[order]) > 0]]
+            cost[dst[first]] = cand[first]
+            back[:, dst[first]] = src[first], cell[first]
+        b, state = np.zeros((R, width + 1), dtype=bool), self.ends
+        for _ in self.steps:
+            col, mask = np.divmod(back[1, state], 2 ** R)
+            b[:, col], state = bits[mask].T, back[0, state]
+        return b[:, :width]
 
 
-def _sweep(R: int, Q: int, overlaps: list[tuple[int, int]], base: int):
-    """One video's P1 as a DP: per step, its moves (state, cell, state') as
-    three lists, cell = base + 2^R q + bitmask; None when a step reaches no
-    state, so that the intervals cannot be covered.
-
-    A step gives one interval q a non-empty region bitmask disjoint from
-    those of its visited overlap neighbours; the state is the bitmasks of
-    the visited intervals that still have an unvisited neighbour. States
-    are numbered in the order first reached, moves listed by state and
-    bitmask ascending, and ties keep the first path. Intervals are visited
-    in maximum-cardinality-search order, ties to the lowest index (Tarjan &
-    Yannakakis, SIAM J. Comput. 1984): on the chordal overlap graph of time
-    intervals, few visited intervals are then left waiting.
+def _sweep(R: int, Q: int, overlaps: list[tuple[int, int]], starts,
+           base: int, index: dict):
+    """One video's P1 as a DP: its moves (state, cell, state') step by step,
+    cell = base + 2^R q + bitmask, and its final state, None if none is
+    reached. Step s gives the s-th interval by ``starts`` (by index if None)
+    a non-empty region bitmask disjoint from its visited neighbours'. State
+    (base, s, ((q, bitmask), ...)), numbered by ``index``, holds the visited
+    intervals that still have an unvisited neighbour: by start frame, all
+    hold the next start, so at most R do. Ties keep the first path.
     """
-    near = [set() for _ in range(Q)]
-    for q1, q2 in overlaps:
-        near[q1].add(q2)
-        near[q2].add(q1)
-    todo = list(range(Q))                   # unvisited, by index
-    frontier, states, steps = [], [()], []
-    while todo:
-        v = max(todo, key=lambda u: len(near[u].difference(todo)))
-        todo.remove(v)
-        hit = [i for i, u in enumerate(frontier) if u in near[v]]
-        ahead = frontier + [v]
-        keep = [i for i, u in enumerate(ahead) if not near[u].isdisjoint(todo)]
-        index, moves = {}, []
-        for s, state in enumerate(states):
+    near = [{w for p in overlaps if q in p for w in p} - {q} for q in range(Q)]
+    order = np.argsort(range(Q) if starts is None else starts, kind="stable")
+    step = np.argsort(order)              # the step that visits each interval
+    last = [max(step[[q, *near[q]]]) for q in range(Q)]   # and last reads it
+    states = {(base, 0, ()): index.setdefault((base, 0, ()), len(index))}
+    steps = []
+    for s, v in enumerate(order):
+        moves, reached = [], {}
+        for (_, _, held), k in states.items():
             for mask in range(1, 2 ** R):
-                if not any(mask & state[i] for i in hit):
-                    key = tuple((state + (mask,))[i] for i in keep)
-                    moves.append((s, base + 2 ** R * v + mask,
-                                  index.setdefault(key, len(index))))
-        if not moves:
-            return None
-        frontier, states = [ahead[i] for i in keep], list(index)
-        steps.append(tuple(map(list, zip(*moves))))
-    return steps
+                if not any(mask & m for u, m in held if u in near[v]):
+                    to = base, s + 1, tuple(
+                        (u, m) for u, m in (*held, (v, mask)) if last[u] > s)
+                    reached[to] = index.setdefault(to, len(index))
+                    moves.append((k, base + 2 ** R * v + mask, reached[to]))
+        states = reached
+        steps.append(moves)
+    return steps, states.get((base, Q, ()))
 
 
 def _p1_means(problems: list[AssignmentProblem],
@@ -208,22 +187,26 @@ def _p1_means(problems: list[AssignmentProblem],
               num_regions: int, num_bins: int) -> np.ndarray:
     """Mean selected histogram per (region, action); fall back to the
     action's global mean over all regions when nothing is selected."""
-    sums = np.zeros((num_regions, num_actions, num_bins))
-    cnts = np.zeros((num_regions, num_actions))
+    means = np.zeros((num_regions, num_actions, num_bins))
     global_sum = np.zeros((num_actions, num_bins))
     global_cnt = np.zeros(num_actions)
-    for prob, b in zip(problems, assignments):    # summed interval by interval
-        q, r = np.nonzero(b.T)
-        np.add.at(sums, (r, prob.actions[q]), prob.histograms[r, q])
-        np.add.at(cnts, (r, prob.actions[q]), 1)
-        np.add.at(global_sum, prob.actions, prob.histograms.sum(axis=0))
-        np.add.at(global_cnt, prob.actions, num_regions)
-    fallback = np.divide(global_sum, global_cnt[:, None],
-                         out=np.zeros_like(global_sum),
-                         where=global_cnt[:, None] > 0)
-    picked = cnts[..., None] > 0
-    return np.where(picked, sums / np.where(picked, cnts[..., None], 1),
-                    fallback)
+    sums = np.zeros_like(means)
+    cnts = np.zeros((num_regions, num_actions))
+    for prob, b in zip(problems, assignments):
+        for q, action in enumerate(prob.actions):
+            global_sum[action] += prob.histograms[:, q].sum(axis=0)
+            global_cnt[action] += num_regions
+            for r in range(num_regions):
+                if b[r, q]:
+                    sums[r, action] += prob.histograms[r, q]
+                    cnts[r, action] += 1
+    for s in range(num_actions):
+        fallback = (global_sum[s] / global_cnt[s]) if global_cnt[s] > 0 \
+            else np.zeros(num_bins)
+        for r in range(num_regions):
+            means[r, s] = sums[r, s] / cnts[r, s] if cnts[r, s] > 0 \
+                else fallback
+    return means
 
 
 def _p1_costs(prob: AssignmentProblem, means: np.ndarray) -> np.ndarray:
@@ -248,11 +231,11 @@ def solve_p1(problems: list[AssignmentProblem],
 
     The first round uses 1/lambda = 0 (minimal assignments); the next
     ``P1_ROUNDS`` rounds start from lambda = 8 / (mean cost) and shrink it
-    by ``P1_DECAY``, making extra region assignments progressively cheaper.
-    Each half step is kept only if it does not increase the round's
-    objective, so the per-round objective trace is non-increasing by
-    construction. Every b-step solves each video exactly by its interval
-    DP, all videos' sweeps in one pass.
+    by ``P1_DECAY``,
+    making extra region assignments progressively cheaper. Each half step
+    is kept only if it does not increase the round's objective, so the
+    per-round objective trace is non-increasing by construction. Every
+    b-step solves all videos exactly, their interval DPs side by side.
     """
     if not problems:
         raise ValueError("no assignment problems given")
@@ -266,8 +249,8 @@ def solve_p1(problems: list[AssignmentProblem],
     inv_lambdas = [0.0] + [1.0 / (lambda0 * P1_DECAY ** i)
                            for i in range(P1_ROUNDS)]
 
-    program = _IntervalDP(R, [p.actions.shape[0] for p in problems],
-                          [p.overlaps for p in problems])
+    program = _IntervalDP(R, [(len(p.actions), p.overlaps, p.starts)
+                              for p in problems])
     infeasible = [f"{p.video_id}: coverage forced an overlap"
                   for p, ok in zip(problems, program.feasible) if not ok]
     for msg in infeasible:
@@ -284,19 +267,23 @@ def solve_p1(problems: list[AssignmentProblem],
             # b-step: exact for every video, kept only on descent
             new_assignments = program.solve([c - inv_lambda for c in costs])
             new_obj = _p1_objective(new_assignments, costs, inv_lambda)
-            kept = new_obj <= obj
-            changed = kept and any(not np.array_equal(a, b) for a, b in
-                                   zip(assignments, new_assignments))
-            if kept:
-                assignments, obj = new_assignments, new_obj
+            if new_obj <= obj:
+                changed = any(not np.array_equal(a, b) for a, b in
+                              zip(assignments, new_assignments))
+                assignments = new_assignments
+                obj = new_obj
+            else:
+                changed = False
             trace.append(obj)
             # mu-step: means of the selected histograms, safeguarded
             new_means = _p1_means(problems, assignments, num_actions, R, K)
             new_costs = [_p1_costs(p, new_means) for p in problems]
             new_obj = _p1_objective(assignments, new_costs, inv_lambda)
             if new_obj <= obj:
-                changed |= not np.allclose(new_means, means)
-                means, costs, obj = new_means, new_costs, new_obj
+                if not np.allclose(new_means, means):
+                    changed = True
+                means, costs = new_means, new_costs
+                obj = new_obj
             trace.append(obj)
             if not changed:
                 break
@@ -323,9 +310,12 @@ class InitArtifacts:
 
 
 def _overlap_pairs(intervals: list[ActionInterval]) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(len(intervals))
-            for j in range(i + 1, len(intervals))
-            if intervals[i].overlaps(intervals[j])]
+    pairs = []
+    for i in range(len(intervals)):
+        for j in range(i + 1, len(intervals)):
+            if intervals[i].overlaps(intervals[j]):
+                pairs.append((i, j))
+    return pairs
 
 
 def initialize(videos: list[TrainingVideo], num_poselets: int,
@@ -370,13 +360,18 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
     for i, video in enumerate(videos):
         if not video.intervals:
             continue
+        Q = len(video.intervals)
+        hists = np.zeros((R, Q, K))
+        for q, iv in enumerate(video.intervals):
+            for r in range(R):
+                hists[r, q] = interval_histogram(
+                    z_init[i][:, r], K, iv.t_start, iv.t_end)
         problems.append(AssignmentProblem(
             video_id=video.video_id,
             actions=np.array([iv.action_id for iv in video.intervals]),
-            histograms=np.array([[interval_histogram(
-                z_init[i][:, r], K, iv.t_start, iv.t_end)
-                for iv in video.intervals] for r in range(R)]),
-            overlaps=_overlap_pairs(video.intervals)))
+            histograms=hists,
+            overlaps=_overlap_pairs(video.intervals),
+            starts=np.array([iv.t_start for iv in video.intervals])))
 
     p1 = None
     if config.supervision == "full":
@@ -480,14 +475,22 @@ def _frame_constraints(intervals: list[ActionInterval], table: np.ndarray,
 def _fill_gaps(column: np.ndarray) -> np.ndarray:
     """Fill -1 entries with the temporally nearest assigned value (earlier
     frame wins ties); all -1 falls back to 0."""
-    known = np.flatnonzero(column >= 0)
+    filled = column.copy()
+    known = np.flatnonzero(filled >= 0)
     if known.size == 0:
-        return np.zeros_like(column)
-    t = np.arange(column.size)
-    pos = np.searchsorted(known, t)       # a known t is its own right
-    left = known[np.maximum(pos - 1, 0)]
-    right = known[np.minimum(pos, known.size - 1)]
-    return column[np.where(t - left <= right - t, left, right)]
+        return np.zeros_like(filled)
+    missing = np.flatnonzero(filled < 0)
+    for t in missing:
+        pos = np.searchsorted(known, t)
+        left = known[pos - 1] if pos > 0 else None
+        right = known[pos] if pos < known.size else None
+        if left is None:
+            filled[t] = filled[right]
+        elif right is None or t - left <= right - t:
+            filled[t] = filled[left]
+        else:
+            filled[t] = filled[right]
+    return filled
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,14 @@ class TestSynth:
         (["--actionlets", "9"],
          "--actionlets 9 is not from --actions 4 to --poselets 8"),
         (["--actions-per-class", "5"],
-         "--actions-per-class 5 is above --actions 4")],
+         "--actions-per-class 5 is above --actions 4"),
+        (["--classes", "1", "--regions", "1", "--actions-per-class", "1"],
+         "raise --actions-per-class or lower --actions")],
         ids=["seed", "no-videos", "negative-videos", "no-frames",
              "negative-frames", "min-above-max", "sigma", "noise-fraction",
              "dim-below-poselets", "sigma-not-separable",
              "actionlets-below-actions", "actionlets-above-poselets",
-             "actions-per-class-above-actions"])
+             "actions-per-class-above-actions", "actions-left-unused"])
     def test_flag_out_of_range_is_validation_error(self, tmp_path, capsys,
                                                    flags, fault):
         out = tmp_path / "data"

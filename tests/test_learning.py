@@ -107,27 +107,30 @@ class TestAssignRegions:
     def test_long_chains_reach_enumeration_optimum(self, R, max_Q, count):
         rng = np.random.default_rng(R)
         for _ in range(count):
-            costs, overlaps = _chain_instance(rng, R, max_Q)
-            b, ok = assign_regions(costs, overlaps)
-            assert ok, (costs, overlaps)
-            _assert_feasible(b, overlaps)
-            assert np.isclose(float((costs * b).sum()),
-                              brute_force_assignment(costs, overlaps),
-                              rtol=0, atol=1e-9), (costs, overlaps)
+            costs, overlaps, starts = _chain_instance(rng, R, max_Q)
+            best = brute_force_assignment(costs, overlaps)
+            for by in [None, starts]:      # by index, then by start frame
+                b, ok = assign_regions(costs, overlaps, starts=by)
+                assert ok, (costs, overlaps)
+                _assert_feasible(b, overlaps)
+                assert np.isclose(float((costs * b).sum()), best,
+                                  rtol=0, atol=1e-9), (costs, overlaps)
 
     def test_permuted_intervals_reach_the_same_optimum(self):
         rng = np.random.default_rng(5)
         for R, max_Q in [(2, 10), (3, 7), (4, 6)] * 8:
-            costs, overlaps = _chain_instance(rng, R, max_Q)
+            costs, overlaps, starts = _chain_instance(rng, R, max_Q)
             order = rng.permutation(costs.shape[1])    # new q is old order[q]
             rank = np.argsort(order)
             moved = [(int(rank[q2]), int(rank[q1])) for q1, q2 in overlaps]
             b, ok = assign_regions(costs, overlaps)
-            b_moved, ok_moved = assign_regions(costs[:, order], moved)
-            assert ok and ok_moved
-            _assert_feasible(b_moved, moved)
-            assert np.isclose(float((costs[:, order] * b_moved).sum()),
-                              float((costs * b).sum()), rtol=0, atol=1e-9)
+            for by in [None, starts[order]]:
+                b_moved, ok_moved = assign_regions(costs[:, order], moved,
+                                                   starts=by)
+                assert ok and ok_moved
+                _assert_feasible(b_moved, moved)
+                assert np.isclose(float((costs[:, order] * b_moved).sum()),
+                                  float((costs * b).sum()), rtol=0, atol=1e-9)
 
     def test_zigzag_chain_listed_region_major(self):
         # 40 intervals, each overlapping only its neighbours in time; the
@@ -137,20 +140,62 @@ class TestAssignRegions:
         R, Q = 2, 40
         position = np.r_[np.arange(0, Q, 2), np.arange(1, Q, 2)]
         spans = [(10 * p, 10 * p + 14) for p in position]
-        overlaps = [(i, j) for i in range(Q) for j in range(i + 1, Q)
-                    if spans[i][0] <= spans[j][1]
-                    and spans[j][0] <= spans[i][1]]
+        overlaps = _time_overlaps(spans)
         assert len(overlaps) == Q - 1
         costs = rng.uniform(-1.0, 1.0, size=(R, Q))
         covers = [(position % 2 == r)[None, :] != np.arange(R)[:, None]
                   for r in range(R)]
         best = min(covers, key=lambda b: float((costs * b).sum()))
-        b, ok = assign_regions(costs, overlaps)
+        starts = np.array([lo for lo, _ in spans])
+        b, ok = assign_regions(costs, overlaps, starts=starts)
         assert ok
         np.testing.assert_array_equal(b, best)
-        # the search order keeps the DP at a handful of states a step
-        steps = learning._sweep(R, Q, overlaps, 0)
-        assert max(max(dst) + 1 for _, _, dst in steps) <= 3
+        # by start frame, a state holds the one interval waiting: 3 bitmasks
+        assert _most_states(R, overlaps, starts) <= 3
+
+    def test_nested_intervals_listed_after_their_path(self):
+        # a path of 6 intervals, each touching the next at a frame, every
+        # one with a short interval nested inside it; the path is listed
+        # first. By start frame one interval waits at a time: 15 states.
+        # By index all of the path waits, 27,650 states at the widest step.
+        rng = np.random.default_rng(7)
+        R, n = 4, 6
+        spans = [(50 * i, 50 * i + 50) for i in range(n)] + \
+            [(50 * i + 20, 50 * i + 30) for i in range(n)]
+        overlaps = _time_overlaps(spans)
+        starts = np.array([lo for lo, _ in spans])
+        assert _most_states(R, overlaps, starts) <= 15
+        costs = rng.uniform(-1.0, 1.0, size=(R, 2 * n))
+        b, ok = assign_regions(costs, overlaps, starts=starts)
+        assert ok
+        _assert_feasible(b, overlaps)
+        # the optimum along the path: each path interval's bitmask plus the
+        # cheapest disjoint one of the interval nested in it
+        masks = range(1, 2 ** R)
+        price = [[sum(costs[r, q] for r in range(R) if m >> r & 1)
+                  for q in range(2 * n)] for m in range(2 ** R)]
+        alone = [{m: price[m][i] + min([price[c][n + i] for c in masks
+                                        if not c & m], default=np.inf)
+                  for m in masks} for i in range(n)]
+        best = dict(alone[0])
+        for i in range(1, n):
+            best = {m: alone[i][m] + min([best[p] for p in masks
+                                          if not p & m], default=np.inf)
+                    for m in masks}
+        assert np.isclose(float((costs * b).sum()), min(best.values()),
+                          rtol=0, atol=1e-9)
+
+
+def _time_overlaps(spans):
+    return [(i, j) for i in range(len(spans)) for j in range(i + 1, len(spans))
+            if spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]]
+
+
+def _most_states(R, overlaps, starts):
+    """The most states any step of the start-frame sweep reaches."""
+    steps, end = learning._sweep(R, len(starts), overlaps, starts, 0, {})
+    assert end is not None
+    return max(len({dst for _, _, dst in moves}) for moves in steps)
 
 
 def _assert_feasible(b, overlaps):
@@ -180,19 +225,18 @@ def _random_instance(rng):
 
 
 def _chain_instance(rng, R, max_Q):
-    """Costs and time-overlap pairs of 4 to ``max_Q`` intervals, listed in
-    random order. The p-th in time starts near 10 p and often overlaps the
-    next, but ends before the (p + R)-th starts: overlap chains run through
-    many intervals, and no R + 1 intervals overlap each other, so every
-    instance can be covered."""
+    """Costs, time-overlap pairs and start frames of 4 to ``max_Q``
+    intervals, listed in random order. The p-th in time starts near 10 p
+    and often overlaps the next, but ends before the (p + R)-th starts:
+    overlap chains run through many intervals, and no R + 1 intervals
+    overlap each other, so every instance can be covered."""
     Q = int(rng.integers(4, max_Q + 1))
     starts = 10 * np.arange(Q) + rng.integers(0, 3, size=Q)
     ends = starts + rng.integers(8, 10 * R - 2, size=Q)
     order = rng.permutation(Q)
     starts, ends = starts[order], ends[order]
-    overlaps = [(i, j) for i in range(Q) for j in range(i + 1, Q)
-                if starts[i] <= ends[j] and starts[j] <= ends[i]]
-    return rng.uniform(-1.0, 1.0, size=(R, Q)), overlaps
+    overlaps = _time_overlaps(list(zip(starts, ends)))
+    return rng.uniform(-1.0, 1.0, size=(R, Q)), overlaps, starts
 
 
 class TestSolveP1:
@@ -266,51 +310,12 @@ class TestSolveP1:
             np.testing.assert_allclose(_p1_costs(prob, means), expected,
                                        rtol=1e-12, atol=0)
 
-    def test_means_match_the_interval_loop(self):
-        # the reference sums each selected histogram interval by interval
-        rng = np.random.default_rng(3)
-        problems = self._problems()
-        problems[1].actions = np.array([1, 1])
-        picks = [rng.random((2, 2)) < 0.5 for _ in problems]
-        R, S, K = 2, 3, 4          # action 2 is never annotated
-        sums, cnts = np.zeros((R, S, K)), np.zeros((R, S))
-        global_sum, global_cnt = np.zeros((S, K)), np.zeros(S)
-        for prob, b in zip(problems, picks):
-            for q, a in enumerate(prob.actions):
-                global_sum[a] += prob.histograms[:, q].sum(axis=0)
-                global_cnt[a] += R
-                for r in range(R):
-                    if b[r, q]:
-                        sums[r, a] += prob.histograms[r, q]
-                        cnts[r, a] += 1
-        expected = np.zeros((R, S, K))
-        for a in range(S):
-            for r in range(R):
-                if cnts[r, a]:
-                    expected[r, a] = sums[r, a] / cnts[r, a]
-                elif global_cnt[a]:
-                    expected[r, a] = global_sum[a] / global_cnt[a]
-        np.testing.assert_array_equal(
-            learning._p1_means(problems, picks, S, R, K), expected)
-
     def test_empty_problem_list_rejected(self):
         with pytest.raises(ValueError):
             solve_p1([], num_actions=1)
 
 
 class TestConstraintsAndImputation:
-    def test_fill_gaps_takes_the_nearest_frame_earlier_on_ties(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            column = rng.integers(-1, 3, size=int(rng.integers(1, 12)))
-            column[rng.random(column.size) < 0.5] = -1
-            known = np.flatnonzero(column >= 0)
-            expected = np.zeros_like(column) if not known.size else \
-                column[[known[np.argmin(np.abs(known - t))]
-                        for t in range(column.size)]]
-            np.testing.assert_array_equal(learning._fill_gaps(column),
-                                          expected)
-
     def test_temporal_constraints_respect_annotations(self):
         spec, ds, videos = _training_set()
         cfg = TrainConfig(seed=0, supervision="temporal", beam=None)
@@ -332,6 +337,20 @@ class TestConstraintsAndImputation:
                 if covered[t]:
                     for r in range(2):
                         assert allowed[t, u_of_v[lab.v[t, r]]]
+
+    def test_initialize_sweeps_by_start_frame(self, monkeypatch):
+        seen, sweep = [], learning._sweep
+
+        def record(R, Q, overlaps, starts, base, index):
+            seen.append(list(starts))
+            return sweep(R, Q, overlaps, starts, base, index)
+
+        monkeypatch.setattr(learning, "_sweep", record)
+        spec, ds, videos = _training_set()
+        cfg = TrainConfig(seed=0, supervision="temporal", beam=None)
+        initialize(videos, spec.num_poselets, spec.num_actions, cfg)
+        assert seen == [[iv.t_start for iv in video.intervals]
+                        for video in videos if video.intervals]
 
     def test_full_supervision_pins_v(self):
         spec, ds, videos = _training_set()
