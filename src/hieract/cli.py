@@ -24,7 +24,7 @@ import numpy as np
 
 from . import descriptors as desc
 from .config import FIELDS, RunConfig, _coerce, load_config
-from .energy import ModelDims, load_model, save_model
+from .energy import MODEL_FORMAT, ModelDims, load_model, save_model
 from .evaluation import (DetectionCriterion, SyntheticSpec, accuracy,
                          intervals_from_frames, plant_synthetic, pooled_pr)
 from .inference import Query, infer, maximize
@@ -171,9 +171,36 @@ def _read_skeleton(path: Path, schema: JointSchema) -> SkeletonSequence:
     return seq
 
 
+def _check_saved_pca(path, models, schema: JointSchema, pca_dim: int,
+                     raw: list[np.ndarray]) -> None:
+    """The ``--pca`` models fit ``schema``: one per region, each taking its
+    region's raw motion ``raw[r]`` and projecting it to ``pca_dim``."""
+    if len(models) != schema.num_regions:
+        raise UsageError(f"{path}: {len(models)} PCA models, but schema "
+                         f"{schema.name!r} has {schema.num_regions} regions")
+    for r, (m, motion) in enumerate(zip(models, raw)):
+        dim = motion.shape[1]
+        if m.mean.shape != (dim,) or m.components.shape[:1] != (dim,):
+            raise UsageError(
+                f"{path}: PCA model {r} has mean of shape {m.mean.shape} "
+                f"and components of shape {m.components.shape}, but "
+                f"region {r}'s raw motion has dim {dim}")
+        if m.components.shape != (dim, pca_dim):
+            raise UsageError(f"{path}: PCA model {r} has components of "
+                             f"shape {m.components.shape}, but --pca-dim "
+                             f"is {pca_dim}")
+
+
 def cmd_features(args) -> int:
     config = _config(args)
     schema = get_schema(config.schema)
+    motion_mode = config.mode.partition("+")[2]     # "" for geo
+    saved = None
+    if args.pca is not None:
+        if not motion_mode:
+            raise UsageError(f"{args.pca}: --mode geo has no motion to "
+                             "project with PCA")
+        saved = _read_pca(_require(args.pca, "PCA file"))
     paths = sorted(Path(_require(args.skeletons, "skeleton directory"))
                    .glob("*.jsonl"))
     if not paths:
@@ -183,7 +210,6 @@ def cmd_features(args) -> int:
     # every file is read and checked before anything is written
     sequences = [_read_skeleton(path, schema) for path in paths]
 
-    motion_mode = config.mode.partition("+")[2]     # "" for geo
     sidecars = {}
     if motion_mode == "precomputed":
         sidecar_dir = Path(_require(args.sidecar_dir,
@@ -197,7 +223,7 @@ def cmd_features(args) -> int:
             except SchemaError as exc:
                 raise SchemaError(f"{sidecar_path}: {exc}") from None
 
-    raw_per_video, pca_models = {}, None
+    raw_per_video, pca_models = {}, saved
     if motion_mode:
         # PCA is fit over the whole dataset, so raw motion comes first.
         raw_per_video = {
@@ -205,11 +231,22 @@ def cmd_features(args) -> int:
                 seq, schema, motion_mode, window=config.window,
                 sidecar=sidecars.get(seq.video_id))
             for seq in sequences}
-        pca_models = []
-        for r in range(schema.num_regions):
-            stacked = np.concatenate([raw_per_video[s.video_id][r]
-                                      for s in sequences])
-            pca_models.append(desc.fit_pca(stacked, out_dim=config.pca_dim))
+        frames = sum(seq.num_frames for seq in sequences)
+        if saved is not None:
+            _check_saved_pca(args.pca, saved, schema, config.pca_dim,
+                             raw_per_video[sequences[0].video_id])
+        elif frames <= config.pca_dim:
+            raise UsageError(
+                f"{args.skeletons}: {frames} frames in all, but fitting "
+                f"--pca-dim {config.pca_dim} PCA directions needs more "
+                f"than {config.pca_dim}")
+        else:
+            pca_models = []
+            for r in range(schema.num_regions):
+                stacked = np.concatenate([raw_per_video[s.video_id][r]
+                                          for s in sequences])
+                pca_models.append(desc.fit_pca(stacked,
+                                               out_dim=config.pca_dim))
     for seq in sequences:
         x = desc.build_descriptors(seq, schema,
                                    raw_per_video.get(seq.video_id),
@@ -275,15 +312,21 @@ def cmd_init_assignments(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _read_pca(features_dir) -> list[desc.PcaModel] | None:
-    """The PCA models of ``<features>/pca.json``, None without the file."""
-    path = Path(features_dir) / "pca.json"
-    if not path.exists():
-        return None
+def _read_pca(path: Path) -> list[desc.PcaModel]:
+    """The PCA models of a features ``pca.json`` or of a model file."""
+    text = path.read_text()
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(text)
     except ValueError as exc:
         raise UsageError(f"{path}: invalid JSON ({exc})") from None
+    if isinstance(doc, dict) and doc.get("format") == MODEL_FORMAT:
+        try:
+            models = load_model(text)[1]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"{path}: {exc}") from None
+        if not models or None in models:
+            raise UsageError(f"{path}: model file holds no PCA models")
+        return models
     try:
         return [desc.PcaModel.from_dict(m) for m in doc["models"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -295,7 +338,8 @@ def cmd_train(args) -> int:
     config = _config(args)
     videos, num_actions, num_classes = _load_training_set(
         args.features, args.annotations, args.labels)
-    pca_models = _read_pca(args.features)
+    pca_path = Path(args.features) / "pca.json"
+    pca_models = _read_pca(pca_path) if pca_path.exists() else None
     t0 = time.perf_counter()
     init = initialize(videos, config.num_poselets, num_actions, config)
     dims = ModelDims(R=videos[0].x.shape[1], K=config.num_poselets,
@@ -645,6 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="feature directory")
     p.add_argument("--sidecar-dir", default=None,
                    help="per-video motion sidecars for geo+precomputed")
+    p.add_argument("--pca", default=None,
+                   help="project motion with the PCA models of this "
+                        "pca.json or model file instead of fitting new ones")
 
     for name, func in (("init-dictionary", cmd_init_dictionary),
                        ("init-assignments", cmd_init_assignments)):

@@ -133,6 +133,23 @@ def velocity_descriptors(coords: np.ndarray, window: int = 7) -> np.ndarray:
 def fit_pca(X: np.ndarray, out_dim: int = 20) -> PcaModel:
     """Fit a PCA projection to the top ``out_dim`` directions by variance.
 
+    The centred (n, d) data ``Xc`` is never factored itself: ``eigh``
+    decomposes the smaller of its two Gram matrices, ``XcᵀXc`` (d, d) when
+    n >= d, whose eigenvectors are the components, or ``XcXcᵀ`` (n, n)
+    when n < d, whose eigenvectors u give the components ``Xcᵀu / σ``
+    (σ² the eigenvalue). Either way the cost is one product of ``Xc`` and
+    the decomposition of a matrix of the smaller side, with no (n, d)
+    factor built. Components come in descending eigenvalue order, each
+    signed so that its largest-magnitude loading is positive, and
+    ``explained_variance`` is the eigenvalue over n - 1.
+
+    The rank is the number of eigenvalues above ``λ₁ · max(n, d) · ε``
+    (ε the float64 machine epsilon): ``eigh`` resolves an eigenvalue only
+    to about ``ε · λ₁``, so directions the data lacks read as noise of
+    that size. At a few thousand rows a kept direction has a singular
+    value above about ``1e-6 · σ₁``, where a thin SVD of ``Xc`` would
+    resolve ``1e-12 · σ₁``.
+
     Requires more samples than output dimensions. When the data rank is
     below ``out_dim`` the missing directions are zero-padded and a warning
     is emitted.
@@ -142,19 +159,25 @@ def fit_pca(X: np.ndarray, out_dim: int = 20) -> PcaModel:
     if n <= out_dim:
         raise ValueError(f"need more than {out_dim} samples, got {n}")
     mean = X.mean(axis=0)
-    _, svals, vt = np.linalg.svd(X - mean, full_matrices=False)
-    variances = svals ** 2 / (n - 1)
-    rank = int(np.sum(svals > svals[0] * 1e-12)) if svals.size else 0
-    keep = min(out_dim, rank, d)
+    Xc = X - mean
+    tall = n >= d
+    evals, vecs = np.linalg.eigh(Xc.T @ Xc if tall else Xc @ Xc.T)
+    evals, vecs = evals[::-1], vecs[:, ::-1]
+    floor = evals[0] * max(n, d) * np.finfo(float).eps if evals.size else 0.0
+    keep = min(out_dim, int(np.sum(evals > floor)))
     components = np.zeros((d, out_dim))
-    components[:, :keep] = vt[:keep].T
+    if tall:
+        components[:, :keep] = vecs[:, :keep]
+    else:
+        components[:, :keep] = Xc.T @ (vecs[:, :keep]
+                                       / np.sqrt(evals[:keep]))
     # Deterministic sign: largest-magnitude loading of each column positive.
     for c in range(keep):
         pivot = np.argmax(np.abs(components[:, c]))
         if components[pivot, c] < 0:
             components[:, c] = -components[:, c]
     explained = np.zeros(out_dim)
-    explained[:keep] = variances[:keep]
+    explained[:keep] = evals[:keep] / (n - 1)
     if keep < out_dim:
         warnings.warn(
             f"data rank {keep} below requested {out_dim} PCA directions; "

@@ -236,6 +236,108 @@ class TestFeatures:
         for rel in ("v0.npy", "v0.json", "pca.json"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
+    def test_too_few_frames_names_the_directory_and_pca_dim(self, tmp_path,
+                                                             capsys):
+        skel = tmp_path / "skel"
+        skel.mkdir()
+        _write_skeleton(skel / "v0.jsonl", "v0", T=10)
+        out = tmp_path / "features"
+        code = main(["features", "--skeletons", str(skel), "--out", str(out),
+                     "--mode", "geo+velocity"])
+        assert code == 1
+        assert f"{skel}: 10 frames in all, but fitting --pca-dim 20" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSavedPca:
+    """``features --pca`` projects with saved models instead of fitting."""
+
+    @pytest.fixture
+    def fitted(self, tmp_path):
+        """A training feature directory with its fitted pca.json, and a
+        directory of skeletons to project."""
+        train, test = tmp_path / "train_skel", tmp_path / "test_skel"
+        train.mkdir()
+        test.mkdir()
+        for i in range(2):
+            _write_skeleton(train / f"v{i}.jsonl", f"v{i}", T=40)
+        _write_skeleton(test / "w0.jsonl", "w0", T=12, shift=0.05)
+        assert main(["features", "--skeletons", str(train),
+                     "--out", str(tmp_path / "train"),
+                     "--mode", "geo+velocity"]) == 0
+        return tmp_path / "train" / "pca.json", test
+
+    def _project(self, tmp_path, skel, pca, *flags):
+        out = tmp_path / "out"
+        code = main(["features", "--skeletons", str(skel), "--out", str(out),
+                     "--mode", "geo+velocity", "--pca", str(pca), *flags])
+        return code, out
+
+    def test_projects_with_the_training_models(self, fitted, tmp_path):
+        # 12 frames: too few to fit 20 directions, enough to project
+        pca, skel = fitted
+        code, out = self._project(tmp_path, skel, pca)
+        assert code == 0
+        models = cli._read_pca(pca)
+        seq = cli._read_skeleton(skel / "w0.jsonl", KINECT20)
+        raw = desc.raw_motion_vectors(seq, KINECT20, "velocity")
+        np.testing.assert_array_equal(
+            load_features(out)["w0"],
+            desc.build_descriptors(seq, KINECT20, raw, models))
+        written = json.loads((out / "pca.json").read_text())["models"]
+        assert written == json.loads(pca.read_text())["models"]
+
+    def test_model_file_gives_the_same_features(self, fitted, tmp_path):
+        pca, skel = fitted
+        dims = ModelDims(R=4, K=3, D=38, A=2, S=2, Y=2)
+        model = tmp_path / "model.json"
+        model.write_text(save_model(
+            ModelParams.zeros(dims, dictionary=make_dictionary(2, 2, 3)),
+            pca_models=cli._read_pca(pca)))
+        code, from_pca = self._project(tmp_path / "a", skel, pca)
+        assert code == 0
+        code, from_model = self._project(tmp_path / "b", skel, model)
+        assert code == 0
+        for name in ("w0.npy", "pca.json"):
+            assert (from_pca / name).read_bytes() == \
+                (from_model / name).read_bytes()
+
+    @pytest.mark.parametrize("fault", [
+        "model-without-pca", "region-count", "input-dim", "output-dim",
+        "geo-mode"])
+    def test_mismatched_models_are_validation_errors(self, fitted, tmp_path,
+                                                      capsys, fault):
+        pca, skel = fitted
+        flags = []
+        if fault == "model-without-pca":
+            pca = tmp_path / "model.json"
+            pca.write_text(save_model(ModelParams.zeros(
+                ModelDims(R=4, K=3, D=18, A=2, S=2, Y=2),
+                dictionary=make_dictionary(2, 2, 3))))
+            message = "model file holds no PCA models"
+        elif fault == "region-count":
+            doc = json.loads(pca.read_text())
+            pca = tmp_path / "three.json"
+            pca.write_text(json.dumps({"models": doc["models"][:3]}))
+            message = "3 PCA models, but schema 'kinect20' has 4 regions"
+        elif fault == "input-dim":
+            flags = ["--window", "3"]
+            message = ("PCA model 0 has mean of shape (180,) and components "
+                       "of shape (180, 20), but region 0's raw motion has "
+                       "dim 84")
+        elif fault == "output-dim":
+            flags = ["--pca-dim", "10"]
+            message = ("PCA model 0 has components of shape (180, 20), but "
+                       "--pca-dim is 10")
+        else:
+            flags = ["--mode", "geo"]
+            message = "--mode geo has no motion to project with PCA"
+        code, out = self._project(tmp_path, skel, pca, *flags)
+        assert code == 1
+        assert f"{pca}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_end_to_end_smoke(self, synth_dataset, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,6 +202,85 @@ class TestPca:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             fit_pca(np.zeros((3, 5)), out_dim=3)
+
+
+def _svd_reference(X, out_dim):
+    """Thin-SVD PCA of X: (variances, sign-fixed components, rank), the
+    rank counting singular values above 1e-6 of the largest."""
+    n = X.shape[0]
+    _, svals, vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    rank = int(np.sum(svals > 1e-6 * svals[0])) if svals[0] > 0 else 0
+    keep = min(out_dim, rank)
+    comps = vt[:keep].T.copy()
+    pivots = np.argmax(np.abs(comps), axis=0)
+    comps *= np.sign(comps[pivots, np.arange(keep)])
+    return svals[:keep] ** 2 / (n - 1), comps, keep
+
+
+class TestPcaSolver:
+    """``fit_pca`` against a thin SVD of the centred data."""
+
+    def _check(self, X, out_dim):
+        variances, comps, keep = _svd_reference(X, out_dim)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_pca(X, out_dim=out_dim)
+        rank_warnings = [w for w in caught
+                         if issubclass(w.category, RuntimeWarning)
+                         and "rank" in str(w.message)]
+        assert len(rank_warnings) == (keep < out_dim)
+        np.testing.assert_allclose(model.explained_variance[:keep],
+                                   variances, rtol=1e-9)
+        np.testing.assert_allclose(model.components[:, :keep], comps,
+                                   atol=1e-9)
+        assert not model.components[:, keep:].any()
+        assert not model.explained_variance[keep:].any()
+        return keep, model
+
+    @staticmethod
+    def _spread(rng, n, d):
+        """n rows of d columns with distinct, well separated variances."""
+        scales = np.geomspace(4.0, 0.1, d)
+        basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        return rng.normal(size=(n, d)) * scales @ basis.T + 1.5
+
+    @pytest.mark.parametrize("n,d", [(600, 40), (3000, 180)])
+    def test_more_rows_than_columns(self, n, d):
+        X = self._spread(np.random.default_rng(n), n, d)
+        assert self._check(X, 20)[0] == 20
+
+    @pytest.mark.parametrize("d", [180, 432])
+    def test_fewer_rows_than_columns(self, d):
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(40, 40)) * np.geomspace(3.0, 0.3, 40) \
+            @ rng.normal(size=(40, d)) + 0.5
+        assert self._check(X, 20)[0] == 20
+
+    @pytest.mark.parametrize("n", [200, 30])
+    def test_exactly_zero_directions_are_padded(self, n):
+        # lifted 2-D velocity: the z column of every joint and offset is 0
+        rng = np.random.default_rng(n)
+        X = np.zeros((n, 3 * 12))
+        X[:, 0::3] = rng.normal(size=(n, 12))
+        X[:, 1::3] = rng.normal(size=(n, 12))
+        assert self._check(X, 26)[0] == 24
+
+    def test_constant_data_keeps_nothing(self):
+        X = np.full((50, 6), 3.0)
+        keep, model = self._check(X, 4)
+        assert keep == 0
+        np.testing.assert_array_equal(model.transform(X), 0.0)
+
+    def test_fit_allocates_no_factor_of_the_data_size(self):
+        # a thin SVD builds an (n, d) U next to the centred copy
+        X = self._spread(np.random.default_rng(1), 3000, 180)
+        tracemalloc.start()
+        try:
+            fit_pca(X, out_dim=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * X.nbytes
 
 
 class TestLift2d:
