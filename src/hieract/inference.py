@@ -4,14 +4,15 @@
 with its complex action fixed or free, optional frame constraints (the
 (T, R, A) bool allowed actionlets per frame and region) and an optional
 loss-augmenting truth. Per region and candidate complex action the
-maximization is a Viterbi pass over joint (poselet, actionlet) states; the
-(query, region, candidate y) rows of every query of one length share a
-single batched pass, each row under its region's transition tables. The
-tables and complex-action scores are read from the model's (R, ...) weight
-views. The pass runs in row chunks whose unary rows are built just before
-they run, so memory does not grow with the number of queries. A free
-complex action without a loss is picked by branch and bound over y: a
-rounding-safe upper bound per candidate, from a Viterbi over actionlets
+maximization is a Viterbi pass over joint (poselet, actionlet) states. The
+(query, region, candidate y) rows of all queries run longest query first
+in row chunks, one batched pass per chunk, each row under its region's
+transition tables and over its own video's frames: a frame step runs over
+the rows still that long. The tables and complex-action scores are read
+from the model's (R, ...) weight views. A chunk's unary rows are built
+just before it runs, so memory does not grow with the number of queries.
+A free complex action without a loss is picked by branch and bound over y:
+a rounding-safe upper bound per candidate, from a Viterbi over actionlets
 alone, rules out every y that cannot reach the best total found, and the
 rest are solved exactly.
 Its one-call wrappers are ``infer`` (labeling a test video, with its energy
@@ -165,8 +166,9 @@ def _apply_beam(unary: np.ndarray, beam: int) -> np.ndarray:
 
 
 # Byte budget of one row chunk of the Viterbi pass: its score history plus
-# its per-frame temporaries, about an L2 cache. A chunk holds at least one
-# row, so at K' = 101, A = 20 and 150 frames every row is its own chunk.
+# its per-frame temporaries, about an L2 cache. A chunk's rows are sized at
+# the length of its longest row, and a chunk holds at least one row, so at
+# K' = 101, A = 20 and 150 frames every row is its own chunk.
 VITERBI_CHUNK_BYTES = 2 << 20
 
 # Predecessor poselets scored per (row, actionlet) in the pruned poselet
@@ -175,93 +177,141 @@ POSELET_CANDIDATES = 16
 
 
 def _chunk_rows(T: int, KK: int, A: int) -> int:
-    """Rows of T frames per chunk of the Viterbi pass: about
+    """Rows of at most T frames per chunk of the Viterbi pass: about
     ``VITERBI_CHUNK_BYTES`` of per-row tables, and at least one row."""
     # per row: the history, the actionlet step's (A, A, K') table and its
-    # gamma rows, the poselet step's (K', A, K) dense or (A, m, K) pruned
-    # table, and three (A, K') tables
-    row_cells = A * KK * (T + 2 * A + min(KK, POSELET_CANDIDATES + 1) + 3)
+    # gamma rows, the poselet step's (K', K, A) dense table and its eta
+    # rows or its (A, m, K) pruned table, and three (A, K') tables
+    poselet = (2 * KK if KK <= POSELET_CANDIDATES + 1
+               else POSELET_CANDIDATES + 1)
+    row_cells = A * KK * (T + 2 * A + poselet + 3)
     return max(1, VITERBI_CHUNK_BYTES // (8 * row_cells))
 
 
+def _active_spans(lengths: list[int]) -> list[tuple[int, int, int]]:
+    """The runs ``(start, stop, n)`` of frames ``start <= t < stop``, from
+    frame 1 to the longest, over which the rows longer than t are the
+    leading n of rows sorted longest first; one run if all are equal."""
+    spans, start = [], 1
+    for n in range(len(lengths), 0, -1):
+        stop = lengths[n - 1]
+        if stop > start:
+            spans.append((start, stop, n))
+            start = stop
+    return spans
+
+
 def _viterbi_batch(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
-                   region: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   region: np.ndarray, lengths: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Viterbi over a (B, T, N) stack of unary tables for the joint states
     (k, a), n = k*A + a, row b under the transition tables of its region:
     ``eta`` (R, K', K') and ``gamma`` (R, A, A) stack every region's, and
-    ``region`` (B,) picks each row's. Returns (states (B, T), scores (B,)).
+    ``region`` (B,) picks each row's. Row b spans the first ``lengths[b]``
+    frames (all T if None), and the lengths must not increase down the
+    stack. Returns (states (B, T), scores (B,)); a row's states past its
+    length are -1.
 
     The transition maximization factors through the two labels, the
-    actionlet step ``sa[a, k'] = max_a' score[a', k'] + gamma[a', a]`` and
-    then the poselet step ``best[a, k] = max_k' sa[a, k'] + eta[k', k]``,
+    actionlet step ``sa[k', a] = max_a' score[k', a'] + gamma[a', a]`` and
+    then the poselet step ``best[k, a] = max_k' sa[k', a] + eta[k', k]``,
     so a frame costs K*A*(K+A) instead of (K*A)^2. The forward pass keeps
-    only these maxima, as a (B, T, A, K') score history; the backtrack
-    recomputes the two argmaxes at the one cell per frame on the path from
-    the history, with the tie-break of a full argmax over n' (the smallest
-    k', then the smallest a' within it). Every sum is grouped as
-    ``(score + gamma) + eta``, then ``+ unary``, on both passes, so states
-    and scores do not depend on which cells are recomputed. Every table is
-    indexed actionlet first, [b, a, k], so each reduction runs over a
-    leading axis of contiguous K'-long rows.
+    only these maxima, as a score history; the backtrack recomputes the
+    two argmaxes at the one cell per frame on the path from the history,
+    with the tie-break of a full argmax over n' (the smallest k', then the
+    smallest a' within it). Every sum is grouped as ``(score + gamma) +
+    eta``, then ``+ unary``, on both passes, so states and scores do not
+    depend on which cells are recomputed or on the order of the tables:
+    the dense step's are [b, k, a], the order unary rows have, and the
+    pruned step's are [b, a, k]; each reduction runs over a leading axis
+    of contiguous rows.
+
+    Frame t runs over the rows longer than t, a prefix of the stack, and
+    each row's score and backtrack start at its own last frame, so no
+    frame past a row's length is computed or read. The prefix changes only
+    where a length ends (``_active_spans``), and a stack of one length
+    runs every frame over all of its rows.
 
     Rows are independent: each row's states and score do not depend on
-    the other rows of the stack or on their regions, so ``_solve`` runs
-    its rows in chunks of ``_chunk_rows``.
+    the other rows of the stack, their regions or their lengths, so
+    ``_solve`` runs its rows in chunks of ``_chunk_rows``.
     """
     B, T, N = unary.shape
     KK, A = eta.shape[1], gamma.shape[1]
-    unary = unary.reshape(B, T, KK, A).transpose(0, 1, 3, 2)
-    history = np.empty((B, T, A, KK))
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    spans = _active_spans(lengths.tolist())
+    dense = KK <= POSELET_CANDIDATES + 1
+    unary = unary.reshape(B, T, KK, A)
+    if dense:
+        history = np.empty((B, T, KK, A))
+        transition = _dense_step
+    else:
+        unary = unary.transpose(0, 1, 3, 2)
+        history = np.empty((B, T, A, KK))
+        transition = _pruned_step
     history[:, 0] = unary[:, 0]
-    over_a = np.empty((B, A, A, KK))          # [b, a', a, k']
-    sa = np.empty((B, A, KK))                 # [b, a, k']
-    best = np.empty((B, A, KK))               # [b, a, k]
-    # each row's gamma[a', a] repeated along k', so the add runs over
-    # contiguous rows
-    gamma_rows = np.repeat(gamma[region][:, :, :, None], KK, axis=3)
-    poselet_step = (_pruned_poselet_step if KK > POSELET_CANDIDATES + 1
-                    else _dense_poselet_step)(eta, region, A)
-    for t in range(1, T):
-        np.add(history[:, t - 1, :, None, :], gamma_rows, out=over_a)
-        np.maximum.reduce(over_a, axis=1, out=sa)
-        poselet_step(sa, best)
-        np.add(unary[:, t], best, out=history[:, t])
+    for start, stop, n in spans:
+        step = transition(eta, gamma, region[:n])
+        hist, un = history[:n], unary[:n]
+        for t in range(start, stop):
+            best = hist[:, t]
+            step(hist[:, t - 1], best)
+            np.add(un[:, t], best, out=best)
     rows = np.arange(B)
-    last = history[:, -1].transpose(0, 2, 1).reshape(B, N)
+    # the history as [b, t, a, k] in either order
+    history_ak = history.transpose(0, 1, 3, 2) if dense else history
+    last = history_ak[rows, lengths - 1].transpose(0, 2, 1).reshape(B, N)
     best_last = last.argmax(axis=1)           # ties: smallest state
     best_score = last[rows, best_last]
     if np.any(best_score == NEG_INF):
         raise InfeasibleError("beam or constraints removed every path")
-    states = np.empty((B, T), dtype=int)
-    states[:, -1] = best_last
+    states = np.full((B, T), -1)
+    states[rows, lengths - 1] = best_last
     k, a = np.divmod(best_last, A)
     # [r, k, k'] and [r, a, a']
     eta_t, gamma_t = eta.transpose(0, 2, 1), gamma.transpose(0, 2, 1)
-    for t in range(T - 1, 0, -1):
-        # [b, a', k']
-        prev = history[:, t - 1] + gamma_t[region, a][:, :, None]
-        k = (prev.max(axis=1) + eta_t[region, k]).argmax(axis=1)  # least k'
-        a = prev[rows, :, k].argmax(axis=1)                       # least a'
-        states[:, t - 1] = k * A + a
+    for start, stop, n in reversed(spans):
+        hist, reg, rows_n = history_ak[:n], region[:n], rows[:n]
+        k_n, a_n = k[:n], a[:n]
+        for t in range(stop - 1, start - 1, -1):
+            # [b, a', k']; ties go to the least k', then the least a'
+            prev = hist[:, t - 1] + gamma_t[reg, a_n][:, :, None]
+            k_n = (prev.max(axis=1) + eta_t[reg, k_n]).argmax(axis=1)
+            a_n = prev[rows_n, :, k_n].argmax(axis=1)
+            states[:n, t - 1] = k_n * A + a_n
+        # the shorter rows join the next run at their own last frame
+        k[:n], a[:n] = k_n, a_n
     return states, best_score
 
 
-def _dense_poselet_step(eta: np.ndarray, region: np.ndarray, A: int):
-    """The poselet step over every k', reduced over k' as the leading axis
-    of a (B, K', A, K) table."""
-    KK = eta.shape[1]
-    over_k = np.empty((len(region), KK, A, KK))   # [b, k', a, k]
-    eta_row = eta[region][:, :, None, :]
+def _dense_step(eta: np.ndarray, gamma: np.ndarray, region: np.ndarray):
+    """The transition maximum of every row, from a [b, k', a'] score to a
+    [b, k, a] best, over every a' and then every k': each step sums into
+    a table with the reduced axis leading, [b, a', k', a] and then
+    [b, k', k, a], against each row's gamma and eta repeated along the
+    other label."""
+    KK, A = eta.shape[1], gamma.shape[1]
+    over_a = np.empty((len(region), A, KK, A))
+    sa = np.empty((len(region), KK, A))           # [b, k', a]
+    over_k = np.empty((len(region), KK, KK, A))
+    gamma_rows = np.repeat(gamma[region][:, :, None, :], KK, axis=2)
+    eta_rows = np.repeat(eta[region][:, :, :, None], A, axis=3)
 
-    def step(sa: np.ndarray, best: np.ndarray) -> None:
-        np.add(sa.transpose(0, 2, 1)[:, :, :, None], eta_row, out=over_k)
+    def step(score: np.ndarray, best: np.ndarray) -> None:
+        np.add(score.transpose(0, 2, 1)[:, :, :, None], gamma_rows,
+               out=over_a)
+        np.maximum.reduce(over_a, axis=1, out=sa)
+        np.add(sa[:, :, None, :], eta_rows, out=over_k)
         np.maximum.reduce(over_k, axis=1, out=best)
     return step
 
 
-def _pruned_poselet_step(eta: np.ndarray, region: np.ndarray, A: int):
-    """The poselet step from the ``POSELET_CANDIDATES`` (m) largest
-    ``sa[b, a, :]``, exact by a rounding-safe bound.
+def _pruned_step(eta: np.ndarray, gamma: np.ndarray, region: np.ndarray):
+    """The transition maximum of every row, from a [b, a', k'] score to a
+    [b, a, k] best: the actionlet step over every a', reduced over the
+    leading axis of a [b, a', a, k'] table, then the poselet step from the
+    ``POSELET_CANDIDATES`` (m) largest ``sa[b, a, :]``, exact by a
+    rounding-safe bound.
 
     Every excluded k' has ``sa <= thr``, the (m+1)-th largest, and
     ``eta[k', k] <= eta_max[k]`` (of the row's region), so its exact sum is
@@ -271,7 +321,12 @@ def _pruned_poselet_step(eta: np.ndarray, region: np.ndarray, A: int):
     excluded k' reaches or ties it. The other cells (near ties, ``-inf``
     masks, NaN) take the full maximum over k' in ``_unsettled_max``.
     """
-    B, R, KK = len(region), eta.shape[0], eta.shape[1]
+    B, R, KK, A = len(region), eta.shape[0], eta.shape[1], gamma.shape[1]
+    over_a = np.empty((B, A, A, KK))              # [b, a', a, k']
+    sa = np.empty((B, A, KK))                     # [b, a, k']
+    # each row's gamma[a', a] repeated along k', so the add runs over
+    # contiguous rows
+    gamma_rows = np.repeat(gamma[region][:, :, :, None], KK, axis=3)
     cut = KK - POSELET_CANDIDATES - 1
     eta_max = eta.max(axis=1)[region][:, None, :]   # [b, 1, k]
     eta_t = eta.transpose(0, 2, 1).copy()           # [r, k, k']
@@ -280,10 +335,12 @@ def _pruned_poselet_step(eta: np.ndarray, region: np.ndarray, A: int):
     eta_start = (region * KK)[:, None, None]
     cand = np.empty((B, A, POSELET_CANDIDATES, KK))   # [b, a, j, k]
     bound = np.empty((B, A, KK))
-    # flat offset of each (b, a) row of the caller's contiguous sa buffer
+    # flat offset of each (b, a) row of sa
     row_start = np.arange(0, B * A * KK, KK).reshape(B, A, 1)
 
-    def step(sa: np.ndarray, best: np.ndarray) -> None:
+    def step(score: np.ndarray, best: np.ndarray) -> None:
+        np.add(score[:, :, None, :], gamma_rows, out=over_a)
+        np.maximum.reduce(over_a, axis=1, out=sa)
         # top[..., 0] is the (m+1)-th largest, the rest the m candidates
         top = np.argpartition(sa, cut, axis=2)[:, :, cut:]
         top_sa = sa.take(top + row_start)
@@ -351,19 +408,11 @@ class _QueryRows:
                        score=float(totals[j]))
 
 
-def _by_length(queries: list[Query]) -> list[tuple[int, list[int]]]:
-    """The indices of the queries of each video length, shortest first."""
-    by_len: dict[int, list[int]] = {}
-    for i, q in enumerate(queries):
-        by_len.setdefault(np.shape(q.x)[0], []).append(i)
-    return sorted(by_len.items())
-
-
 def _unary_rows(queries: list[Query], candidates: list[np.ndarray],
                 idxs: list[int], params: ModelParams, lambda_y: float,
                 lambda_v: float):
-    """Every (query, region, candidate y) row of the equal-length queries
-    ``idxs``, in that order, as (query rows, region, candidate j, base):
+    """Every (query, region, candidate y) row of the queries ``idxs``, in
+    that order, as (query rows, region, candidate j, base):
     the row's unary table is ``base`` plus the alpha term of y. A (query,
     region) base is built for its first row and dropped after its last."""
     d = params.dims
@@ -386,39 +435,49 @@ def _unary_rows(queries: list[Query], candidates: list[np.ndarray],
                 yield rows, r, j, base
 
 
+def _longest_first(queries: list[Query]) -> list[int]:
+    """The indices of ``queries`` by video length, longest first; queries
+    of one length keep their order."""
+    return sorted(range(len(queries)),
+                  key=lambda i: -np.shape(queries[i].x)[0])
+
+
 def _solve(queries: list[Query], candidates: list[np.ndarray],
            params: ModelParams, lambda_y: float, lambda_v: float,
            beam: int | None) -> list[Maximum]:
-    """Best labeling per query over its ascending ``candidates`` y, every
-    (query, region, candidate) row of one length in one Viterbi pass."""
+    """Best labeling per query over its ascending ``candidates`` y. The
+    (query, region, candidate) rows run longest query first, in chunks of
+    ``_chunk_rows`` at the length of a chunk's first row, one Viterbi pass
+    per chunk whatever the lengths of its rows."""
     d = params.dims
     KK = params.num_poselet_states
     alphas = _alpha_rows(params)
     eta, gamma = _tables(params)
     results: list[Maximum | None] = [None] * len(queries)
-    for T, idxs in _by_length(queries):
-        num_rows = d.R * sum(candidates[i].size for i in idxs)
-        unary = np.empty((min(num_rows, _chunk_rows(T, KK, d.A)), T,
-                          KK * d.A))
-        region = np.empty(len(unary), dtype=np.intp)
-        rows = _unary_rows(queries, candidates, idxs, params, lambda_y,
-                           lambda_v)
-        while owners := list(islice(rows, len(unary))):
-            for n, (query_rows, r, j, base) in enumerate(owners):
-                np.add(base, alphas[r, query_rows.ys[j]], out=unary[n])
-                region[n] = r
-            chunk = unary[:len(owners)]
+    rows = _unary_rows(queries, candidates, _longest_first(queries), params,
+                       lambda_y, lambda_v)
+    unary = np.empty((0, 0, KK * d.A))
+    for first in rows:
+        T = len(first[3])
+        owners = [first, *islice(rows, _chunk_rows(T, KK, d.A) - 1)]
+        if unary.shape[:2] != (len(owners), T):
+            unary = np.empty((len(owners), T, KK * d.A))
+        region = np.empty(len(owners), dtype=np.intp)
+        lengths = np.empty(len(owners), dtype=np.intp)
+        for n, (query_rows, r, j, base) in enumerate(owners):
+            row = unary[n, :len(base)]
+            np.add(base, alphas[r, query_rows.ys[j]], out=row)
             if beam is not None:
-                chunk = _apply_beam(chunk, beam)
-            states, scores = _viterbi_batch(chunk, eta, gamma,
-                                            region[:len(owners)])
-            for (query_rows, r, j, _), row_states, score in zip(
-                    owners, states, scores):
-                query_rows.states[r, j] = row_states
-                query_rows.scores[r, j] = score
-                query_rows.left -= 1
-                if not query_rows.left:
-                    results[query_rows.index] = query_rows.best(d.A)
+                row[:] = _apply_beam(row, beam)
+            region[n], lengths[n] = r, len(base)
+        states, scores = _viterbi_batch(unary, eta, gamma, region, lengths)
+        for (query_rows, r, j, base), row_states, score in zip(
+                owners, states, scores):
+            query_rows.states[r, j] = row_states[:len(base)]
+            query_rows.scores[r, j] = score
+            query_rows.left -= 1
+            if not query_rows.left:
+                results[query_rows.index] = query_rows.best(d.A)
     return results
 
 
@@ -455,44 +514,53 @@ def _y_bounds(queries: list[Query], params: ModelParams) -> np.ndarray:
     step_size = np.abs(gamma).max(axis=(1, 2)) + np.abs(eta).max(axis=(1, 2))
     alpha_size = np.abs(alpha).max(axis=(1, 2))
     bounds = np.empty((len(queries), d.Y))
-    for T, idxs in _by_length(queries):
+    order = _longest_first(queries)
+    while order:
         # chunks of queries whose chain rows take about VITERBI_CHUNK_BYTES
+        # at the length of the longest
+        T = np.shape(queries[order[0]].x)[0]
         step = max(1, VITERBI_CHUNK_BYTES // (8 * d.R * d.Y * T * d.A))
-        for s in range(0, len(idxs), step):
-            chunk = idxs[s:s + step]
-            shape = (len(chunk), d.R, d.Y)
-            best = np.empty((T, d.A, len(chunk), d.R, 1))  # [t, a, q, r, .]
-            size = np.empty((len(chunk), d.R))
-            for n, i in enumerate(chunk):
-                q = queries[i]
-                x = np.asarray(q.x, dtype=float)
-                for r in range(d.R):
-                    base = _region_unary_base(x, params, r, q.constraints,
-                                              None).reshape(T, KK, d.A)
-                    hi = base.max(axis=1)
-                    best[:, :, n, r, 0] = hi
-                    # the largest magnitude of an entry other than -inf
-                    size[n, r] = max(
-                        np.abs(hi).max(where=hi > NEG_INF, initial=0.0),
-                        -base.min(where=base > NEG_INF, initial=0.0))
-            # each chain row's unary maxima, [t, a, (q, r, y)], with the
-            # chain rows innermost so every step runs over contiguous rows
-            unary = (best + alpha.transpose(2, 0, 1)[:, None]).reshape(
-                T, d.A, -1)
-            trans = np.broadcast_to(transition, (d.A, d.A) + shape).reshape(
-                d.A, d.A, -1)
-            over = np.empty_like(trans)
-            chain = unary[0].copy()
-            for t in range(1, T):
-                np.add(chain[:, None], trans, out=over)
-                np.maximum.reduce(over, axis=0, out=chain)
-                chain += unary[t]
-            magnitude = (T * (size + alpha_size)
-                         + (T - 1) * step_size).sum(axis=1)
-            slack = 8 * (T + d.R + 1) * (np.finfo(float).eps / 2 * magnitude
-                                         + np.finfo(float).tiny)
-            bounds[chunk] = (chain.max(axis=0).reshape(shape).sum(axis=1)
-                             + slack[:, None])
+        chunk, order = order[:step], order[step:]
+        shape = (len(chunk), d.R, d.Y)
+        best = np.zeros((T, d.A, len(chunk), d.R, 1))  # [t, a, q, r, .]
+        size = np.empty((len(chunk), d.R))
+        lengths = [np.shape(queries[i].x)[0] for i in chunk]
+        for n, i in enumerate(chunk):
+            q = queries[i]
+            x = np.asarray(q.x, dtype=float)
+            for r in range(d.R):
+                base = _region_unary_base(x, params, r, q.constraints,
+                                          None).reshape(lengths[n], KK, d.A)
+                hi = base.max(axis=1)
+                best[:lengths[n], :, n, r, 0] = hi
+                # the largest magnitude of an entry other than -inf
+                size[n, r] = max(
+                    np.abs(hi).max(where=hi > NEG_INF, initial=0.0),
+                    -base.min(where=base > NEG_INF, initial=0.0))
+        # each chain row's unary maxima, [t, a, (q, r, y)], with the chain
+        # rows innermost so every step runs over contiguous rows, and the
+        # rows of the queries longer than t a prefix of them
+        unary = (best + alpha.transpose(2, 0, 1)[:, None]).reshape(
+            T, d.A, -1)
+        trans = np.broadcast_to(transition, (d.A, d.A) + shape).reshape(
+            d.A, d.A, -1)
+        chain = unary[0].copy()
+        for start, stop, n in _active_spans(lengths):
+            m = n * d.R * d.Y
+            chain_n, trans_n = chain[:, :m], trans[:, :, :m]
+            un = unary[..., :m]
+            over = np.empty_like(trans_n)
+            for t in range(start, stop):
+                np.add(chain_n[:, None], trans_n, out=over)
+                np.maximum.reduce(over, axis=0, out=chain_n)
+                chain_n += un[t]
+        frames = np.array(lengths)
+        magnitude = (frames[:, None] * (size + alpha_size)
+                     + (frames[:, None] - 1) * step_size).sum(axis=1)
+        slack = 8 * (frames + d.R + 1) * (np.finfo(float).eps / 2 * magnitude
+                                          + np.finfo(float).tiny)
+        bounds[chunk] = (chain.max(axis=0).reshape(shape).sum(axis=1)
+                         + slack[:, None])
     return bounds
 
 
@@ -506,12 +574,13 @@ def maximize(queries: list[Query], params: ModelParams,
     per-frame addends in the designated loss region, so each region still
     solves an independent DP and ``result.score`` equals the labeling's
     ``energy_total`` plus its loss. The (query, region, candidate y) rows
-    of all queries of one length share one Viterbi pass, under each row's
-    region's transition tables; each chunk's unary rows are built just
-    before it runs, so apart from the results nothing held grows with the
-    number of queries. The rows are independent and each query's region
-    scores are summed in region order, so every result equals that of its
-    query run alone, bit for bit.
+    of all queries run longest query first in chunks, one Viterbi pass per
+    chunk whatever the lengths of its rows, each row under its region's
+    transition tables and over its own frames; each chunk's unary rows are
+    built just before it runs, so apart from the results nothing held grows
+    with the number of queries. The rows are independent and each query's
+    region scores are summed in region order, so every result equals that
+    of its query run alone, bit for bit.
 
     A query with a fixed y or a loss solves every candidate. A query with
     a free y and no loss is solved by branch and bound over y in two

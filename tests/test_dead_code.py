@@ -25,7 +25,7 @@ EXEMPT = {
     ("cli", "_Parser.error"): "argparse calls it to report a bad command "
                               "line",
     ("learning", "assign_regions"): "the benchmark's P1 probe calls it "
-                                    "until ROADMAP item 3 retires the probe",
+                                    "until ROADMAP item 2 retires the probe",
 }
 
 

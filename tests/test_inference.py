@@ -835,3 +835,159 @@ class TestPrunedComplexActions:
         assert sum(counted) == 2 * self.DIMS.R * len(queries)
         for res, reference in zip(batch, exhaustive):
             assert _bit_identical(res, reference)
+
+
+class TestMixedLengthRows:
+    """Rows of different lengths in one pass: frame t runs over the rows
+    longer than t, and each row's result equals that row run alone."""
+
+    LAMBDA_Y, LAMBDA_V = 10.0, 5.0
+
+    def _stack(self, rng, lengths, KK, A, R=2, tied=False):
+        """A (B, max length, K'*A) unary stack of rows sorted longest
+        first, NaN past each row's length, with (R, K', K') and (R, A, A)
+        tables and interleaved regions; small integers with a tenth of the
+        cells -inf when ``tied``."""
+        B, T = len(lengths), lengths[0]
+        region = np.arange(B) % R
+        if tied:
+            unary = rng.integers(-2, 3, size=(B, T, KK * A)).astype(float)
+            unary[rng.random(unary.shape) < 0.1] = -np.inf
+            eta = rng.integers(-1, 2, size=(R, KK, KK)).astype(float)
+            gamma = rng.integers(-1, 2, size=(R, A, A)).astype(float)
+        else:
+            unary = rng.normal(scale=4.0, size=(B, T, KK * A))
+            eta = rng.normal(size=(R, KK, KK))
+            gamma = rng.normal(size=(R, A, A))
+        for b, length in enumerate(lengths):
+            unary[b, length:] = np.nan
+        return unary, eta, gamma, region, np.array(lengths)
+
+    def _assert_rows_alone(self, unary, eta, gamma, region, lengths):
+        states, scores = _viterbi_batch(unary, eta, gamma, region, lengths)
+        for b, length in enumerate(lengths):
+            alone_states, alone_score = _viterbi_batch(
+                unary[b:b + 1, :length], eta, gamma, region[b:b + 1])
+            np.testing.assert_array_equal(states[b, :length],
+                                          alone_states[0])
+            assert np.all(states[b, length:] == -1)
+            assert scores[b:b + 1].tobytes() == alone_score.tobytes()
+            ref_states, ref_score = reference_viterbi(
+                unary[b:b + 1, :length], eta[region[b]], gamma[region[b]])
+            np.testing.assert_array_equal(states[b, :length], ref_states[0])
+            assert scores[b:b + 1].tobytes() == ref_score.tobytes()
+
+    # K' = 9 takes the dense step and K' = 21 the pruned one; the lengths
+    # end one row early, two rows together and with a row of one frame
+    @pytest.mark.parametrize("KK,A", [(9, 13), (21, 5)],
+                             ids=["dense", "pruned"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["gaussian", "tied"])
+    def test_rows_equal_rows_alone(self, KK, A, tied):
+        rng = np.random.default_rng(70)
+        lengths = [9, 9, 7, 4, 4, 4, 2, 1]
+        self._assert_rows_alone(*self._stack(rng, lengths, KK, A,
+                                             tied=tied))
+
+    def test_rows_of_one_length_equal_the_uniform_pass(self):
+        rng = np.random.default_rng(71)
+        unary, eta, gamma, region, lengths = self._stack(
+            rng, [6] * 5, KK=9, A=4, tied=True)
+        states, scores = _viterbi_batch(unary, eta, gamma, region, lengths)
+        uniform_states, uniform_scores = _viterbi_batch(unary, eta, gamma,
+                                                        region)
+        np.testing.assert_array_equal(states, uniform_states)
+        assert scores.tobytes() == uniform_scores.tobytes()
+
+    def test_a_short_infeasible_row_raises(self):
+        rng = np.random.default_rng(72)
+        unary, eta, gamma, region, lengths = self._stack(
+            rng, [8, 5, 3], KK=9, A=4)
+        unary[2, 2] = -np.inf
+        with pytest.raises(InfeasibleError):
+            _viterbi_batch(unary, eta, gamma, region, lengths)
+        # -inf past the row's length is never read
+        unary[2, 2] = 0.0
+        unary[2, 3:] = -np.inf
+        self._assert_rows_alone(unary, eta, gamma, region, lengths)
+
+    def _queries(self, rng, dims):
+        """Videos of mixed lengths, a one-frame video among them, each with
+        free y, with a fixed y, under a loss and under constraints."""
+        queries = []
+        for n, T in enumerate([6, 3, 9, 1, 6, 4]):
+            x = rng.normal(size=(T, dims.R, dims.D))
+            allowed_v = rng.random((T, dims.R, dims.A)) > 0.3
+            allowed_v[:, :, 0] = True
+            loss = LossSpec(y=int(rng.integers(dims.Y)),
+                            allowed_v=rng.random((T, dims.A)) > 0.4)
+            queries += [Query(x), Query(x, n % dims.Y),
+                        Query(x, loss=loss),
+                        Query(x, constraints=allowed_v),
+                        Query(x, n % dims.Y, allowed_v, loss)]
+        return queries
+
+    @pytest.mark.parametrize("K", [8, 20], ids=["dense", "pruned"])
+    @pytest.mark.parametrize("beam", [None, 4])
+    def test_maximize_equals_queries_alone(self, K, beam):
+        rng = np.random.default_rng(73)
+        dims = ModelDims(R=2, K=K, D=4, A=5, S=3, Y=3)
+        params = random_params(dims, rng)
+        queries = self._queries(rng, dims)
+        lam = (self.LAMBDA_Y, self.LAMBDA_V)
+        batch = maximize(queries, params, *lam, beam=beam)
+        for q, res in zip(queries, batch):
+            alone, = maximize([q], params, *lam, beam=beam)
+            assert _bit_identical(res, alone)
+
+    def test_an_infeasible_query_among_mixed_lengths_raises(self):
+        rng = np.random.default_rng(74)
+        dims = ModelDims(R=2, K=8, D=4, A=5, S=3, Y=3)
+        params = random_params(dims, rng)
+        queries = [Query(rng.normal(size=(T, dims.R, dims.D)))
+                   for T in (7, 5, 3)]
+        blocked = np.ones((5, dims.R, dims.A), dtype=bool)
+        blocked[2, 1] = False
+        queries[1].constraints = blocked
+        with pytest.raises(InfeasibleError):
+            maximize(queries, params)
+
+    def test_y_bounds_equal_queries_alone(self):
+        rng = np.random.default_rng(77)
+        dims = ModelDims(R=2, K=8, D=4, A=5, S=3, Y=3)
+        params = random_params(dims, rng)
+        queries = [q for q in self._queries(rng, dims) if q.loss is None]
+        bounds = inference._y_bounds(queries, params)
+        for q, bound in zip(queries, bounds):
+            alone = inference._y_bounds([q], params)[0]
+            assert bound.tobytes() == alone.tobytes()
+
+    def test_no_queries(self):
+        dims = ModelDims(R=2, K=8, D=4, A=5, S=3, Y=3)
+        params = random_params(dims, np.random.default_rng(75))
+        assert maximize([], params) == []
+
+    def test_one_pass_per_chunk_across_lengths(self, monkeypatch):
+        """A loss-augmented pass over 12 videos of 12 lengths: every row
+        fits one chunk, so one Viterbi pass runs, not one per length."""
+        rng = np.random.default_rng(76)
+        dims = ModelDims(R=2, K=8, D=4, A=6, S=3, Y=4)
+        params = random_params(dims, rng)
+        lengths = list(range(14, 2, -1))
+        xs = [rng.normal(size=(T, dims.R, dims.D)) for T in lengths]
+        specs = [LossSpec(y=int(rng.integers(dims.Y)),
+                          allowed_v=rng.random((T, dims.A)) > 0.4)
+                 for T in lengths]
+        lam = (self.LAMBDA_Y, self.LAMBDA_V)
+        alone = [loss_augmented_infer_many([x], params, [spec], *lam)[0]
+                 for x, spec in zip(xs, specs)]
+        counted = []
+        batch = inference._viterbi_batch
+
+        def counting(unary, *args):
+            counted.append(len(unary))
+            return batch(unary, *args)
+        monkeypatch.setattr(inference, "_viterbi_batch", counting)
+        results = loss_augmented_infer_many(xs, params, specs, *lam)
+        assert counted == [dims.R * dims.Y * len(xs)]
+        for res, one in zip(results, alone):
+            assert _bit_identical(res, one)
