@@ -16,7 +16,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -106,7 +106,11 @@ def load_features(features_dir: str | Path) -> dict[str, np.ndarray]:
                              + ", ".join(missing))
         video_id = header["video_id"]
         array_path = directory / f"{video_id}.npy"
-        x = np.load(array_path)
+        try:
+            x = np.load(array_path)
+        except (EOFError, OSError, ValueError) as exc:
+            raise UsageError(f"{array_path}: unreadable feature array "
+                             f"({exc})") from None
         declared = (header["frames"], header["regions"], header["dim"])
         if x.shape != declared:
             raise UsageError(f"{array_path}: array shape {x.shape} is not "
@@ -385,10 +389,12 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _model_and_features(args):
-    """The model and the features to label, checked against each other."""
+    """The model and the features to label, checked against each other:
+    features for a model that holds PCA models were projected with them,
+    so their ``pca.json`` holds the same models."""
     model_path = _require(args.model, "model file")
     try:
-        params, _pca, _hash = load_model(model_path.read_text())
+        params, pca_models, _hash = load_model(model_path.read_text())
     except ValueError as exc:
         raise UsageError(f"{model_path}: {exc}") from None
     features = load_features(args.features)
@@ -398,6 +404,16 @@ def _model_and_features(args):
         raise UsageError(f"features under {args.features} have (regions, "
                          f"dim) {shape}, but model {model_path} takes "
                          f"{expected}")
+    if pca_models is not None:
+        pca_path = Path(args.features) / "pca.json"
+        if not pca_path.exists():
+            raise UsageError(f"model {model_path} holds PCA models, but the "
+                             f"features have no {pca_path}")
+        held = [m.to_dict() if m is not None else None for m in pca_models]
+        if [m.to_dict() for m in _read_pca(pca_path)] != held:
+            raise UsageError(f"{pca_path} holds other PCA models than model "
+                             f"{model_path}; project the features with "
+                             f"features --pca {model_path}")
     return params, features
 
 
@@ -524,6 +540,13 @@ def cmd_eval(args) -> int:
                             load_labels)
     truth_labels = _read_csv(args.truth_labels, "truth labels file",
                              load_labels)
+    only = next((vid for vid in (*pred_labels, *truth_labels)
+                 if (vid in pred_labels) != (vid in truth_labels)), None)
+    if only is not None:
+        listed = args.pred_labels if only in pred_labels \
+            else args.truth_labels
+        raise UsageError(f"{args.pred_labels} and {args.truth_labels} cover "
+                         f"different videos: only {listed} lists {only!r}")
     metrics = {"accuracy": accuracy(pred_labels, truth_labels),
                "num_videos": len(truth_labels),
                "config_hash": config.hash()}
@@ -738,26 +761,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     positive, count = _bounded(int, 1), _bounded(int, 0)
-    p.add_argument("--classes", type=positive, default=3)
-    p.add_argument("--actions", type=positive, default=4)
-    p.add_argument("--actionlets", type=positive, default=6)
-    p.add_argument("--poselets", type=positive, default=8)
-    p.add_argument("--regions", type=positive, default=2)
-    p.add_argument("--dim", type=positive, default=10)
+    spec = {f.name: f.default for f in fields(SyntheticSpec)}
+    p.add_argument("--classes", type=positive, default=spec["num_classes"])
+    p.add_argument("--actions", type=positive, default=spec["num_actions"])
+    p.add_argument("--actionlets", type=positive,
+                   default=spec["num_actionlets"])
+    p.add_argument("--poselets", type=positive,
+                   default=spec["num_poselets"])
+    p.add_argument("--regions", type=positive, default=spec["num_regions"])
+    p.add_argument("--dim", type=positive, default=spec["dim"])
     p.add_argument("--min-frames", dest="min_frames", type=positive,
-                   default=30)
+                   default=spec["frames_range"][0])
     p.add_argument("--max-frames", dest="max_frames", type=positive,
-                   default=60)
+                   default=spec["frames_range"][1])
     p.add_argument("--videos-per-class", dest="videos_per_class", type=count,
-                   default=20)
+                   default=spec["videos_per_class"])
     p.add_argument("--test-per-class", dest="test_per_class", type=count,
                    default=0)
-    p.add_argument("--sigma", type=_bounded(float, 0), default=0.05)
+    p.add_argument("--sigma", type=_bounded(float, 0), default=spec["sigma"])
     p.add_argument("--noise-fraction", dest="noise_fraction",
-                   type=_bounded(float, 0, 1), default=0.0)
+                   type=_bounded(float, 0, 1),
+                   default=spec["noise_frame_fraction"])
     p.add_argument("--actions-per-class", dest="actions_per_class",
-                   type=positive, default=2)
-    p.add_argument("--seed", type=count, default=0)
+                   type=positive, default=spec["actions_per_class"])
+    p.add_argument("--seed", type=count, default=spec["seed"])
     p.set_defaults(func=cmd_synth)
     return parser
 

@@ -66,17 +66,26 @@ class TrainingVideo:
 
 @dataclass
 class AssignmentProblem:
-    """Per-video inputs of the region-assignment problem.
-
-    ``histograms`` is (R, Q, K): the poselet histogram of each interval in
-    each region. ``overlaps`` lists interval index pairs that overlap in
-    time and therefore exclude each other within any single region.
-    """
+    """Per-video inputs of the region-assignment problem: the video's Q
+    ``intervals`` and ``histograms``, (R, Q, K), the poselet histogram of
+    each in each region. Derived once from the intervals: their
+    ``actions``, the index pairs (i < j) that ``overlaps`` in time and so
+    exclude each other within any region, and the start-frame ``order``
+    (stable) in which P1 visits them."""
     video_id: str
-    actions: np.ndarray               # (Q,)
+    intervals: list[ActionInterval]
     histograms: np.ndarray            # (R, Q, K)
-    overlaps: list[tuple[int, int]]
-    starts: np.ndarray | None = None  # (Q,) start frames; None: by index
+    actions: np.ndarray = field(init=False)          # (Q,)
+    overlaps: list[tuple[int, int]] = field(init=False)
+    order: np.ndarray = field(init=False)            # (Q,)
+
+    def __post_init__(self):
+        ivs = self.intervals
+        self.actions = np.array([iv.action_id for iv in ivs], dtype=int)
+        self.overlaps = [(i, j) for i in range(len(ivs))
+                         for j in range(i + 1, len(ivs))
+                         if ivs[i].overlaps(ivs[j])]
+        self.order = np.argsort([iv.t_start for iv in ivs], kind="stable")
 
 
 @dataclass
@@ -87,18 +96,19 @@ class P1Result:
 
 
 def assign_regions(costs: np.ndarray, overlaps: list[tuple[int, int]],
-                   inv_lambda: float = 0.0, starts: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, bool]:
+                   inv_lambda: float = 0.0) -> tuple[np.ndarray, bool]:
     """Solve one video's assignment: minimize sum b*(cost - inv_lambda).
 
     Subject to: every interval gets at least one region, and overlapping
     intervals never share a region. Solved exactly by the DP of ``_sweep``,
-    by start frame ``starts`` or else by index. Returns (b, feasible); when
-    the overlaps make coverage impossible, coverage wins: each interval
-    goes to its cheapest region, and ``feasible`` is False.
+    which visits the intervals in the order the columns of ``costs`` list
+    them; callers list them by start frame, which keeps at most R waiting.
+    Returns (b, feasible); when the overlaps make coverage impossible,
+    coverage wins: each interval goes to its cheapest region, and
+    ``feasible`` is False.
     """
     costs = np.asarray(costs, dtype=float)
-    program = _IntervalDP(len(costs), [(costs.shape[1], overlaps, starts)])
+    program = _IntervalDP(len(costs), [(overlaps, range(costs.shape[1]))])
     return program.solve([costs - inv_lambda])[0], program.feasible[0]
 
 
@@ -108,8 +118,8 @@ class _IntervalDP:
     enumerated once and each b-step only prices them."""
 
     def __init__(self, R: int, videos: list[tuple]):
-        """``videos``: each video's (Q, overlaps, starts) for ``_sweep``."""
-        self.cols, index = np.cumsum([0, *(Q for Q, _, _ in videos)]), {}
+        """``videos``: each video's (overlaps, order) for ``_sweep``."""
+        self.cols, index = np.cumsum([0, *(len(o) for _, o in videos)]), {}
         sweeps = [_sweep(R, *video, 2 ** R * c, index)
                   for video, c in zip(videos, self.cols)]
         self.feasible = [end is not None for _, end in sweeps]
@@ -152,18 +162,18 @@ class _IntervalDP:
         return b[:, :width]
 
 
-def _sweep(R: int, Q: int, overlaps: list[tuple[int, int]], starts,
+def _sweep(R: int, overlaps: list[tuple[int, int]], order: np.ndarray,
            base: int, index: dict):
     """One video's P1 as a DP: its moves (state, cell, state') step by step,
     cell = base + 2^R q + bitmask, and its final state, None if none is
-    reached. Step s gives the s-th interval by ``starts`` (by index if None)
-    a non-empty region bitmask disjoint from its visited neighbours'. State
-    (base, s, ((q, bitmask), ...)), numbered by ``index``, holds the visited
-    intervals that still have an unvisited neighbour: by start frame, all
-    hold the next start, so at most R do. Ties keep the first path.
+    reached. Step s gives interval ``order[s]`` a non-empty region bitmask
+    disjoint from its visited neighbours'. State (base, s, ((q, bitmask),
+    ...)), numbered by ``index``, holds the visited intervals that still
+    have an unvisited neighbour: in start-frame order, all hold the next
+    start, so at most R do. Ties keep the first path.
     """
+    Q = len(order)
     near = [{w for p in overlaps if q in p for w in p} - {q} for q in range(Q)]
-    order = np.argsort(range(Q) if starts is None else starts, kind="stable")
     step = np.argsort(order)              # the step that visits each interval
     last = [max(step[[q, *near[q]]]) for q in range(Q)]   # and last reads it
     states = {(base, 0, ()): index.setdefault((base, 0, ()), len(index))}
@@ -240,8 +250,7 @@ def solve_p1(problems: list[AssignmentProblem],
     if not problems:
         raise ValueError("no assignment problems given")
     R, _, K = problems[0].histograms.shape
-    all_ones = [np.ones((R, p.actions.shape[0]), dtype=bool)
-                for p in problems]
+    all_ones = [np.ones((R, len(p.intervals)), dtype=bool) for p in problems]
     means = _p1_means(problems, all_ones, num_actions, R, K)
     costs = [_p1_costs(p, means) for p in problems]
 
@@ -249,8 +258,7 @@ def solve_p1(problems: list[AssignmentProblem],
     inv_lambdas = [0.0] + [1.0 / (lambda0 * P1_DECAY ** i)
                            for i in range(P1_ROUNDS)]
 
-    program = _IntervalDP(R, [(len(p.actions), p.overlaps, p.starts)
-                              for p in problems])
+    program = _IntervalDP(R, [(p.overlaps, p.order) for p in problems])
     infeasible = [f"{p.video_id}: coverage forced an overlap"
                   for p, ok in zip(problems, program.feasible) if not ok]
     for msg in infeasible:
@@ -309,15 +317,6 @@ class InitArtifacts:
     p1: P1Result | None = None
 
 
-def _overlap_pairs(intervals: list[ActionInterval]) -> list[tuple[int, int]]:
-    pairs = []
-    for i in range(len(intervals)):
-        for j in range(i + 1, len(intervals)):
-            if intervals[i].overlaps(intervals[j]):
-                pairs.append((i, j))
-    return pairs
-
-
 def initialize(videos: list[TrainingVideo], num_poselets: int,
                num_actions: int, config: TrainConfig) -> InitArtifacts:
     """Build initial poselet labels, region assignments, and actionlets.
@@ -352,10 +351,6 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
               for i in range(len(videos))]
 
     # Interval histograms in every region, from the initial labels.
-    annotated = [v for v in videos if v.intervals]
-    if not annotated:
-        raise ValueError(
-            "initialization needs interval annotations on at least one video")
     problems = []
     for i, video in enumerate(videos):
         if not video.intervals:
@@ -367,21 +362,21 @@ def initialize(videos: list[TrainingVideo], num_poselets: int,
                 hists[r, q] = interval_histogram(
                     z_init[i][:, r], K, iv.t_start, iv.t_end)
         problems.append(AssignmentProblem(
-            video_id=video.video_id,
-            actions=np.array([iv.action_id for iv in video.intervals]),
-            histograms=hists,
-            overlaps=_overlap_pairs(video.intervals),
-            starts=np.array([iv.t_start for iv in video.intervals])))
+            video_id=video.video_id, intervals=video.intervals,
+            histograms=hists))
+    if not problems:
+        raise ValueError(
+            "initialization needs interval annotations on at least one video")
 
     p1 = None
     if config.supervision == "full":
         assignments = []
-        for prob, video in zip(problems, annotated):
-            b = np.zeros((R, prob.actions.shape[0]), dtype=bool)
-            for q, iv in enumerate(video.intervals):
+        for prob in problems:
+            b = np.zeros((R, len(prob.intervals)), dtype=bool)
+            for q, iv in enumerate(prob.intervals):
                 if iv.region < 0:
                     raise ValueError(
-                        f"{video.video_id}: full supervision requires "
+                        f"{prob.video_id}: full supervision requires "
                         "interval regions")
                 b[iv.region, q] = True
             assignments.append(b)

@@ -389,9 +389,18 @@ def save_annotations(intervals_by_video: dict[str, list[ActionInterval]]) -> str
 
 
 def load_labels(stream) -> dict[str, int]:
-    """Read a labels CSV (video_id,complex_action)."""
-    _, columns = csv_columns(stream, ("video_id", "complex_action"), "labels")
-    return dict(zip(columns["video_id"], columns["complex_action"]))
+    """Read a labels CSV (video_id,complex_action). A video listed on a
+    second row raises ParseError naming that row's line."""
+    lines, columns = csv_columns(stream, ("video_id", "complex_action"),
+                                 "labels")
+    labels = {}
+    for line, video_id, label in zip(lines, columns["video_id"],
+                                     columns["complex_action"]):
+        if video_id in labels:
+            raise ParseError(f"line {line}: video {video_id!r} is listed "
+                             "again")
+        labels[video_id] = label
+    return labels
 
 
 def save_labels(labels: dict[str, int]) -> str:

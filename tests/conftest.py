@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -155,10 +156,13 @@ def check_feasible(result, problems) -> list[str]:
     intervals share none. Returns the violations found."""
     bad = []
     for prob, b in zip(problems, result.assignments):
-        for q in range(prob.actions.shape[0]):
+        ivs = prob.intervals
+        for q in range(len(ivs)):
             if not b[:, q].any():
                 bad.append(f"{prob.video_id}: interval {q} unassigned")
-        for q1, q2 in prob.overlaps:
+        for q1, q2 in itertools.combinations(range(len(ivs)), 2):
+            if not ivs[q1].overlaps(ivs[q2]):
+                continue
             for r in range(b.shape[0]):
                 if b[r, q1] and b[r, q2]:
                     bad.append(f"{prob.video_id}: intervals {q1},{q2} "

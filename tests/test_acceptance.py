@@ -213,12 +213,8 @@ class TestCriterion6:
                 intervals = [ActionInterval(int(rng.integers(0, 3)),
                                             int(s), int(s) + 8)
                              for s in starts]
-                overlaps = [(i, j) for i in range(Q) for j in range(i + 1, Q)
-                            if intervals[i].overlaps(intervals[j])]
                 problems.append(AssignmentProblem(
-                    video_id=f"m{m}",
-                    actions=np.array([iv.action_id for iv in intervals]),
-                    histograms=hists, overlaps=overlaps))
+                    video_id=f"m{m}", intervals=intervals, histograms=hists))
             result = solve_p1(problems, num_actions=3)
             assert check_feasible(result, problems) == []
             for trace in result.objective_trace:

@@ -15,6 +15,7 @@ from hieract import cli, inference
 from hieract import descriptors as desc
 from hieract.cli import UsageError, load_features, main, save_features
 from hieract.energy import ModelDims, ModelParams, save_model
+from hieract.evaluation import SyntheticSpec
 from hieract.skeleton import KINECT20
 
 
@@ -67,6 +68,20 @@ class TestSynth:
             assert (again / rel).read_bytes() == \
                 (synth_dataset / rel).read_bytes(), rel
 
+    def test_flag_defaults_are_the_spec_defaults(self):
+        args = cli.build_parser().parse_args(["synth", "--out", "x"])
+        spec = SyntheticSpec()
+        assert (args.classes, args.actions, args.actionlets, args.poselets,
+                args.regions, args.dim) == (3, 4, 6, 8, 2, 10) == (
+            spec.num_classes, spec.num_actions, spec.num_actionlets,
+            spec.num_poselets, spec.num_regions, spec.dim)
+        assert (args.min_frames, args.max_frames) == (30, 60) \
+            == spec.frames_range
+        assert (args.videos_per_class, args.test_per_class) == (20, 0)
+        assert (args.sigma, args.noise_fraction, args.actions_per_class,
+                args.seed) == (0.05, 0.0, 2, 0) == (
+            spec.sigma, spec.noise_frame_fraction, spec.actions_per_class,
+            spec.seed)
 
     @pytest.mark.parametrize("flags, fault", [
         (["--seed", "-1"], "argument --seed: '-1' is not at least 0"),
@@ -338,6 +353,56 @@ class TestSavedPca:
         assert f"{pca}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def _pca_model(self, tmp_path, pca):
+        """A model file holding the PCA models of ``pca``."""
+        model = tmp_path / "model.json"
+        model.write_text(save_model(ModelParams.zeros(
+            ModelDims(R=4, K=3, D=38, A=2, S=2, Y=2),
+            dictionary=make_dictionary(2, 2, 3)),
+            pca_models=cli._read_pca(pca)))
+        return model
+
+    def _label(self, tmp_path, command, model, features):
+        out = tmp_path / f"{command}_out"
+        outputs = (["--out", str(out)] if command == "infer" else
+                   ["--out", str(out), "--labels-out", str(tmp_path / "l")])
+        return main([command, "--model", str(model),
+                     "--features", str(features)] + outputs), out
+
+    @pytest.mark.parametrize("command", ["infer", "annotate"])
+    def test_features_projected_with_the_model_are_labelled(
+            self, fitted, tmp_path, command):
+        pca, skel = fitted
+        model = self._pca_model(tmp_path, pca)
+        code, features = self._project(tmp_path, skel, model)
+        assert code == 0
+        code, out = self._label(tmp_path, command, model, features)
+        assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("command", ["infer", "annotate"])
+    @pytest.mark.parametrize("fault", ["own-pca", "no-pca-file"])
+    def test_features_of_other_pca_are_validation_error(
+            self, fitted, tmp_path, capsys, command, fault):
+        # features that fit their own PCA, of the model's shape
+        pca, _ = fitted
+        model = self._pca_model(tmp_path, pca)
+        skel, features = tmp_path / "own_skel", tmp_path / "own"
+        skel.mkdir()
+        _write_skeleton(skel / "w1.jsonl", "w1", T=40, shift=0.05)
+        assert main(["features", "--skeletons", str(skel),
+                     "--out", str(features), "--mode", "geo+velocity"]) == 0
+        if fault == "no-pca-file":
+            (features / "pca.json").unlink()
+            message = (f"model {model} holds PCA models, but the features "
+                       f"have no {features / 'pca.json'}")
+        else:
+            message = (f"{features / 'pca.json'} holds other PCA models "
+                       f"than model {model}")
+        code, out = self._label(tmp_path, command, model, features)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_end_to_end_smoke(self, synth_dataset, tmp_path, capsys):
@@ -585,6 +650,23 @@ class TestErrors:
         with pytest.raises(UsageError, match=r"b.npy: \(regions, dim\)"):
             load_features(features)
 
+    @pytest.mark.parametrize("fault", ["pickled", "empty", "truncated"])
+    def test_unreadable_feature_array_names_the_file(self, tmp_path, fault):
+        features = tmp_path / "features"
+        save_features(features, "a", np.zeros((5, 2, 3)), "h")
+        save_features(features, "b", np.zeros((4, 2, 3)), "h")
+        array = features / "b.npy"
+        if fault == "pickled":
+            np.save(array, np.array([{"x": 1}], dtype=object),
+                    allow_pickle=True)
+        else:
+            data = array.read_bytes()
+            array.write_bytes(b"" if fault == "empty" else data[:-8])
+        with pytest.raises(UsageError) as info:
+            load_features(features)
+        assert str(info.value).startswith(
+            f"{array}: unreadable feature array (")
+
     @pytest.mark.parametrize("via, key, value, command", [
         (via, *case) for via in ("flag", "ini") for case in (
             ("num_poselets", "0", "init-assignments"),
@@ -744,6 +826,38 @@ class TestErrors:
         assert code == 1
         assert f"{labels}: line 3: complex_action 'one' is not an integer" \
             in capsys.readouterr().err
+
+    def _eval_labels(self, tmp_path, pred, truth):
+        out = tmp_path / "metrics.json"
+        code = main(["eval", "--pred-labels", str(pred),
+                     "--truth-labels", str(truth), "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    def test_label_listed_twice_names_the_file_and_line(
+            self, synth_dataset, tmp_path, capsys):
+        truth = synth_dataset / "test" / "labels.csv"
+        rows = truth.read_text().splitlines()
+        video_id, label = rows[1].split(",")
+        pred = tmp_path / "pred_labels.csv"
+        pred.write_text("\n".join(rows + [f"{video_id},{1 - int(label)}"])
+                        + "\n")
+        assert self._eval_labels(tmp_path, pred, truth) == 1
+        assert f"{pred}: line {len(rows) + 1}: video {video_id!r} is " \
+            "listed again" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("short", ["pred", "truth"])
+    def test_label_sets_that_differ_name_both_files_and_a_video(
+            self, synth_dataset, tmp_path, capsys, short):
+        full = synth_dataset / "test" / "labels.csv"
+        rows = full.read_text().splitlines()
+        fewer = tmp_path / "fewer.csv"
+        fewer.write_text("\n".join(rows[:1] + rows[2:]) + "\n")
+        pred, truth = (fewer, full) if short == "pred" else (full, fewer)
+        assert self._eval_labels(tmp_path, pred, truth) == 1
+        video_id = rows[1].split(",")[0]
+        assert f"{pred} and {truth} cover different videos: only {full} " \
+            f"lists {video_id!r}" in capsys.readouterr().err
 
     def test_pred_frames_without_u_column_is_validation_error(
             self, synth_dataset, tmp_path, capsys):

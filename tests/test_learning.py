@@ -12,6 +12,7 @@ from hieract.learning import (AssignmentProblem, TrainConfig, TrainingVideo,
                               _WorkingSet, _p1_costs, assign_regions,
                               build_loss_spec, cutting_plane, impute_latents,
                               initialize, solve_p1, train)
+from hieract.skeleton import ActionInterval
 
 
 def _training_set(spec=None, **overrides):
@@ -109,8 +110,8 @@ class TestAssignRegions:
         for _ in range(count):
             costs, overlaps, starts = _chain_instance(rng, R, max_Q)
             best = brute_force_assignment(costs, overlaps)
-            for by in [None, starts]:      # by index, then by start frame
-                b, ok = assign_regions(costs, overlaps, starts=by)
+            for b, ok in [assign_regions(costs, overlaps),      # as listed
+                          _assign_by_start(costs, overlaps, starts)]:
                 assert ok, (costs, overlaps)
                 _assert_feasible(b, overlaps)
                 assert np.isclose(float((costs * b).sum()), best,
@@ -124,9 +125,9 @@ class TestAssignRegions:
             rank = np.argsort(order)
             moved = [(int(rank[q2]), int(rank[q1])) for q1, q2 in overlaps]
             b, ok = assign_regions(costs, overlaps)
-            for by in [None, starts[order]]:
-                b_moved, ok_moved = assign_regions(costs[:, order], moved,
-                                                   starts=by)
+            for b_moved, ok_moved in [
+                    assign_regions(costs[:, order], moved),
+                    _assign_by_start(costs[:, order], moved, starts[order])]:
                 assert ok and ok_moved
                 _assert_feasible(b_moved, moved)
                 assert np.isclose(float((costs[:, order] * b_moved).sum()),
@@ -138,8 +139,7 @@ class TestAssignRegions:
         # region 1. At R=2 the only covers alternate the two regions.
         rng = np.random.default_rng(6)
         R, Q = 2, 40
-        position = np.r_[np.arange(0, Q, 2), np.arange(1, Q, 2)]
-        spans = [(10 * p, 10 * p + 14) for p in position]
+        position, spans = _zigzag(Q)
         overlaps = _time_overlaps(spans)
         assert len(overlaps) == Q - 1
         costs = rng.uniform(-1.0, 1.0, size=(R, Q))
@@ -147,11 +147,11 @@ class TestAssignRegions:
                   for r in range(R)]
         best = min(covers, key=lambda b: float((costs * b).sum()))
         starts = np.array([lo for lo, _ in spans])
-        b, ok = assign_regions(costs, overlaps, starts=starts)
+        b, ok = _assign_by_start(costs, overlaps, starts)
         assert ok
         np.testing.assert_array_equal(b, best)
         # by start frame, a state holds the one interval waiting: 3 bitmasks
-        assert _most_states(R, overlaps, starts) <= 3
+        assert _most_states(R, spans) <= 3
 
     def test_nested_intervals_listed_after_their_path(self):
         # a path of 6 intervals, each touching the next at a frame, every
@@ -164,9 +164,9 @@ class TestAssignRegions:
             [(50 * i + 20, 50 * i + 30) for i in range(n)]
         overlaps = _time_overlaps(spans)
         starts = np.array([lo for lo, _ in spans])
-        assert _most_states(R, overlaps, starts) <= 15
+        assert _most_states(R, spans) <= 15
         costs = rng.uniform(-1.0, 1.0, size=(R, 2 * n))
-        b, ok = assign_regions(costs, overlaps, starts=starts)
+        b, ok = _assign_by_start(costs, overlaps, starts)
         assert ok
         _assert_feasible(b, overlaps)
         # the optimum along the path: each path interval's bitmask plus the
@@ -191,11 +191,39 @@ def _time_overlaps(spans):
             if spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]]
 
 
-def _most_states(R, overlaps, starts):
-    """The most states any step of the start-frame sweep reaches."""
-    steps, end = learning._sweep(R, len(starts), overlaps, starts, 0, {})
-    assert end is not None
+def _zigzag(Q):
+    """The time positions and (start, end) frames of a chain of ``Q``
+    intervals, each overlapping only its neighbours in time, listed
+    region-major: the even positions first, then the odd ones."""
+    position = np.r_[np.arange(0, Q, 2), np.arange(1, Q, 2)]
+    return position, [(10 * int(p), 10 * int(p) + 14) for p in position]
+
+
+def _assign_by_start(costs, overlaps, starts):
+    """``assign_regions`` with the intervals listed by start frame (ties by
+    index), as callers list them; b comes back in the given order."""
+    order = np.argsort(starts, kind="stable")
+    rank = np.argsort(order)                # new index of each interval
+    listed = [tuple(sorted((int(rank[i]), int(rank[j]))))
+              for i, j in overlaps]
+    b, ok = assign_regions(costs[:, order], listed)
+    return b[:, rank], ok
+
+
+def _widest(steps):
+    """The most states any step of a sweep reaches."""
     return max(len({dst for _, _, dst in moves}) for moves in steps)
+
+
+def _most_states(R, spans):
+    """The most states any step of the sweep of a problem over ``spans``
+    reaches."""
+    prob = AssignmentProblem("v", [ActionInterval(0, lo, hi)
+                                   for lo, hi in spans],
+                             np.zeros((R, len(spans), 1)))
+    steps, end = learning._sweep(R, prob.overlaps, prob.order, 0, {})
+    assert end is not None
+    return _widest(steps)
 
 
 def _assert_feasible(b, overlaps):
@@ -253,6 +281,7 @@ class TestSolveP1:
 
         mode0 = np.array([0.8, 0.2, 0.0, 0.0])
         mode1 = np.array([0.0, 0.0, 0.2, 0.8])
+        intervals = [ActionInterval(0, 0, 9), ActionInterval(1, 10, 19)]
         problems = []
         for m in range(4):
             # two intervals, one per action; action 0 lives in region 0 and
@@ -264,8 +293,7 @@ class TestSolveP1:
             hists[0, 1] = noise()
             hists[1, 1] = hist(mode1)
             problems.append(AssignmentProblem(
-                video_id=f"m{m}", actions=np.array([0, 1]),
-                histograms=hists, overlaps=[]))
+                video_id=f"m{m}", intervals=intervals, histograms=hists))
         return problems
 
     def test_feasible_and_descending(self):
@@ -314,6 +342,55 @@ class TestSolveP1:
         with pytest.raises(ValueError):
             solve_p1([], num_actions=1)
 
+    def test_zigzag_chain_listed_region_major(self, monkeypatch):
+        # the zig-zag chain of TestAssignRegions, listed region-major, as
+        # one video's intervals; by index its sweep ran for minutes
+        R, Q = 2, 40
+        position, spans = _zigzag(Q)
+        intervals = [ActionInterval(int(p % 2), lo, hi)
+                     for p, (lo, hi) in zip(position, spans)]
+        hists = np.random.default_rng(8).random((R, Q, 4))
+        hists /= hists.sum(axis=2, keepdims=True)
+        widest, sweep = [], learning._sweep
+
+        def record(*args):
+            steps, end = sweep(*args)
+            widest.append(_widest(steps))
+            return steps, end
+
+        monkeypatch.setattr(learning, "_sweep", record)
+        problems = [AssignmentProblem("z", intervals, hists)]
+        result = solve_p1(problems, num_actions=2)
+        assert widest and max(widest) <= 3
+        assert check_feasible(result, problems) == [] and not result.infeasible
+        # the only covers alternate the two regions along the chain
+        b = result.assignments[0]
+        assert (b.sum(axis=0) == 1).all()
+        assert len(set(b[0, position % 2 == 0])) == 1
+        np.testing.assert_array_equal(b[0, position % 2 == 1],
+                                      ~b[0, position % 2 == 0])
+
+
+class TestAssignmentProblem:
+    def test_derives_brute_force_overlaps_and_start_order(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            Q = int(rng.integers(1, 12))
+            starts = rng.integers(0, 30, size=Q)    # equal starts are common
+            intervals = [ActionInterval(int(rng.integers(0, 3)), int(s),
+                                        int(s + rng.integers(0, 10)))
+                         for s in starts]
+            prob = AssignmentProblem("v", intervals, np.zeros((2, Q, 3)))
+            frames = [set(range(iv.t_start, iv.t_end + 1))
+                      for iv in intervals]
+            assert prob.overlaps == [(i, j) for i in range(Q)
+                                     for j in range(i + 1, Q)
+                                     if frames[i] & frames[j]]
+            assert prob.order.tolist() == sorted(
+                range(Q), key=lambda q: intervals[q].t_start)
+            assert prob.actions.tolist() == [iv.action_id
+                                             for iv in intervals]
+
 
 class TestConstraintsAndImputation:
     def test_temporal_constraints_respect_annotations(self):
@@ -341,16 +418,24 @@ class TestConstraintsAndImputation:
     def test_initialize_sweeps_by_start_frame(self, monkeypatch):
         seen, sweep = [], learning._sweep
 
-        def record(R, Q, overlaps, starts, base, index):
-            seen.append(list(starts))
-            return sweep(R, Q, overlaps, starts, base, index)
+        def record(R, overlaps, order, base, index):
+            seen.append(list(order))
+            return sweep(R, overlaps, order, base, index)
 
         monkeypatch.setattr(learning, "_sweep", record)
-        spec, ds, videos = _training_set()
+        # two actions per class: each video lists region 0's intervals,
+        # then region 1's, so its listing is not in start order
+        spec, ds, videos = _training_set(SyntheticSpec(
+            num_classes=2, num_actions=3, num_actionlets=3, num_poselets=3,
+            num_regions=2, dim=5, frames_range=(30, 40), videos_per_class=3,
+            sigma=0.05, seed=3, actions_per_class=2))
         cfg = TrainConfig(seed=0, supervision="temporal", beam=None)
         initialize(videos, spec.num_poselets, spec.num_actions, cfg)
-        assert seen == [[iv.t_start for iv in video.intervals]
-                        for video in videos if video.intervals]
+        by_start = [sorted(range(len(video.intervals)),
+                           key=lambda q: video.intervals[q].t_start)
+                    for video in videos if video.intervals]
+        assert seen == by_start
+        assert any(order != sorted(order) for order in by_start)
 
     def test_full_supervision_pins_v(self):
         spec, ds, videos = _training_set()
