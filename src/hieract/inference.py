@@ -6,9 +6,9 @@ with its complex action fixed or free, optional frame constraints (the
 loss-augmenting truth. Per region and candidate complex action the
 maximization is a Viterbi pass over joint (poselet, actionlet) states. The
 (query, region, candidate y) rows of all queries run longest query first
-in row chunks, one batched pass per chunk, each row under its region's
-transition tables and over its own video's frames: a frame step runs over
-the rows still that long. The tables and complex-action scores are read
+in row chunks, one batched forward pass per chunk, each row under its
+region's transition tables and over its own video's frames: a frame step
+runs over the rows still that long. The tables and complex-action scores are read
 from the model's (R, ...) weight views. A chunk's unary rows are built
 just before it runs, so memory does not grow with the number of queries.
 A free complex action without a loss is picked by branch and bound over y:
@@ -25,14 +25,22 @@ the lowest index, so results are deterministic: among equal-scoring label
 sequences the one minimizing (state_T, state_{T-1}, ..., state_1)
 lexicographically is returned.
 
-The Viterbi forward pass keeps only maximum scores, a score history of the
-bytes two backpointer tables would take, and the backtrack recomputes the
-two argmaxes at the cells on the path. Its poselet step, most of a frame's
-work at paper sizes, scores only the ``POSELET_CANDIDATES`` best
-predecessor poselets of each (row, actionlet) and certifies each cell with
-a rounding-safe bound: a cell the bound does not settle (a near tie, a
-``-inf`` mask) takes the full maximum, so every state and score equals the
-dense pass's bit for bit.
+The Viterbi forward pass and its backtrack are separate. The forward pass
+keeps only maximum scores, a score history of the bytes two backpointer
+tables would take, and each row's best last state and score; the backtrack
+recomputes the two argmaxes at the cells on the path. Only the rows whose
+labeling can be kept are backtracked: once a query's rows are all scored
+its winning y is known, and only that y's rows, and the rows of queries
+still incomplete, go on. Those rows are pooled across chunks, their
+histories copied into stacks of up to ``VITERBI_CHUNK_BYTES``, and each
+pool is backtracked in one pass.
+
+The forward pass's poselet step, most of a frame's work at paper sizes,
+scores only the ``POSELET_CANDIDATES`` best predecessor poselets of each
+(row, actionlet) and certifies each cell with a rounding-safe bound: a
+cell the bound does not settle (a near tie, a ``-inf`` mask) takes the
+full maximum, so every state and score equals the dense pass's bit for
+bit.
 
 An optional beam keeps only the B best states per frame ranked by the
 non-sequential part of the score before running the sequential pass.
@@ -165,10 +173,12 @@ def _apply_beam(unary: np.ndarray, beam: int) -> np.ndarray:
     return np.where(keep, unary, NEG_INF)
 
 
-# Byte budget of one row chunk of the Viterbi pass: its score history plus
-# its per-frame temporaries, about an L2 cache. A chunk's rows are sized at
-# the length of its longest row, and a chunk holds at least one row, so at
-# K' = 101, A = 20 and 150 frames every row is its own chunk.
+# Byte budget of one row chunk of the Viterbi forward pass, its score
+# history plus its per-frame temporaries, and of one backtrack pool's
+# histories; about an L2 cache. A chunk's or a pool's rows are sized at the
+# length of its longest row, and a chunk holds at least one row, so at
+# K' = 101, A = 20 and 150 frames every row is its own chunk and is
+# backtracked in place.
 VITERBI_CHUNK_BYTES = 2 << 20
 
 # Predecessor poselets scored per (row, actionlet) in the pruned poselet
@@ -201,45 +211,43 @@ def _active_spans(lengths: list[int]) -> list[tuple[int, int, int]]:
     return spans
 
 
-def _viterbi_batch(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
-                   region: np.ndarray, lengths: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Viterbi over a (B, T, N) stack of unary tables for the joint states
-    (k, a), n = k*A + a, row b under the transition tables of its region:
-    ``eta`` (R, K', K') and ``gamma`` (R, A, A) stack every region's, and
-    ``region`` (B,) picks each row's. Row b spans the first ``lengths[b]``
-    frames (all T if None), and the lengths must not increase down the
-    stack. Returns (states (B, T), scores (B,)); a row's states past its
-    length are -1.
+def _viterbi_forward(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
+                     region: np.ndarray, lengths: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward pass of Viterbi over a (B, T, N) stack of unary tables
+    for the joint states (k, a), n = k*A + a, row b under the transition
+    tables of its region: ``eta`` (R, K', K') and ``gamma`` (R, A, A) stack
+    every region's, and ``region`` (B,) picks each row's. Row b spans the
+    first ``lengths[b]`` frames (all T if None), and the lengths must not
+    increase down the stack. Returns (history, last, scores): the score
+    history as [b, t, a, k] (a view on the dense path), each row's best
+    last state and its score; ``_backtrack`` turns the history into states.
 
     The transition maximization factors through the two labels, the
     actionlet step ``sa[k', a] = max_a' score[k', a'] + gamma[a', a]`` and
     then the poselet step ``best[k, a] = max_k' sa[k', a] + eta[k', k]``,
-    so a frame costs K*A*(K+A) instead of (K*A)^2. The forward pass keeps
-    only these maxima, as a score history; the backtrack recomputes the
-    two argmaxes at the one cell per frame on the path from the history,
-    with the tie-break of a full argmax over n' (the smallest k', then the
-    smallest a' within it). Every sum is grouped as ``(score + gamma) +
-    eta``, then ``+ unary``, on both passes, so states and scores do not
-    depend on which cells are recomputed or on the order of the tables:
-    the dense step's are [b, k, a], the order unary rows have, and the
-    pruned step's are [b, a, k]; each reduction runs over a leading axis
-    of contiguous rows.
+    so a frame costs K*A*(K+A) instead of (K*A)^2. The pass keeps only
+    these maxima, the score history; no backpointer table is built. Every
+    sum is grouped as ``(score + gamma) + eta``, then ``+ unary``, here and
+    in the backtrack, so states and scores do not depend on which cells
+    are recomputed or on the order of the tables: the dense step's are
+    [b, k, a], the order unary rows have, and the pruned step's are
+    [b, a, k]; each reduction runs over a leading axis of contiguous rows.
 
     Frame t runs over the rows longer than t, a prefix of the stack, and
-    each row's score and backtrack start at its own last frame, so no
-    frame past a row's length is computed or read. The prefix changes only
-    where a length ends (``_active_spans``), and a stack of one length
-    runs every frame over all of its rows.
+    each row's score is read at its own last frame, so no frame past a
+    row's length is computed or read. The prefix changes only where a
+    length ends (``_active_spans``), and a stack of one length runs every
+    frame over all of its rows.
 
-    Rows are independent: each row's states and score do not depend on
-    the other rows of the stack, their regions or their lengths, so
-    ``_solve`` runs its rows in chunks of ``_chunk_rows``.
+    Rows are independent: each row's history, state and score do not
+    depend on the other rows of the stack, their regions or their lengths,
+    so ``_solve`` runs its rows in chunks of ``_chunk_rows`` and
+    backtracks any subset of them together.
     """
     B, T, N = unary.shape
     KK, A = eta.shape[1], gamma.shape[1]
     lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
-    spans = _active_spans(lengths.tolist())
     dense = KK <= POSELET_CANDIDATES + 1
     unary = unary.reshape(B, T, KK, A)
     if dense:
@@ -250,7 +258,7 @@ def _viterbi_batch(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
         history = np.empty((B, T, A, KK))
         transition = _pruned_step
     history[:, 0] = unary[:, 0]
-    for start, stop, n in spans:
+    for start, stop, n in _active_spans(lengths.tolist()):
         step = transition(eta, gamma, region[:n])
         hist, un = history[:n], unary[:n]
         for t in range(start, stop):
@@ -265,13 +273,34 @@ def _viterbi_batch(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
     best_score = last[rows, best_last]
     if np.any(best_score == NEG_INF):
         raise InfeasibleError("beam or constraints removed every path")
+    return history_ak, best_last, best_score
+
+
+def _backtrack(history: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
+               region: np.ndarray, lengths: np.ndarray,
+               last: np.ndarray) -> np.ndarray:
+    """States (B, T) of the rows of a [b, t, a, k] score history that
+    ``_viterbi_forward`` wrote, row b from its last state ``last[b]`` at
+    frame ``lengths[b] - 1`` under the tables of ``region[b]``; the lengths
+    must not increase down the stack, and a row's states past its length
+    are -1.
+
+    Each frame recomputes the two argmaxes at the one cell on the path,
+    from the history, with the tie-break of a full argmax over n' (the
+    smallest k', then the smallest a' within it). A step is a few numpy
+    calls over the rows still that long whatever their number, so the
+    cost of a backtrack is mostly per frame, not per row.
+    """
+    B, T = history.shape[:2]
+    A = gamma.shape[1]
+    rows = np.arange(B)
     states = np.full((B, T), -1)
-    states[rows, lengths - 1] = best_last
-    k, a = np.divmod(best_last, A)
+    states[rows, lengths - 1] = last
+    k, a = np.divmod(last, A)
     # [r, k, k'] and [r, a, a']
     eta_t, gamma_t = eta.transpose(0, 2, 1), gamma.transpose(0, 2, 1)
-    for start, stop, n in reversed(spans):
-        hist, reg, rows_n = history_ak[:n], region[:n], rows[:n]
+    for start, stop, n in reversed(_active_spans(lengths.tolist())):
+        hist, reg, rows_n = history[:n], region[:n], rows[:n]
         k_n, a_n = k[:n], a[:n]
         for t in range(stop - 1, start - 1, -1):
             # [b, a', k']; ties go to the least k', then the least a'
@@ -281,7 +310,7 @@ def _viterbi_batch(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
             states[:n, t - 1] = k_n * A + a_n
         # the shorter rows join the next run at their own last frame
         k[:n], a[:n] = k_n, a_n
-    return states, best_score
+    return states
 
 
 def _dense_step(eta: np.ndarray, gamma: np.ndarray, region: np.ndarray):
@@ -386,26 +415,121 @@ class Query:
 @dataclass
 class _QueryRows:
     """The (region, candidate y) rows of one query in flight: the loss
-    constant per candidate, and the Viterbi states and scores of the rows
-    solved so far."""
+    constant per candidate, and the Viterbi scores of the rows solved so
+    far and the states of the rows backtracked so far."""
     index: int                # of the query in the caller's list
     ys: np.ndarray            # candidate complex actions
-    totals: np.ndarray        # (len(ys),) loss constants
+    constants: np.ndarray     # (len(ys),) loss constants
     states: np.ndarray        # (R, len(ys), T)
     scores: np.ndarray        # (R, len(ys))
     left: int                 # rows not solved yet
+    untraced: int = 0         # rows solved and kept but not backtracked
+    winner: int = -1          # the best candidate once no row is left
 
-    def best(self, A: int) -> Maximum:
-        """The best candidate, its region scores summed in region order;
-        ties go to the smallest y."""
-        totals = self.totals
+    def totals(self) -> np.ndarray:
+        """Each candidate's loss constant plus its region scores, summed
+        in region order."""
+        totals = self.constants.copy()
         for region_scores in self.scores:
             totals += region_scores
+        return totals
+
+    def keeps(self, j: int) -> bool:
+        """Whether candidate j's rows are backtracked: while some row is
+        left, any candidate may win; after, only the winner's are read."""
+        return bool(self.left) or j == self.winner
+
+    def best(self, A: int) -> Maximum:
+        """The best candidate by ``totals``, ties to the smallest y; its
+        rows must be backtracked."""
+        totals = self.totals()
         j = int(np.argmax(totals))
         joint = self.states[:, j].T.copy()       # (T, R)
         return Maximum(labeling=Labeling(z=joint // A, v=joint % A,
                                          y=int(self.ys[j])),
                        score=float(totals[j]))
+
+
+class _BacktrackPool:
+    """The kept rows of one ``_solve`` waiting for their backtrack. Rows
+    arrive longest first; each row's score history is copied into a stack
+    sized at the first row's length to about ``VITERBI_CHUNK_BYTES``. A
+    full stack first drops the rows that are no longer kept, those of
+    queries completed since with another winner, and is backtracked in one
+    pass if it is still full; a flush drops them too. A row whose history
+    alone fills the budget is backtracked in place, from its chunk's
+    history."""
+
+    def __init__(self, eta: np.ndarray, gamma: np.ndarray, rows: int):
+        self.eta, self.gamma = eta, gamma
+        self.rows = rows          # of the solve, the most a stack holds
+        # (query rows, region, candidate j, length, last state) of each
+        # row of the stack of [b, t, a, k] histories
+        self.owners: list[tuple[_QueryRows, int, int, int, int]] = []
+        self.stack = np.empty((0, 0, 0, 0))
+
+    def add(self, query_rows: _QueryRows, r: int, j: int,
+            history: np.ndarray, length: int,
+            last: int) -> list[_QueryRows]:
+        """Keep the row of ``query_rows`` at region r and candidate j,
+        whose [t, a, k] history is ``history``; returns the queries of the
+        rows this backtracked or dropped."""
+        query_rows.untraced += 1
+        row = (query_rows, r, j, length, last)
+        if history[:length].nbytes >= VITERBI_CHUNK_BYTES:
+            return self._trace(history[None], [row])
+        if not self.owners:
+            size = min(self.rows,
+                       VITERBI_CHUNK_BYTES // history[:length].nbytes)
+            self.stack = np.empty((size, length) + history.shape[1:])
+        self.stack[len(self.owners), :length] = history[:length]
+        self.owners.append(row)
+        if len(self.owners) < len(self.stack):
+            return []
+        touched = self._drop()
+        if len(self.owners) == len(self.stack):
+            touched += self.flush()
+        return touched
+
+    def flush(self) -> list[_QueryRows]:
+        """Backtrack the stacked rows still kept; returns the queries of
+        the rows backtracked or dropped."""
+        touched = self._drop()
+        if self.owners:
+            touched += self._trace(self.stack, self.owners)
+        self.owners, self.stack = [], np.empty((0, 0, 0, 0))
+        return touched
+
+    def _drop(self) -> list[_QueryRows]:
+        """Remove the rows no longer kept, moving the others up in order;
+        returns their queries."""
+        kept = [row[0].keeps(row[2]) for row in self.owners]
+        if all(kept):
+            return []
+        keep = [n for n, k in enumerate(kept) if k]
+        for to, n in enumerate(keep):
+            if to != n:
+                self.stack[to] = self.stack[n]
+        dropped = [row[0] for row, k in zip(self.owners, kept) if not k]
+        for query_rows in dropped:
+            query_rows.untraced -= 1
+        self.owners = [self.owners[n] for n in keep]
+        return dropped
+
+    def _trace(self, history: np.ndarray,
+               rows: list[tuple[_QueryRows, int, int, int, int]]
+               ) -> list[_QueryRows]:
+        """Backtrack ``rows`` from the leading rows of ``history`` and store
+        their states; returns their queries."""
+        columns = list(zip(*rows))
+        region, lengths, last = (np.array(columns[c], dtype=np.intp)
+                                 for c in (1, 3, 4))
+        states = _backtrack(history[:len(rows)], self.eta, self.gamma,
+                            region, lengths, last)
+        for (query_rows, r, j, length, _), row_states in zip(rows, states):
+            query_rows.states[r, j] = row_states[:length]
+            query_rows.untraced -= 1
+        return [row[0] for row in rows]
 
 
 def _unary_rows(queries: list[Query], candidates: list[np.ndarray],
@@ -420,13 +544,13 @@ def _unary_rows(queries: list[Query], candidates: list[np.ndarray],
         q, ys = queries[i], candidates[i]
         x = np.asarray(q.x, dtype=float)
         T = x.shape[0]
-        totals = (np.zeros(ys.size) if q.loss is None
-                  else np.where(ys == q.loss.y, 0.0, lambda_y))
+        constants = (np.zeros(ys.size) if q.loss is None
+                     else np.where(ys == q.loss.y, 0.0, lambda_y))
         addends = None
         if q.loss is not None and q.loss.allowed_v is not None \
                 and lambda_v != 0.0:
             addends = (lambda_v / T) * (~q.loss.allowed_v).astype(float)
-        rows = _QueryRows(i, ys, totals, np.empty((d.R, ys.size, T), int),
+        rows = _QueryRows(i, ys, constants, np.empty((d.R, ys.size, T), int),
                           np.empty((d.R, ys.size)), d.R * ys.size)
         for r in range(d.R):
             base = _region_unary_base(x, params, r, q.constraints,
@@ -447,13 +571,33 @@ def _solve(queries: list[Query], candidates: list[np.ndarray],
            beam: int | None) -> list[Maximum]:
     """Best labeling per query over its ascending ``candidates`` y. The
     (query, region, candidate) rows run longest query first, in chunks of
-    ``_chunk_rows`` at the length of a chunk's first row, one Viterbi pass
-    per chunk whatever the lengths of its rows."""
+    ``_chunk_rows`` at the length of a chunk's first row, one forward pass
+    per chunk whatever the lengths of its rows.
+
+    A chunk's scores are recorded first; a query whose rows are all scored
+    then picks its winner by ``_QueryRows.totals``. Only the rows whose
+    states can be read are kept (``_QueryRows.keeps``): the winner's, and
+    every row of a query not yet complete. They go to a
+    ``_BacktrackPool``, which stacks them across chunks up to
+    ``VITERBI_CHUNK_BYTES`` of histories and drops those whose query has
+    since completed with another winner, so a backtrack, whose cost is
+    mostly per frame, runs once per pool and not once per chunk. A query's
+    result is built once its winner's rows are backtracked."""
     d = params.dims
     KK = params.num_poselet_states
     alphas = _alpha_rows(params)
     eta, gamma = _tables(params)
     results: list[Maximum | None] = [None] * len(queries)
+    pool = _BacktrackPool(eta, gamma,
+                          sum(d.R * ys.size for ys in candidates))
+
+    def settle(touched: list[_QueryRows]) -> None:
+        for query_rows in touched:
+            i = query_rows.index
+            if results[i] is None and not (query_rows.left
+                                           or query_rows.untraced):
+                results[i] = query_rows.best(d.A)
+
     rows = _unary_rows(queries, candidates, _longest_first(queries), params,
                        lambda_y, lambda_v)
     unary = np.empty((0, 0, KK * d.A))
@@ -470,14 +614,21 @@ def _solve(queries: list[Query], candidates: list[np.ndarray],
             if beam is not None:
                 row[:] = _apply_beam(row, beam)
             region[n], lengths[n] = r, len(base)
-        states, scores = _viterbi_batch(unary, eta, gamma, region, lengths)
-        for (query_rows, r, j, base), row_states, score in zip(
-                owners, states, scores):
-            query_rows.states[r, j] = row_states[:len(base)]
+        history, last, scores = _viterbi_forward(unary, eta, gamma, region,
+                                                 lengths)
+        for (query_rows, r, j, _), score in zip(owners, scores):
             query_rows.scores[r, j] = score
             query_rows.left -= 1
             if not query_rows.left:
-                results[query_rows.index] = query_rows.best(d.A)
+                query_rows.winner = int(np.argmax(query_rows.totals()))
+        touched = []
+        for n, (query_rows, r, j, _) in enumerate(owners):
+            if query_rows.keeps(j):
+                touched += pool.add(query_rows, r, j, history[n],
+                                    lengths[n], last[n])
+            touched.append(query_rows)
+        settle(touched)
+    settle(pool.flush())
     return results
 
 
@@ -574,13 +725,16 @@ def maximize(queries: list[Query], params: ModelParams,
     per-frame addends in the designated loss region, so each region still
     solves an independent DP and ``result.score`` equals the labeling's
     ``energy_total`` plus its loss. The (query, region, candidate y) rows
-    of all queries run longest query first in chunks, one Viterbi pass per
+    of all queries run longest query first in chunks, one forward pass per
     chunk whatever the lengths of its rows, each row under its region's
     transition tables and over its own frames; each chunk's unary rows are
-    built just before it runs, so apart from the results nothing held grows
-    with the number of queries. The rows are independent and each query's
-    region scores are summed in region order, so every result equals that
-    of its query run alone, bit for bit.
+    built just before it runs. Only the rows of each query's winning y,
+    and of queries not yet complete, are backtracked, in pools of up to
+    ``VITERBI_CHUNK_BYTES`` of histories across chunks (``_solve``), so
+    apart from the results nothing held grows with the number of queries.
+    The rows are independent and each query's region scores are summed in
+    region order, so every result equals that of its query run alone, bit
+    for bit.
 
     A query with a fixed y or a loss solves every candidate. A query with
     a free y and no loss is solved by branch and bound over y in two

@@ -8,7 +8,8 @@ from hieract.dictionaries import ActionletDictionary
 from hieract.energy import Labeling, ModelDims, ModelParams, energy_total
 from hieract.evaluation import DetectionCriterion, pooled_pr
 from hieract.inference import (LOSS_REGION, InferenceResult, _alpha_rows,
-                               _region_unary_base, _tables)
+                               _backtrack, _region_unary_base, _tables,
+                               _viterbi_forward)
 
 
 def make_dictionary(num_actionlets: int, num_actions: int,
@@ -211,10 +212,24 @@ def enumerate_best(unary, eta, gamma):
     return states, best_score
 
 
+def viterbi_batch(unary, eta, gamma, region, lengths=None):
+    """The program's Viterbi over a (B, T, N) stack, row b under the tables
+    ``eta[region[b]]`` and ``gamma[region[b]]`` over its first
+    ``lengths[b]`` frames (all if None, which must not increase down the
+    stack): ``hieract.inference._viterbi_forward`` and then ``_backtrack``
+    over every row. Returns (states (B, T), scores (B,)), states -1 past a
+    row's length."""
+    B, T = unary.shape[:2]
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    history, last, scores = _viterbi_forward(unary, eta, gamma, region,
+                                             lengths)
+    return _backtrack(history, eta, gamma, region, lengths, last), scores
+
+
 def reference_viterbi(unary, eta, gamma):
     """The dense backpointer Viterbi over a (B, T, N) stack: the reference
-    the pruned pass of ``hieract.inference._viterbi_batch`` must equal bit
-    for bit. Returns (states (B, T), scores (B,)).
+    the pruned pass of ``viterbi_batch`` must equal bit for bit. Returns
+    (states (B, T), scores (B,)).
 
     Each frame maximizes over every predecessor, the actionlet a' for each
     (k', a) and then the poselet k' for each (k, a), keeps both argmax

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import (brute_force, make_dictionary, random_params,
-                      reference_viterbi, region_unary)
+                      reference_viterbi, region_unary, viterbi_batch)
 
 import hieract.inference as inference
 from hieract.energy import ModelDims, ModelParams, energy_total
 from hieract.inference import (InfeasibleError, LossSpec, Query,
-                               _apply_beam, _viterbi_batch,
+                               _apply_beam,
                                complete_latent, infer,
                                loss_augmented_infer_many, loss_value, maximize)
 
@@ -458,8 +458,8 @@ class TestViterbiAtPaperShapes:
 
     def test_ties_match_joint_state_reference(self):
         unary, eta, gamma = self._tied_stack(np.random.default_rng(40), 3, 6)
-        states, scores = _viterbi_batch(unary, eta[None], gamma[None],
-                                        np.zeros(len(unary), int))
+        states, scores = viterbi_batch(unary, eta[None], gamma[None],
+                                       np.zeros(len(unary), int))
         for b in range(3):
             ref_states, ref_score = _joint_viterbi(unary[b], eta, gamma)
             np.testing.assert_array_equal(states[b], ref_states)
@@ -472,8 +472,8 @@ class TestViterbiAtPaperShapes:
                 rng.normal(size=(KK, KK)), rng.normal(size=(A, A)))
 
     def _assert_matches_reference(self, unary, eta, gamma):
-        states, scores = _viterbi_batch(unary, eta[None], gamma[None],
-                                        np.zeros(len(unary), int))
+        states, scores = viterbi_batch(unary, eta[None], gamma[None],
+                                       np.zeros(len(unary), int))
         ref_states, ref_scores = reference_viterbi(unary, eta, gamma)
         np.testing.assert_array_equal(states, ref_states)
         assert scores.tobytes() == ref_scores.tobytes()
@@ -520,6 +520,18 @@ class TestViterbiAtPaperShapes:
         assert sum(counted) > 0
 
 
+def _count_rows(monkeypatch, name):
+    """The rows of each call of ``inference.<name>``, one entry per call."""
+    counted = []
+    run = getattr(inference, name)
+
+    def counting(unary_or_history, *args):
+        counted.append(len(unary_or_history))
+        return run(unary_or_history, *args)
+    monkeypatch.setattr(inference, name, counting)
+    return counted
+
+
 def _per_region_reference(unary, eta, gamma, region):
     """``reference_viterbi`` run on each region's rows alone, under that
     region's tables, scattered back into row order."""
@@ -553,7 +565,7 @@ class TestRegionStackedRows:
         return unary, eta, gamma, region
 
     def _assert_matches(self, unary, eta, gamma, region):
-        states, scores = _viterbi_batch(unary, eta, gamma, region)
+        states, scores = viterbi_batch(unary, eta, gamma, region)
         ref_states, ref_scores = _per_region_reference(unary, eta, gamma,
                                                        region)
         np.testing.assert_array_equal(states, ref_states)
@@ -604,6 +616,14 @@ class TestMaximizeAcrossRegions:
                                 allowed_v=rng.random((T, dims.A)) > 0.4)
             queries.append(Query(x, None, constraints, loss))
             queries.append(Query(x, n % dims.Y, constraints, loss))
+        # long loss queries: at the default budget a chunk holds 15 rows at
+        # 250 frames, so the rows of the 240-frame free-y query straddle
+        # two chunks, and the pool takes rows of both chunks
+        for T in (250, 240):
+            x = rng.normal(size=(T, dims.R, dims.D))
+            loss = LossSpec(y=int(rng.integers(dims.Y)),
+                            allowed_v=rng.random((T, dims.A)) > 0.4)
+            queries += [Query(x, None, None, loss), Query(x, 1, None, loss)]
         return queries
 
     def _reference(self, q, params):
@@ -677,6 +697,26 @@ class TestMaximizeAcrossRegions:
         assert peak([Query(x, 0) for x in xs]) <= 1.1 * one
 
 
+class TestQueryRows:
+    def test_best_is_the_same_on_every_call(self):
+        """``best`` sums the region scores into fresh totals, so a second
+        call neither counts a region twice nor moves the winner."""
+        rng = np.random.default_rng(56)
+        R, Y, T, A = 2, 3, 5, 4
+        constants = np.array([10.0, 0.0, 10.0])
+        scores = rng.normal(size=(R, Y))
+        query_rows = inference._QueryRows(
+            index=0, ys=np.arange(Y), constants=constants.copy(),
+            states=rng.integers(0, 3 * A, size=(R, Y, T)), scores=scores,
+            left=0)
+        first, second = query_rows.best(A), query_rows.best(A)
+        assert _bit_identical(first, second)
+        totals = constants + scores[0] + scores[1]
+        assert first.y == int(np.argmax(totals))
+        assert first.score == totals.max()
+        np.testing.assert_array_equal(query_rows.constants, constants)
+
+
 class TestPrunedComplexActions:
     """A free y without a loss is solved by branch and bound over y; the
     result equals the exhaustive search over every y bit for bit."""
@@ -721,16 +761,6 @@ class TestPrunedComplexActions:
             if tie is not None:
                 params.alpha[r][tie[1]] = params.alpha[r][tie[0]]
         return params
-
-    def _count_rows(self, monkeypatch):
-        counted = []
-        batch = inference._viterbi_batch
-
-        def counting(unary, *args):
-            counted.append(len(unary))
-            return batch(unary, *args)
-        monkeypatch.setattr(inference, "_viterbi_batch", counting)
-        return counted
 
     def _assert_exhaustive(self, queries, params, beam=None):
         batch = maximize(queries, params, beam=beam)
@@ -794,7 +824,7 @@ class TestPrunedComplexActions:
         rng = np.random.default_rng(62)
         params = self._params(rng, lead=2)
         queries = self._videos(rng)
-        counted = self._count_rows(monkeypatch)
+        counted = _count_rows(monkeypatch, "_viterbi_forward")
         batch = maximize(queries, params)
         assert [res.y for res in batch] == [2] * len(queries)
         # one row per region and video, against R*Y without the bound
@@ -806,7 +836,7 @@ class TestPrunedComplexActions:
         rng = np.random.default_rng(63)
         params = self._params(rng, lead=2)
         x = rng.normal(size=(6, self.DIMS.R, self.DIMS.D))
-        counted = self._count_rows(monkeypatch)
+        counted = _count_rows(monkeypatch, "_viterbi_forward")
         maximize([Query(x, loss=LossSpec(y=0))], params, 10.0, 0.0)
         maximize([Query(x, y=1)], params)
         assert sum(counted) == self.DIMS.R * (self.DIMS.Y + 1)
@@ -829,7 +859,7 @@ class TestPrunedComplexActions:
         bounds[:, 3] += 1.0
         monkeypatch.setattr(inference, "_y_bounds",
                             lambda free, params: bounds[:len(free)])
-        counted = self._count_rows(monkeypatch)
+        counted = _count_rows(monkeypatch, "_viterbi_forward")
         batch = maximize(queries, params)
         # y = 3 in the first round, y = 1 alone in the second
         assert sum(counted) == 2 * self.DIMS.R * len(queries)
@@ -864,9 +894,9 @@ class TestMixedLengthRows:
         return unary, eta, gamma, region, np.array(lengths)
 
     def _assert_rows_alone(self, unary, eta, gamma, region, lengths):
-        states, scores = _viterbi_batch(unary, eta, gamma, region, lengths)
+        states, scores = viterbi_batch(unary, eta, gamma, region, lengths)
         for b, length in enumerate(lengths):
-            alone_states, alone_score = _viterbi_batch(
+            alone_states, alone_score = viterbi_batch(
                 unary[b:b + 1, :length], eta, gamma, region[b:b + 1])
             np.testing.assert_array_equal(states[b, :length],
                                           alone_states[0])
@@ -892,9 +922,9 @@ class TestMixedLengthRows:
         rng = np.random.default_rng(71)
         unary, eta, gamma, region, lengths = self._stack(
             rng, [6] * 5, KK=9, A=4, tied=True)
-        states, scores = _viterbi_batch(unary, eta, gamma, region, lengths)
-        uniform_states, uniform_scores = _viterbi_batch(unary, eta, gamma,
-                                                        region)
+        states, scores = viterbi_batch(unary, eta, gamma, region, lengths)
+        uniform_states, uniform_scores = viterbi_batch(unary, eta, gamma,
+                                                       region)
         np.testing.assert_array_equal(states, uniform_states)
         assert scores.tobytes() == uniform_scores.tobytes()
 
@@ -904,7 +934,7 @@ class TestMixedLengthRows:
             rng, [8, 5, 3], KK=9, A=4)
         unary[2, 2] = -np.inf
         with pytest.raises(InfeasibleError):
-            _viterbi_batch(unary, eta, gamma, region, lengths)
+            viterbi_batch(unary, eta, gamma, region, lengths)
         # -inf past the row's length is never read
         unary[2, 2] = 0.0
         unary[2, 3:] = -np.inf
@@ -980,14 +1010,82 @@ class TestMixedLengthRows:
         lam = (self.LAMBDA_Y, self.LAMBDA_V)
         alone = [loss_augmented_infer_many([x], params, [spec], *lam)[0]
                  for x, spec in zip(xs, specs)]
-        counted = []
-        batch = inference._viterbi_batch
-
-        def counting(unary, *args):
-            counted.append(len(unary))
-            return batch(unary, *args)
-        monkeypatch.setattr(inference, "_viterbi_batch", counting)
+        counted = _count_rows(monkeypatch, "_viterbi_forward")
         results = loss_augmented_infer_many(xs, params, specs, *lam)
         assert counted == [dims.R * dims.Y * len(xs)]
         for res, one in zip(results, alone):
             assert _bit_identical(res, one)
+
+    def test_a_loss_pass_backtracks_only_the_winners_rows(self,
+                                                          monkeypatch):
+        """A loss-augmented pass over 12 desk-shaped videos (R = 2, A = 14,
+        Y = 3, 41 to 69 frames) runs in four chunks, and queries straddle
+        them; the rows of a query incomplete at its chunk's end wait in the
+        pool, which drops them once their query completes with another
+        winner, so one backtrack runs over the 24 rows of the winning y's,
+        not all 72."""
+        rng = np.random.default_rng(78)
+        dims = ModelDims(R=2, K=8, D=4, A=14, S=3, Y=3)
+        params = random_params(dims, rng)
+        lengths = [69, 66, 64, 61, 59, 56, 54, 51, 49, 46, 44, 41]
+        xs = [rng.normal(size=(T, dims.R, dims.D)) for T in lengths]
+        specs = [LossSpec(y=int(rng.integers(dims.Y)),
+                          allowed_v=rng.random((T, dims.A)) > 0.4)
+                 for T in lengths]
+        lam = (self.LAMBDA_Y, self.LAMBDA_V)
+        alone = [loss_augmented_infer_many([x], params, [spec], *lam)[0]
+                 for x, spec in zip(xs, specs)]
+        forward = _count_rows(monkeypatch, "_viterbi_forward")
+        backtracked = _count_rows(monkeypatch, "_backtrack")
+        results = loss_augmented_infer_many(xs, params, specs, *lam)
+        assert len(forward) == 4
+        assert sum(forward) == dims.R * dims.Y * len(xs)
+        assert backtracked == [dims.R * len(xs)]
+        for res, one in zip(results, alone):
+            assert _bit_identical(res, one)
+
+    def test_a_pool_flushed_inside_a_query_gives_the_same_labeling(
+            self, monkeypatch):
+        """Chunks of one row and pools of three rows: the six rows of a
+        loss query (R = 2, Y = 3) are each kept while the query is
+        incomplete. Region 0's fill the first pool and are backtracked;
+        region 1's go to a second, whose flush drops all but the winner's,
+        so the winner's two rows are backtracked apart."""
+        rng = np.random.default_rng(79)
+        dims = ModelDims(R=2, K=8, D=4, A=6, S=3, Y=3)
+        params = random_params(dims, rng)
+        T = 10
+        x = rng.normal(size=(T, dims.R, dims.D))
+        spec = LossSpec(y=1, allowed_v=rng.random((T, dims.A)) > 0.4)
+        lam = (self.LAMBDA_Y, self.LAMBDA_V)
+        default, = loss_augmented_infer_many([x], params, [spec], *lam)
+        KK = params.num_poselet_states
+        monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES",
+                            3 * 8 * T * dims.A * KK)
+        assert inference._chunk_rows(T, KK, dims.A) == 1
+        forward = _count_rows(monkeypatch, "_viterbi_forward")
+        backtracked = _count_rows(monkeypatch, "_backtrack")
+        res, = loss_augmented_infer_many([x], params, [spec], *lam)
+        assert forward == [1] * dims.R * dims.Y
+        assert backtracked == [3, 1]
+        assert _bit_identical(res, default)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2 << 20],
+                             ids=["row-chunks", "default"])
+    def test_an_infeasible_loss_query_raises_for_the_batch(
+            self, monkeypatch, chunk_bytes):
+        """The shortest query runs last, after the rows of the others are
+        backtracked in place or wait in the pool, and still raises."""
+        monkeypatch.setattr(inference, "VITERBI_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(80)
+        dims = ModelDims(R=2, K=8, D=4, A=5, S=3, Y=3)
+        params = random_params(dims, rng)
+        queries = [Query(rng.normal(size=(T, dims.R, dims.D)),
+                         loss=LossSpec(y=0, allowed_v=np.ones((T, dims.A),
+                                                              dtype=bool)))
+                   for T in (9, 7, 3)]
+        blocked = np.ones((3, dims.R, dims.A), dtype=bool)
+        blocked[1, 1] = False
+        queries[2].constraints = blocked
+        with pytest.raises(InfeasibleError):
+            maximize(queries, params, self.LAMBDA_Y, self.LAMBDA_V)
