@@ -87,8 +87,9 @@ def save_features(out_dir: Path, video_id: str, x: np.ndarray,
 def load_features(features_dir: str | Path) -> dict[str, np.ndarray]:
     """Every video's (frames, regions, dim) array under ``features_dir``.
 
-    Each array must have the shape its JSON header declares and at least
-    one frame, and all videos must share ``regions`` and ``dim``.
+    Each header must name the video of its file's stem, each array must
+    have the shape its header declares and at least one frame, and all
+    videos must share ``regions`` and ``dim``.
     """
     directory = _require(features_dir, "features directory")
     out, shape = {}, None
@@ -105,6 +106,9 @@ def load_features(features_dir: str | Path) -> dict[str, np.ndarray]:
             raise UsageError(f"{header_path}: feature header lacks "
                              + ", ".join(missing))
         video_id = header["video_id"]
+        if video_id != header_path.stem:
+            raise UsageError(f"{header_path}: feature header names video "
+                             f"{video_id!r}, not {header_path.stem!r}")
         array_path = directory / f"{video_id}.npy"
         try:
             x = np.load(array_path)

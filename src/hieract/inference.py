@@ -6,11 +6,12 @@ with its complex action fixed or free, optional frame constraints (the
 loss-augmenting truth. Per region and candidate complex action the
 maximization is a Viterbi pass over joint (poselet, actionlet) states. The
 (query, region, candidate y) rows of all queries run longest query first
-in row chunks, one batched forward pass per chunk, each row under its
-region's transition tables and over its own video's frames: a frame step
-runs over the rows still that long. The tables and complex-action scores are read
-from the model's (R, ...) weight views. A chunk's unary rows are built
-just before it runs, so memory does not grow with the number of queries.
+in chunks of whole queries, one batched forward pass per chunk, each row
+under its region's transition tables and over its own video's frames: a
+frame step runs over the rows still that long. The tables and
+complex-action scores are read from the model's (R, ...) weight views. A
+chunk's unary rows are built just before it runs, so memory does not grow
+with the number of queries.
 A free complex action without a loss is picked by branch and bound over y:
 a rounding-safe upper bound per candidate, from a Viterbi over actionlets
 alone, rules out every y that cannot reach the best total found, and the
@@ -28,12 +29,13 @@ lexicographically is returned.
 The Viterbi forward pass and its backtrack are separate. The forward pass
 keeps only maximum scores, a score history of the bytes two backpointer
 tables would take, and each row's best last state and score; the backtrack
-recomputes the two argmaxes at the cells on the path. Only the rows whose
-labeling can be kept are backtracked: once a query's rows are all scored
-its winning y is known, and only that y's rows, and the rows of queries
-still incomplete, go on. Those rows are pooled across chunks, their
-histories copied into stacks of up to ``VITERBI_CHUNK_BYTES``, and each
-pool is backtracked in one pass.
+recomputes the two argmaxes at the cells on the path. A chunk holds whole
+queries, so when its forward pass ends each of its queries knows its
+winning y, and only that y's rows are backtracked: their histories are
+stacked across chunks up to ``VITERBI_CHUNK_BYTES`` and each stack is
+backtracked in one pass. A query with more rows than a chunk holds (every
+paper-scale query) runs alone in row chunks, and each of its rows is
+backtracked in place.
 
 The forward pass's poselet step, most of a frame's work at paper sizes,
 scores only the ``POSELET_CANDIDATES`` best predecessor poselets of each
@@ -173,12 +175,12 @@ def _apply_beam(unary: np.ndarray, beam: int) -> np.ndarray:
     return np.where(keep, unary, NEG_INF)
 
 
-# Byte budget of one row chunk of the Viterbi forward pass, its score
-# history plus its per-frame temporaries, and of one backtrack pool's
-# histories; about an L2 cache. A chunk's or a pool's rows are sized at the
-# length of its longest row, and a chunk holds at least one row, so at
-# K' = 101, A = 20 and 150 frames every row is its own chunk and is
-# backtracked in place.
+# Byte budget of the rows of one chunk of the Viterbi forward pass, their
+# score histories plus their per-frame temporaries (a chunk of whole
+# queries goes past it by less than one query's rows), and of one backtrack
+# stack's histories; about an L2 cache. Rows are sized at the length of the
+# longest, and a chunk holds at least one row, so at K' = 101, A = 20 and
+# 150 frames every row is its own chunk and is backtracked in place.
 VITERBI_CHUNK_BYTES = 2 << 20
 
 # Predecessor poselets scored per (row, actionlet) in the pruned poselet
@@ -188,7 +190,8 @@ POSELET_CANDIDATES = 16
 
 def _chunk_rows(T: int, KK: int, A: int) -> int:
     """Rows of at most T frames per chunk of the Viterbi pass: about
-    ``VITERBI_CHUNK_BYTES`` of per-row tables, and at least one row."""
+    ``VITERBI_CHUNK_BYTES`` of per-row tables, and at least one row; see
+    ``_chunks`` for how whole queries fill it."""
     # per row: the history, the actionlet step's (A, A, K') table and its
     # gamma rows, the poselet step's (K', K, A) dense table and its eta
     # rows or its (A, m, K) pruned table, and three (A, K') tables
@@ -242,8 +245,8 @@ def _viterbi_forward(unary: np.ndarray, eta: np.ndarray, gamma: np.ndarray,
 
     Rows are independent: each row's history, state and score do not
     depend on the other rows of the stack, their regions or their lengths,
-    so ``_solve`` runs its rows in chunks of ``_chunk_rows`` and
-    backtracks any subset of them together.
+    so ``_solve`` runs its rows in chunks and backtracks any subset of them
+    together.
     """
     B, T, N = unary.shape
     KK, A = eta.shape[1], gamma.shape[1]
@@ -414,17 +417,12 @@ class Query:
 
 @dataclass
 class _QueryRows:
-    """The (region, candidate y) rows of one query in flight: the loss
-    constant per candidate, and the Viterbi scores of the rows solved so
-    far and the states of the rows backtracked so far."""
-    index: int                # of the query in the caller's list
+    """The (region, candidate y) rows of one query: the loss constant per
+    candidate, the rows' Viterbi scores and their backtracked states."""
     ys: np.ndarray            # candidate complex actions
     constants: np.ndarray     # (len(ys),) loss constants
     states: np.ndarray        # (R, len(ys), T)
     scores: np.ndarray        # (R, len(ys))
-    left: int                 # rows not solved yet
-    untraced: int = 0         # rows solved and kept but not backtracked
-    winner: int = -1          # the best candidate once no row is left
 
     def totals(self) -> np.ndarray:
         """Each candidate's loss constant plus its region scores, summed
@@ -433,11 +431,6 @@ class _QueryRows:
         for region_scores in self.scores:
             totals += region_scores
         return totals
-
-    def keeps(self, j: int) -> bool:
-        """Whether candidate j's rows are backtracked: while some row is
-        left, any candidate may win; after, only the winner's are read."""
-        return bool(self.left) or j == self.winner
 
     def best(self, A: int) -> Maximum:
         """The best candidate by ``totals``, ties to the smallest y; its
@@ -451,85 +444,39 @@ class _QueryRows:
 
 
 class _BacktrackPool:
-    """The kept rows of one ``_solve`` waiting for their backtrack. Rows
-    arrive longest first; each row's score history is copied into a stack
-    sized at the first row's length to about ``VITERBI_CHUNK_BYTES``. A
-    full stack first drops the rows that are no longer kept, those of
-    queries completed since with another winner, and is backtracked in one
-    pass if it is still full; a flush drops them too. A row whose history
-    alone fills the budget is backtracked in place, from its chunk's
-    history."""
+    """The winners' rows of one ``_solve``, waiting for their backtrack.
+    Rows arrive longest first and their score histories are appended to a
+    stack sized at its first row's length to about ``VITERBI_CHUNK_BYTES``,
+    at least one row, and to at most the ``rows`` still to come; a full
+    stack is backtracked in one pass, the last with the solve's last row."""
 
     def __init__(self, eta: np.ndarray, gamma: np.ndarray, rows: int):
         self.eta, self.gamma = eta, gamma
-        self.rows = rows          # of the solve, the most a stack holds
+        self.rows = rows          # still to come
         # (query rows, region, candidate j, length, last state) of each
         # row of the stack of [b, t, a, k] histories
         self.owners: list[tuple[_QueryRows, int, int, int, int]] = []
         self.stack = np.empty((0, 0, 0, 0))
 
     def add(self, query_rows: _QueryRows, r: int, j: int,
-            history: np.ndarray, length: int,
-            last: int) -> list[_QueryRows]:
-        """Keep the row of ``query_rows`` at region r and candidate j,
-        whose [t, a, k] history is ``history``; returns the queries of the
-        rows this backtracked or dropped."""
-        query_rows.untraced += 1
-        row = (query_rows, r, j, length, last)
-        if history[:length].nbytes >= VITERBI_CHUNK_BYTES:
-            return self._trace(history[None], [row])
+            history: np.ndarray, length: int, last: int) -> None:
+        """Append the row of ``query_rows`` at region r and candidate j,
+        whose [t, a, k] history is ``history``."""
         if not self.owners:
-            size = min(self.rows,
-                       VITERBI_CHUNK_BYTES // history[:length].nbytes)
-            self.stack = np.empty((size, length) + history.shape[1:])
+            fit = max(1, VITERBI_CHUNK_BYTES // history[:length].nbytes)
+            self.stack = np.empty((min(self.rows, fit), length)
+                                  + history.shape[1:])
         self.stack[len(self.owners), :length] = history[:length]
-        self.owners.append(row)
-        if len(self.owners) < len(self.stack):
-            return []
-        touched = self._drop()
+        self.owners.append((query_rows, r, j, length, last))
+        self.rows -= 1
         if len(self.owners) == len(self.stack):
-            touched += self.flush()
-        return touched
-
-    def flush(self) -> list[_QueryRows]:
-        """Backtrack the stacked rows still kept; returns the queries of
-        the rows backtracked or dropped."""
-        touched = self._drop()
-        if self.owners:
-            touched += self._trace(self.stack, self.owners)
-        self.owners, self.stack = [], np.empty((0, 0, 0, 0))
-        return touched
-
-    def _drop(self) -> list[_QueryRows]:
-        """Remove the rows no longer kept, moving the others up in order;
-        returns their queries."""
-        kept = [row[0].keeps(row[2]) for row in self.owners]
-        if all(kept):
-            return []
-        keep = [n for n, k in enumerate(kept) if k]
-        for to, n in enumerate(keep):
-            if to != n:
-                self.stack[to] = self.stack[n]
-        dropped = [row[0] for row, k in zip(self.owners, kept) if not k]
-        for query_rows in dropped:
-            query_rows.untraced -= 1
-        self.owners = [self.owners[n] for n in keep]
-        return dropped
-
-    def _trace(self, history: np.ndarray,
-               rows: list[tuple[_QueryRows, int, int, int, int]]
-               ) -> list[_QueryRows]:
-        """Backtrack ``rows`` from the leading rows of ``history`` and store
-        their states; returns their queries."""
-        columns = list(zip(*rows))
-        region, lengths, last = (np.array(columns[c], dtype=np.intp)
-                                 for c in (1, 3, 4))
-        states = _backtrack(history[:len(rows)], self.eta, self.gamma,
-                            region, lengths, last)
-        for (query_rows, r, j, length, _), row_states in zip(rows, states):
-            query_rows.states[r, j] = row_states[:length]
-            query_rows.untraced -= 1
-        return [row[0] for row in rows]
+            _, region, _, lengths, ends = zip(*self.owners)
+            states = _backtrack(self.stack, self.eta, self.gamma,
+                                *map(np.array, (region, lengths, ends)))
+            for (owner, r, j, length, _), row_states in zip(self.owners,
+                                                            states):
+                owner.states[r, j] = row_states[:length]
+            self.owners, self.stack = [], np.empty((0, 0, 0, 0))
 
 
 def _unary_rows(queries: list[Query], candidates: list[np.ndarray],
@@ -550,8 +497,8 @@ def _unary_rows(queries: list[Query], candidates: list[np.ndarray],
         if q.loss is not None and q.loss.allowed_v is not None \
                 and lambda_v != 0.0:
             addends = (lambda_v / T) * (~q.loss.allowed_v).astype(float)
-        rows = _QueryRows(i, ys, constants, np.empty((d.R, ys.size, T), int),
-                          np.empty((d.R, ys.size)), d.R * ys.size)
+        rows = _QueryRows(ys, constants, np.empty((d.R, ys.size, T), int),
+                          np.empty((d.R, ys.size)))
         for r in range(d.R):
             base = _region_unary_base(x, params, r, q.constraints,
                                       addends if r == LOSS_REGION else None)
@@ -566,70 +513,83 @@ def _longest_first(queries: list[Query]) -> list[int]:
                   key=lambda i: -np.shape(queries[i].x)[0])
 
 
+def _chunks(frames: list[int], sizes: list[int], KK: int, A: int):
+    """The chunks of the rows of queries of ``frames`` frames and ``sizes``
+    rows, longest first, as (rows, whole queries). A chunk takes whole
+    queries until it holds ``_chunk_rows`` rows at its first's length, so
+    it goes past that by less than one query; a query with more rows than
+    ``_chunk_rows`` at its own length runs alone, in chunks of that many."""
+    held = whole = least = 0
+    for T, size in zip(frames, sizes):
+        most = _chunk_rows(T, KK, A)
+        if held and (held >= least or size > most):
+            yield held, whole
+            held = whole = 0
+        if size > most:
+            yield from ((min(most, size - n), 0) for n in range(0, size, most))
+        else:
+            least = least if held else most
+            held, whole = held + size, whole + 1
+    if held:
+        yield held, whole
+
+
 def _solve(queries: list[Query], candidates: list[np.ndarray],
            params: ModelParams, lambda_y: float, lambda_v: float,
            beam: int | None) -> list[Maximum]:
     """Best labeling per query over its ascending ``candidates`` y. The
-    (query, region, candidate) rows run longest query first, in chunks of
-    ``_chunk_rows`` at the length of a chunk's first row, one forward pass
-    per chunk whatever the lengths of its rows.
-
-    A chunk's scores are recorded first; a query whose rows are all scored
-    then picks its winner by ``_QueryRows.totals``. Only the rows whose
-    states can be read are kept (``_QueryRows.keeps``): the winner's, and
-    every row of a query not yet complete. They go to a
-    ``_BacktrackPool``, which stacks them across chunks up to
-    ``VITERBI_CHUNK_BYTES`` of histories and drops those whose query has
-    since completed with another winner, so a backtrack, whose cost is
-    mostly per frame, runs once per pool and not once per chunk. A query's
-    result is built once its winner's rows are backtracked."""
+    (query, region, candidate) rows run longest query first in the chunks
+    of ``_chunks``, one forward pass per chunk whatever its rows' lengths.
+    When a chunk of whole queries has run, each query picks its winner by
+    ``_QueryRows.totals`` and only the winner's R rows go to the
+    ``_BacktrackPool``, so a backtrack, whose cost is mostly per frame,
+    runs once per stack. The rows of a query longer than a chunk are
+    backtracked in place, as its winner is unknown until its last chunk.
+    The results are built once every winner's rows are backtracked."""
     d = params.dims
     KK = params.num_poselet_states
     alphas = _alpha_rows(params)
     eta, gamma = _tables(params)
-    results: list[Maximum | None] = [None] * len(queries)
-    pool = _BacktrackPool(eta, gamma,
-                          sum(d.R * ys.size for ys in candidates))
-
-    def settle(touched: list[_QueryRows]) -> None:
-        for query_rows in touched:
-            i = query_rows.index
-            if results[i] is None and not (query_rows.left
-                                           or query_rows.untraced):
-                results[i] = query_rows.best(d.A)
-
-    rows = _unary_rows(queries, candidates, _longest_first(queries), params,
-                       lambda_y, lambda_v)
+    order = _longest_first(queries)
+    chunks = list(_chunks([np.shape(queries[i].x)[0] for i in order],
+                          [d.R * candidates[i].size for i in order],
+                          KK, d.A))
+    pool = _BacktrackPool(eta, gamma, d.R * sum(n for _, n in chunks))
+    rows = _unary_rows(queries, candidates, order, params, lambda_y,
+                       lambda_v)
+    solved = []               # the query rows in ``order``
     unary = np.empty((0, 0, KK * d.A))
-    for first in rows:
-        T = len(first[3])
-        owners = [first, *islice(rows, _chunk_rows(T, KK, d.A) - 1)]
-        if unary.shape[:2] != (len(owners), T):
-            unary = np.empty((len(owners), T, KK * d.A))
-        region = np.empty(len(owners), dtype=np.intp)
-        lengths = np.empty(len(owners), dtype=np.intp)
+    for size, whole in chunks:
+        owners = list(islice(rows, size))
+        T = len(owners[0][3])
+        if unary.shape[:2] != (size, T):
+            unary = np.empty((size, T, KK * d.A))
+        region = np.empty(size, dtype=np.intp)
+        lengths = np.empty(size, dtype=np.intp)
         for n, (query_rows, r, j, base) in enumerate(owners):
             row = unary[n, :len(base)]
             np.add(base, alphas[r, query_rows.ys[j]], out=row)
             if beam is not None:
                 row[:] = _apply_beam(row, beam)
             region[n], lengths[n] = r, len(base)
+            if r == j == 0:
+                solved.append(query_rows)
         history, last, scores = _viterbi_forward(unary, eta, gamma, region,
                                                  lengths)
         for (query_rows, r, j, _), score in zip(owners, scores):
             query_rows.scores[r, j] = score
-            query_rows.left -= 1
-            if not query_rows.left:
-                query_rows.winner = int(np.argmax(query_rows.totals()))
-        touched = []
+        if not whole:           # rows of a query longer than a chunk
+            states = _backtrack(history, eta, gamma, region, lengths, last)
+            for (query_rows, r, j, _), row_states in zip(owners, states):
+                query_rows.states[r, j] = row_states
+            continue
         for n, (query_rows, r, j, _) in enumerate(owners):
-            if query_rows.keeps(j):
-                touched += pool.add(query_rows, r, j, history[n],
-                                    lengths[n], last[n])
-            touched.append(query_rows)
-        settle(touched)
-    settle(pool.flush())
-    return results
+            if r == j == 0:     # a query's first row
+                winner = int(np.argmax(query_rows.totals()))
+            if j == winner:
+                pool.add(query_rows, r, j, history[n], lengths[n], last[n])
+    by_index = dict(zip(order, solved))
+    return [by_index[i].best(d.A) for i in range(len(queries))]
 
 
 def _y_bounds(queries: list[Query], params: ModelParams) -> np.ndarray:
@@ -725,16 +685,18 @@ def maximize(queries: list[Query], params: ModelParams,
     per-frame addends in the designated loss region, so each region still
     solves an independent DP and ``result.score`` equals the labeling's
     ``energy_total`` plus its loss. The (query, region, candidate y) rows
-    of all queries run longest query first in chunks, one forward pass per
-    chunk whatever the lengths of its rows, each row under its region's
-    transition tables and over its own frames; each chunk's unary rows are
-    built just before it runs. Only the rows of each query's winning y,
-    and of queries not yet complete, are backtracked, in pools of up to
-    ``VITERBI_CHUNK_BYTES`` of histories across chunks (``_solve``), so
-    apart from the results nothing held grows with the number of queries.
-    The rows are independent and each query's region scores are summed in
-    region order, so every result equals that of its query run alone, bit
-    for bit.
+    of all queries run longest query first in chunks of whole queries, one
+    forward pass per chunk whatever the lengths of its rows, each row under
+    its region's transition tables and over its own frames; each chunk's
+    unary rows are built just before it runs. A chunk closes once it holds
+    ``_chunk_rows`` rows, so it goes past that count by less than one
+    query's rows. Only the rows of each query's winning y are backtracked,
+    in stacks of up to ``VITERBI_CHUNK_BYTES`` of histories across chunks;
+    a query with more rows than a chunk holds runs alone in row chunks and
+    each of its rows is backtracked in place (``_solve``). Apart from the
+    results nothing held grows with the number of queries. The rows are
+    independent and each query's region scores are summed in region order,
+    so every result equals that of its query run alone, bit for bit.
 
     A query with a fixed y or a loss solves every candidate. A query with
     a free y and no loss is solved by branch and bound over y in two
@@ -806,9 +768,11 @@ def loss_augmented_infer_many(xs: list[np.ndarray], params: ModelParams,
                     params, lambda_y, lambda_v, beam)
 
 
-def complete_latent(x: np.ndarray, params: ModelParams, y: int,
-                    constraints: np.ndarray | None = None,
-                    beam: int | None = None) -> Labeling:
-    """Best labeling at a fixed complex action, under constraints."""
-    return maximize([Query(x, y=y, constraints=constraints)], params,
-                    beam=beam)[0].labeling
+def complete_latent(xs: list[np.ndarray], params: ModelParams,
+                    ys: list[int], constraints: list[np.ndarray | None],
+                    beam: int | None = None) -> list[Labeling]:
+    """Best labeling per video at its fixed complex action, under its
+    constraints (None for none), in batched Viterbi passes."""
+    queries = [Query(x, y=y, constraints=c)
+               for x, y, c in zip(xs, ys, constraints)]
+    return [best.labeling for best in maximize(queries, params, beam=beam)]

@@ -505,9 +505,8 @@ def impute_latents(videos: list[TrainingVideo], params: ModelParams,
                    constraints: list[np.ndarray | None],
                    beam: int | None = None) -> list[Labeling]:
     """Best constrained labeling per video at its true complex action."""
-    return [complete_latent(video.x, params, video.y, constraints=c,
-                            beam=beam)
-            for video, c in zip(videos, constraints)]
+    return complete_latent([video.x for video in videos], params,
+                           [video.y for video in videos], constraints, beam)
 
 
 # ---------------------------------------------------------------------------

@@ -650,6 +650,25 @@ class TestErrors:
         with pytest.raises(UsageError, match=r"b.npy: \(regions, dim\)"):
             load_features(features)
 
+    def test_header_naming_another_video_names_the_file(
+            self, synth_dataset, tmp_path, capsys):
+        """A second header naming a video already read would silently
+        replace it; annotate refuses the set, naming the header."""
+        features = synth_dataset / "test" / "features"
+        first = min(features.glob("synth_*.json"))
+        copy = features / f"copy_of_{first.name}"
+        copy.write_text(first.read_text())
+        model_path = tmp_path / "model.json"
+        model_path.write_text(save_model(random_params(
+            ModelDims(R=2, K=3, D=5, A=2, S=2, Y=2),
+            np.random.default_rng(7))))
+        assert main(["annotate", "--model", str(model_path),
+                     "--features", str(features),
+                     "--out", str(tmp_path / "frames.csv"),
+                     "--labels-out", str(tmp_path / "labels.csv")]) == 1
+        assert (f"{copy}: feature header names video {first.stem!r}, "
+                f"not {copy.stem!r}") in capsys.readouterr().err
+
     @pytest.mark.parametrize("fault", ["pickled", "empty", "truncated"])
     def test_unreadable_feature_array_names_the_file(self, tmp_path, fault):
         features = tmp_path / "features"

@@ -42,7 +42,7 @@ class TestDpRegion:
         dims = ModelDims(R=1, K=2, D=3, A=2, S=2, Y=2)
         params = ModelParams.zeros(dims, dictionary=make_dictionary(2, 2, 2))
         x = np.zeros((4, 1, 3))
-        labeling = complete_latent(x, params, 0)
+        labeling, = complete_latent([x], params, [0], [None])
         assert energy_total(x, labeling, params) == 0.0
         assert not labeling.z.any() and not labeling.v.any()
 
@@ -134,7 +134,8 @@ class TestInfer:
         params = random_params(dims, rng)
         x = rng.normal(size=(4, 2, 3))
         res = infer(x, params)
-        total = energy_total(x, complete_latent(x, params, 0), params)
+        labeling, = complete_latent([x], params, [0], [None])
+        total = energy_total(x, labeling, params)
         assert res.y == 0
         assert res.score == pytest.approx(total, rel=1e-12)
 
@@ -218,8 +219,8 @@ class TestLossAugmented:
             checked += 1
             best = np.zeros(params.dims.Y)
             for y in range(params.dims.Y):
-                best[y] = energy_total(x, complete_latent(x, params, y),
-                                       params)
+                best[y] = energy_total(
+                    x, complete_latent([x], params, [y], [None])[0], params)
             lambda_y = 1.0
             y_true = int(rng.integers(params.dims.Y))
             aug = loss_augmented_infer_many([x], params, [LossSpec(y=y_true)],
@@ -247,7 +248,7 @@ class TestTrainingWrappers:
         spec = LossSpec(y=0, allowed_v=rng.random((T, params.dims.A)) > 0.3)
         res, = loss_augmented_infer_many([x], params, [spec], 10.0, 5.0)
         assert res.labeling.num_frames == T
-        assert complete_latent(x, params, 0).y == 0
+        assert complete_latent([x], params, [0], [None])[0].y == 0
 
 
 class TestCompleteLatent:
@@ -257,7 +258,7 @@ class TestCompleteLatent:
         T = x.shape[0]
         v_fixed = rng.integers(0, params.dims.A, size=(T, params.dims.R))
         allowed = v_fixed[:, :, None] == np.arange(params.dims.A)
-        labeling = complete_latent(x, params, 0, allowed)
+        labeling, = complete_latent([x], params, [0], [allowed])
         np.testing.assert_array_equal(labeling.v, v_fixed)
 
     def test_singleton_sets_force_v(self):
@@ -268,7 +269,7 @@ class TestCompleteLatent:
         x = rng.normal(size=(T, 2, 3))
         allowed = np.zeros((T, 2, 3), dtype=bool)
         allowed[:, :, 2] = True
-        labeling = complete_latent(x, params, 0, allowed)
+        labeling, = complete_latent([x], params, [0], [allowed])
         assert (labeling.v == 2).all()
 
     def test_matches_constrained_brute_force(self):
@@ -278,7 +279,7 @@ class TestCompleteLatent:
             T = x.shape[0]
             allowed = rng.random((T, params.dims.R, params.dims.A)) > 0.3
             allowed[:, :, 0] = True   # keep feasible
-            labeling = complete_latent(x, params, 0, allowed)
+            labeling, = complete_latent([x], params, [0], [allowed])
             oracle = brute_force(x, params, constraints=allowed)
             np.testing.assert_array_equal(labeling.z, oracle.labeling.z)
             np.testing.assert_array_equal(labeling.v, oracle.labeling.v)
@@ -292,7 +293,7 @@ class TestCompleteLatent:
         T = x.shape[0]
         allowed = np.zeros((T, params.dims.R, params.dims.A), dtype=bool)
         with pytest.raises(InfeasibleError):
-            complete_latent(x, params, 0, allowed)
+            complete_latent([x], params, [0], [allowed])
 
 
 def _margins_reference(unary):
@@ -616,9 +617,10 @@ class TestMaximizeAcrossRegions:
                                 allowed_v=rng.random((T, dims.A)) > 0.4)
             queries.append(Query(x, None, constraints, loss))
             queries.append(Query(x, n % dims.Y, constraints, loss))
-        # long loss queries: at the default budget a chunk holds 15 rows at
-        # 250 frames, so the rows of the 240-frame free-y query straddle
-        # two chunks, and the pool takes rows of both chunks
+        # long loss queries: at the default budget a chunk closes at 15
+        # rows at 250 frames, so the first chunk takes the 240-frame free-y
+        # query whole and goes past that count, and the pool stacks the
+        # winners' rows of more than one chunk
         for T in (250, 240):
             x = rng.normal(size=(T, dims.R, dims.D))
             loss = LossSpec(y=int(rng.integers(dims.Y)),
@@ -670,6 +672,37 @@ class TestMaximizeAcrossRegions:
             np.testing.assert_array_equal(res.labeling.z, joint // dims.A)
             np.testing.assert_array_equal(res.labeling.v, joint % dims.A)
 
+    def test_a_query_longer_than_a_chunk_among_short_ones(self,
+                                                          monkeypatch):
+        """At the default budget a 480-frame free-y loss query has 9 rows,
+        more than a chunk holds at its length, so it runs alone in row
+        chunks, after a chunk that closes early with the one 600-frame
+        fixed-y query; every result equals its query alone and the
+        reference."""
+        rng = np.random.default_rng(57)
+        dims = ModelDims(R=3, K=20, D=4, A=3, S=2, Y=3)
+        params = random_params(dims, rng)
+        KK = params.num_poselet_states
+        most = inference._chunk_rows(480, KK, dims.A)
+        assert dims.R < most < dims.R * dims.Y
+        assert inference._chunk_rows(600, KK, dims.A) >= dims.R
+        queries = self._queries(rng, dims)
+        x = rng.normal(size=(480, dims.R, dims.D))
+        loss = LossSpec(y=0, allowed_v=rng.random((480, dims.A)) > 0.4)
+        queries.insert(5, Query(x, None, None, loss))
+        queries.insert(9, Query(rng.normal(size=(600, dims.R, dims.D)), 2))
+        lam = (self.LAMBDA_Y, self.LAMBDA_V)
+        forward = _count_rows(monkeypatch, "_viterbi_forward")
+        batch = maximize(queries, params, *lam)
+        assert forward[:3] == [dims.R, most, dims.R * dims.Y - most]
+        for q, res in zip(queries, batch):
+            alone, = maximize([q], params, *lam)
+            assert _bit_identical(res, alone)
+            y, joint, score = self._reference(q, params)
+            assert res.y == y and res.score == score
+            np.testing.assert_array_equal(res.labeling.z, joint // dims.A)
+            np.testing.assert_array_equal(res.labeling.v, joint % dims.A)
+
     def test_memory_does_not_grow_with_queries(self):
         """Paper-shaped 150-frame queries (K' = 101, A = 20, R = 4, Y = 10):
         one query with free y, or with a loss and so all 40 of its rows
@@ -706,9 +739,8 @@ class TestQueryRows:
         constants = np.array([10.0, 0.0, 10.0])
         scores = rng.normal(size=(R, Y))
         query_rows = inference._QueryRows(
-            index=0, ys=np.arange(Y), constants=constants.copy(),
-            states=rng.integers(0, 3 * A, size=(R, Y, T)), scores=scores,
-            left=0)
+            ys=np.arange(Y), constants=constants.copy(),
+            states=rng.integers(0, 3 * A, size=(R, Y, T)), scores=scores)
         first, second = query_rows.best(A), query_rows.best(A)
         assert _bit_identical(first, second)
         totals = constants + scores[0] + scores[1]
@@ -1019,19 +1051,11 @@ class TestMixedLengthRows:
     def test_a_loss_pass_backtracks_only_the_winners_rows(self,
                                                           monkeypatch):
         """A loss-augmented pass over 12 desk-shaped videos (R = 2, A = 14,
-        Y = 3, 41 to 69 frames) runs in four chunks, and queries straddle
-        them; the rows of a query incomplete at its chunk's end wait in the
-        pool, which drops them once their query completes with another
-        winner, so one backtrack runs over the 24 rows of the winning y's,
-        not all 72."""
-        rng = np.random.default_rng(78)
-        dims = ModelDims(R=2, K=8, D=4, A=14, S=3, Y=3)
-        params = random_params(dims, rng)
-        lengths = [69, 66, 64, 61, 59, 56, 54, 51, 49, 46, 44, 41]
-        xs = [rng.normal(size=(T, dims.R, dims.D)) for T in lengths]
-        specs = [LossSpec(y=int(rng.integers(dims.Y)),
-                          allowed_v=rng.random((T, dims.A)) > 0.4)
-                 for T in lengths]
+        Y = 3, 41 to 69 frames) runs in four chunks of whole queries; each
+        query's winner is known when its chunk ends, and only the winner's
+        rows go to the pool, so one backtrack runs over the 24 rows of the
+        winning y's, not all 72."""
+        dims, params, xs, specs = self._desk_pass()
         lam = (self.LAMBDA_Y, self.LAMBDA_V)
         alone = [loss_augmented_infer_many([x], params, [spec], *lam)[0]
                  for x, spec in zip(xs, specs)]
@@ -1044,13 +1068,58 @@ class TestMixedLengthRows:
         for res, one in zip(results, alone):
             assert _bit_identical(res, one)
 
-    def test_a_pool_flushed_inside_a_query_gives_the_same_labeling(
+    def _desk_pass(self):
+        """Desk-shaped loss queries: 12 videos of 41 to 69 frames under a
+        model of R = 2, K = 8, A = 14 and Y = 3."""
+        rng = np.random.default_rng(78)
+        dims = ModelDims(R=2, K=8, D=4, A=14, S=3, Y=3)
+        params = random_params(dims, rng)
+        lengths = [69, 66, 64, 61, 59, 56, 54, 51, 49, 46, 44, 41]
+        xs = [rng.normal(size=(T, dims.R, dims.D)) for T in lengths]
+        specs = [LossSpec(y=int(rng.integers(dims.Y)),
+                          allowed_v=rng.random((T, dims.A)) > 0.4)
+                 for T in lengths]
+        return dims, params, xs, specs
+
+    def test_every_chunk_of_a_loss_pass_holds_whole_queries(self,
+                                                             monkeypatch):
+        """Each forward pass of the desk-shaped loss pass runs whole
+        queries, R * Y rows each, so no query's rows straddle two
+        chunks."""
+        dims, params, xs, specs = self._desk_pass()
+        forward = _count_rows(monkeypatch, "_viterbi_forward")
+        loss_augmented_infer_many(xs, params, specs, self.LAMBDA_Y,
+                                  self.LAMBDA_V)
+        assert forward
+        assert all(rows % (dims.R * dims.Y) == 0 for rows in forward)
+
+    def test_the_stack_holds_only_the_rows_still_to_come(self,
+                                                         monkeypatch):
+        """The desk-shaped loss pass keeps R rows per query, 24 in all,
+        and its stack is sized to them, not to the 30 rows of 69 frames
+        the budget would take."""
+        dims, params, xs, specs = self._desk_pass()
+        KK = params.num_poselet_states
+        assert inference.VITERBI_CHUNK_BYTES // (8 * 69 * KK * dims.A) \
+            > dims.R * len(xs)
+        sizes = []
+        add = inference._BacktrackPool.add
+
+        def recording(pool, *args):
+            add(pool, *args)
+            sizes.append(len(pool.stack))
+        monkeypatch.setattr(inference._BacktrackPool, "add", recording)
+        loss_augmented_infer_many(xs, params, specs, self.LAMBDA_Y,
+                                  self.LAMBDA_V)
+        assert max(sizes) == dims.R * len(xs)
+
+    def test_a_query_longer_than_a_chunk_backtracks_every_row_in_place(
             self, monkeypatch):
-        """Chunks of one row and pools of three rows: the six rows of a
-        loss query (R = 2, Y = 3) are each kept while the query is
-        incomplete. Region 0's fill the first pool and are backtracked;
-        region 1's go to a second, whose flush drops all but the winner's,
-        so the winner's two rows are backtracked apart."""
+        """Chunks of one row: the six rows of a loss query (R = 2, Y = 3)
+        are more than a chunk holds, so the query runs alone in six
+        chunks, its winner is unknown until the last, and each row is
+        backtracked in place after its chunk; the labeling equals the
+        default budget's."""
         rng = np.random.default_rng(79)
         dims = ModelDims(R=2, K=8, D=4, A=6, S=3, Y=3)
         params = random_params(dims, rng)
@@ -1067,7 +1136,7 @@ class TestMixedLengthRows:
         backtracked = _count_rows(monkeypatch, "_backtrack")
         res, = loss_augmented_infer_many([x], params, [spec], *lam)
         assert forward == [1] * dims.R * dims.Y
-        assert backtracked == [3, 1]
+        assert backtracked == [1] * dims.R * dims.Y
         assert _bit_identical(res, default)
 
     @pytest.mark.parametrize("chunk_bytes", [1, 2 << 20],
